@@ -5,14 +5,12 @@
 //! size model from modified BDI to Frequent Pattern Compression should
 //! preserve the policy's behaviour qualitatively.
 
-use hllc_bench::exp::ExpOpts;
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
-use hllc_compress::CompressorKind;
 use hllc_core::Policy;
-use hllc_forecast::run_phase;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "ablation_compressor",
         "BDI vs FPC under CP_SD (and BH baseline)",
@@ -21,26 +19,21 @@ fn main() {
     let mut table = Table::new(["policy", "compressor", "hit rate", "NVM bytes", "IPC"]);
     let mut json_rows = Vec::new();
     for policy in [Policy::Bh, Policy::cp_sd()] {
-        for kind in [CompressorKind::Bdi, CompressorKind::Fpc] {
-            let mut hits = 0.0;
-            let mut reqs = 0.0;
-            let mut bytes = 0u64;
-            let mut ipc = 0.0;
-            for (i, mix) in opts.mix_list().iter().enumerate() {
-                let mut setup = opts.phase_setup(policy);
-                setup.compressor = kind;
-                let (m, _) = run_phase(&setup, mix, None, opts.seed + i as u64);
-                hits += m.llc.hits as f64;
-                reqs += m.llc.requests() as f64;
-                bytes += m.llc.nvm_bytes_written;
-                ipc += m.ipc;
-            }
+        for compressor in ["bdi", "fpc"] {
+            let mut spec = opts.spec_for(policy);
+            spec.hybrid.compressor = compressor.into();
+            let metrics = opts.measure(&spec, 1.0);
+            let hits = total(&metrics, |m| m.llc.hits as f64);
+            let reqs = total(&metrics, |m| m.llc.requests() as f64);
+            let bytes: u64 = metrics.iter().map(|m| m.llc.nvm_bytes_written).sum();
+            let ipc = total(&metrics, |m| m.ipc) / metrics.len() as f64;
+            let kind = spec.compressor();
             table.row([
                 policy.name(),
                 kind.name().to_string(),
                 format!("{:.3}", hits / reqs),
                 format!("{bytes}"),
-                format!("{:.4}", ipc / opts.mixes as f64),
+                format!("{ipc:.4}"),
             ]);
             json_rows.push(serde_json::json!({
                 "policy": policy.name(), "compressor": kind.name(),

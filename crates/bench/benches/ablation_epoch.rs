@@ -5,13 +5,12 @@
 //! force) and reports hits and NVM bytes, exposing the trade-off between
 //! reactivity (short epochs) and sampler statistics (long epochs).
 
-use hllc_bench::exp::ExpOpts;
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::Policy;
-use hllc_forecast::run_phase;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "ablation_epoch",
         "Set Dueling epoch-length sweep (CP_SD)",
@@ -21,19 +20,13 @@ fn main() {
     let mut table = Table::new(["epoch [cycles]", "hit rate", "NVM bytes", "epochs seen"]);
     let mut json_rows = Vec::new();
     for epoch in [25_000u64, 50_000, 100_000, 200_000, 400_000, 800_000] {
-        let mut hits = 0.0;
-        let mut reqs = 0.0;
-        let mut bytes = 0u64;
-        let mut epochs = 0usize;
-        for (i, mix) in opts.mix_list().iter().enumerate() {
-            let mut setup = opts.phase_setup(Policy::cp_sd());
-            setup.llc = setup.llc.with_epoch_cycles(epoch);
-            let (m, _) = run_phase(&setup, mix, None, opts.seed + i as u64);
-            hits += m.llc.hits as f64;
-            reqs += m.llc.requests() as f64;
-            bytes += m.llc.nvm_bytes_written;
-            epochs += m.epochs.len();
-        }
+        let mut spec = opts.spec_for(Policy::cp_sd());
+        spec.hybrid.epoch_cycles = epoch;
+        let metrics = opts.measure(&spec, 1.0);
+        let hits = total(&metrics, |m| m.llc.hits as f64);
+        let reqs = total(&metrics, |m| m.llc.requests() as f64);
+        let bytes: u64 = metrics.iter().map(|m| m.llc.nvm_bytes_written).sum();
+        let epochs: usize = metrics.iter().map(|m| m.epochs.len()).sum();
         table.row([
             format!("{epoch}"),
             format!("{:.3}", hits / reqs),

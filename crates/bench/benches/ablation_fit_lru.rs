@@ -6,13 +6,12 @@
 //! insertion falls back to SRAM. The difference only appears once frames
 //! start losing bytes — so the sweep runs at degraded capacities.
 
-use hllc_bench::exp::{degraded_array, ExpOpts};
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::Policy;
-use hllc_forecast::run_phase;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "ablation_fit_lru",
         "Fit-LRU vs plain LRU in the NVM part (CP_SD)",
@@ -28,22 +27,19 @@ fn main() {
     let mut json_rows = Vec::new();
     for capacity in [1.0, 0.9, 0.8, 0.7, 0.6] {
         for fit in [true, false] {
-            let mut hits = 0.0;
-            let mut reqs = 0.0;
-            let mut nvm_inserts = 0u64;
-            let mut fallbacks = 0u64;
-            for (i, mix) in opts.mix_list().iter().enumerate() {
-                let mut setup = opts.phase_setup(Policy::cp_sd());
-                if !fit {
-                    setup.llc = setup.llc.without_fit_lru();
-                }
-                let array = degraded_array(&setup.llc, capacity, opts.seed + i as u64);
-                let (m, _) = run_phase(&setup, mix, array, opts.seed + i as u64);
-                hits += m.llc.hits as f64;
-                reqs += m.llc.requests() as f64;
-                nvm_inserts += m.llc.nvm_inserts;
-                fallbacks += m.llc.bypasses + m.llc.sram_inserts;
-            }
+            // Fit-LRU is a mechanism ablation outside the spec schema: a
+            // `HybridConfig` edit on the spec-built setup.
+            let spec = opts.spec_for(Policy::cp_sd());
+            let metrics = opts.measure_with(&spec, capacity, |setup| {
+                setup.llc.fit_lru = fit;
+            });
+            let hits = total(&metrics, |m| m.llc.hits as f64);
+            let reqs = total(&metrics, |m| m.llc.requests() as f64);
+            let nvm_inserts: u64 = metrics.iter().map(|m| m.llc.nvm_inserts).sum();
+            let fallbacks: u64 = metrics
+                .iter()
+                .map(|m| m.llc.bypasses + m.llc.sram_inserts)
+                .sum();
             let variant = if fit { "Fit-LRU" } else { "plain LRU" };
             table.row([
                 format!("{:3.0}%", capacity * 100.0),

@@ -6,14 +6,12 @@
 //! The policy orderings must survive the swap — row-buffer locality mostly
 //! rewards the streaming applications equally under every policy.
 
-use hllc_bench::exp::ExpOpts;
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::Policy;
-use hllc_forecast::run_phase;
-use hllc_sim::DramConfig;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "ablation_memory",
         "Flat memory latency vs banked open-page DRAM",
@@ -26,20 +24,12 @@ fn main() {
     for dram in [false, true] {
         let mut per_policy = Vec::new();
         for policy in [Policy::Bh, Policy::cp_sd(), Policy::LHybrid] {
-            let mut ipc = 0.0;
-            let mut hits = 0.0;
-            let mut reqs = 0.0;
-            for (i, mix) in opts.mix_list().iter().enumerate() {
-                let mut setup = opts.phase_setup(policy);
-                if dram {
-                    setup.system = setup.system.with_dram(DramConfig::ddr4_single_channel());
-                }
-                let (m, _) = run_phase(&setup, mix, None, opts.seed + i as u64);
-                ipc += m.ipc;
-                hits += m.llc.hits as f64;
-                reqs += m.llc.requests() as f64;
-            }
-            let ipc = ipc / opts.mixes as f64;
+            let mut spec = opts.spec_for(policy);
+            spec.system.dram = dram;
+            let metrics = opts.measure(&spec, 1.0);
+            let ipc = total(&metrics, |m| m.ipc) / metrics.len() as f64;
+            let hits = total(&metrics, |m| m.llc.hits as f64);
+            let reqs = total(&metrics, |m| m.llc.requests() as f64);
             per_policy.push(ipc);
             table.row([
                 if dram {

@@ -5,20 +5,20 @@
 //! computes a post-hoc energy breakdown per policy from the measured LLC
 //! activity (TAP's paper reports a 25 % energy reduction vs LRU).
 
-use hllc_bench::exp::{measure_mix, ExpOpts};
+use hllc_bench::exp::ExpOpts;
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::Policy;
 use hllc_sim::EnergyModel;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "energy",
         "LLC energy per policy (extension; coefficients in sim::EnergyModel)",
         "Motivating context: TAP reports ~25% LLC energy reduction vs LRU.",
     );
     let model = EnergyModel::default_16nm();
-    let freq = 3.5;
+    let freq = opts.spec.system_config().timing.freq_ghz;
 
     let mut table = Table::new([
         "policy",
@@ -39,16 +39,12 @@ fn main() {
         Policy::tap(),
     ] {
         let mut total = hllc_sim::EnergyBreakdown::default();
-        let mut cycles = 0.0;
-        for (i, mix) in opts.mix_list().iter().enumerate() {
-            let m = measure_mix(policy, 1.0, mix, opts.seed + i as u64, &opts);
+        for m in opts.measure(&opts.spec_for(policy), 1.0) {
             let b = model.breakdown(&m.llc, m.measured_cycles, freq);
             total.sram_dynamic_mj += b.sram_dynamic_mj;
             total.nvm_dynamic_mj += b.nvm_dynamic_mj;
             total.leakage_mj += b.leakage_mj;
-            cycles += m.measured_cycles;
         }
-        let _ = cycles;
         let t = total.total_mj();
         let bh = *bh_total.get_or_insert(t);
         table.row([

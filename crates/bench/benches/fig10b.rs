@@ -9,22 +9,21 @@ use hllc_bench::exp::{headline_policies, run_forecast_experiment, ExpOpts};
 use hllc_bench::report::banner;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig10b",
         "3-way SRAM / 13-way NVM sensitivity",
         "Paper Fig. 10b: slight performance drop and lifetime gain for all \
          NVM-aware policies compared to the 4/12 split.",
     );
-    let configs: Vec<_> = headline_policies()
+    let curves: Vec<_> = headline_policies()
         .into_iter()
         .map(|(label, p)| {
-            let mut cfg = opts.forecast_config(p);
-            cfg.system = cfg.system.with_way_split(3, 13);
-            cfg.llc.sram_ways = 3;
-            cfg.llc.nvm_ways = 13;
-            (label, cfg)
+            let mut spec = opts.spec_for(p);
+            spec.system.sram_ways = 3;
+            spec.system.nvm_ways = 13;
+            (label, spec)
         })
         .collect();
-    run_forecast_experiment("fig10b", &configs, &opts, true);
+    run_forecast_experiment("fig10b", &curves, &opts, true);
 }

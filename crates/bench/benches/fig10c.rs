@@ -9,21 +9,20 @@ use hllc_bench::exp::{headline_policies, run_forecast_experiment, ExpOpts};
 use hllc_bench::report::banner;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig10c",
         "Endurance coefficient of variation raised to 0.25",
         "Paper Fig. 10c: frame-disabling lifetimes collapse, byte-disabling \
          lifetimes barely move; CP_SD family gains 1.4x-2x lifetime vs LHybrid.",
     );
-    let configs: Vec<_> = headline_policies()
+    let curves: Vec<_> = headline_policies()
         .into_iter()
         .map(|(label, p)| {
-            let mut cfg = opts.forecast_config(p);
-            let mean = cfg.llc.endurance.mean();
-            cfg.llc = cfg.llc.with_endurance(mean, 0.25);
-            (label, cfg)
+            let mut spec = opts.spec_for(p);
+            spec.hybrid.endurance_cv = 0.25;
+            (label, spec)
         })
         .collect();
-    run_forecast_experiment("fig10c", &configs, &opts, true);
+    run_forecast_experiment("fig10c", &curves, &opts, true);
 }

@@ -8,20 +8,20 @@ use hllc_bench::exp::{headline_policies, run_forecast_experiment, ExpOpts};
 use hllc_bench::report::banner;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig11a",
         "Private L2 doubled",
         "Paper Fig. 11a: lifetime +8..19% for BH/BH_CP/CP_SD family, -11% \
          for LHybrid (more loop-blocks detected -> more NVM writes).",
     );
-    let configs: Vec<_> = headline_policies()
+    let curves: Vec<_> = headline_policies()
         .into_iter()
         .map(|(label, p)| {
-            let mut cfg = opts.forecast_config(p);
-            cfg.system = cfg.system.with_l2_doubled();
-            (label, cfg)
+            let mut spec = opts.spec_for(p);
+            spec.system.l2_sets *= 2;
+            (label, spec)
         })
         .collect();
-    run_forecast_experiment("fig11a", &configs, &opts, true);
+    run_forecast_experiment("fig11a", &curves, &opts, true);
 }

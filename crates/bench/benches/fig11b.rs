@@ -9,20 +9,20 @@ use hllc_bench::exp::{headline_policies, run_forecast_experiment, ExpOpts};
 use hllc_bench::report::banner;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig11b",
         "NVM data-array latency x1.5",
         "Paper Fig. 11b: CP_SD/Th4/Th8/LHybrid lose 0.7/0.3/0.4/0.4% \
          performance; lifetimes tick up slightly. No drastic change.",
     );
-    let configs: Vec<_> = headline_policies()
+    let curves: Vec<_> = headline_policies()
         .into_iter()
         .map(|(label, p)| {
-            let mut cfg = opts.forecast_config(p);
-            cfg.system = cfg.system.with_nvm_latency_factor(1.5);
-            (label, cfg)
+            let mut spec = opts.spec_for(p);
+            spec.system.nvm_latency_factor = 1.5;
+            (label, spec)
         })
         .collect();
-    run_forecast_experiment("fig11b", &configs, &opts, true);
+    run_forecast_experiment("fig11b", &curves, &opts, true);
 }

@@ -11,29 +11,27 @@ use hllc_bench::report::banner;
 use hllc_core::Policy;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig11c",
         "Equal-storage comparison: CP_SD family with 12/11/10 NVM ways vs LHybrid",
         "Paper Fig. 11c: all CP_SD configurations keep significantly higher \
          normalized IPC than LHybrid at matched (or lower) storage cost.",
     );
-    let mut configs = Vec::new();
-    configs.push((
+    let mut curves = vec![(
         "LHybrid (12w NVM)".to_string(),
-        opts.forecast_config(Policy::LHybrid),
-    ));
+        opts.spec_for(Policy::LHybrid),
+    )];
     for (name, policy) in [
         ("CP_SD", Policy::cp_sd()),
         ("CP_SD_Th4", Policy::cp_sd_th(4.0)),
         ("CP_SD_Th8", Policy::cp_sd_th(8.0)),
     ] {
         for nvm_ways in [12usize, 11, 10] {
-            let mut cfg = opts.forecast_config(policy);
-            cfg.system = cfg.system.with_way_split(4, nvm_ways);
-            cfg.llc.nvm_ways = nvm_ways;
-            configs.push((format!("{name} ({nvm_ways}w NVM)"), cfg));
+            let mut spec = opts.spec_for(policy);
+            spec.system.nvm_ways = nvm_ways;
+            curves.push((format!("{name} ({nvm_ways}w NVM)"), spec));
         }
     }
-    run_forecast_experiment("fig11c", &configs, &opts, false);
+    run_forecast_experiment("fig11c", &curves, &opts, false);
 }

@@ -5,25 +5,29 @@
 //! CP_th = 58; CA_RWR improves the small-CP_th end; CP_SD matches the best
 //! static configuration.
 
-use hllc_bench::exp::{measure_avg, ExpOpts};
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::{Policy, CP_TH_CANDIDATES};
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig6",
         "Normalized LLC hit rate vs CP_th (full NVM capacity)",
         "Paper Fig. 6: CA 0.89..0.99 peaking at CP_th=58; CA_RWR better at \
          low CP_th; CP_SD line matches the best CA_RWR.",
     );
-    let (bh_hits, _, _) = measure_avg(Policy::Bh, 1.0, &opts);
+    let hits = |policy| {
+        let metrics = opts.measure(&opts.spec_for(policy), 1.0);
+        total(&metrics, |m| m.llc.hits as f64)
+    };
+    let bh_hits = hits(Policy::Bh);
 
     let mut table = Table::new(["CP_th", "CA", "CA_RWR"]);
     let mut json_rows = Vec::new();
     for cp_th in CP_TH_CANDIDATES {
-        let (ca, _, _) = measure_avg(Policy::Ca { cp_th }, 1.0, &opts);
-        let (rwr, _, _) = measure_avg(Policy::CaRwr { cp_th }, 1.0, &opts);
+        let ca = hits(Policy::Ca { cp_th });
+        let rwr = hits(Policy::CaRwr { cp_th });
         table.row([
             format!("{cp_th}"),
             format!("{:.3}", ca / bh_hits),
@@ -35,7 +39,7 @@ fn main() {
     }
     table.print();
 
-    let (sd, _, _) = measure_avg(Policy::cp_sd(), 1.0, &opts);
+    let sd = hits(Policy::cp_sd());
     println!("\nCP_SD (Set Dueling) line: {:.3} of BH hits", sd / bh_hits);
     println!("Paper: CP_SD achieves a hit rate equivalent to the best-case CA_RWR.");
     save_json(

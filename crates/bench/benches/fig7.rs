@@ -5,25 +5,29 @@
 //! than BH at CP_th = 58); CA_RWR cuts up to 73 % more; CP_SD reaches
 //! 16.6 % of BH — 22.9 % and 42 % below CA_RWR at CP_th 58 and 64.
 
-use hllc_bench::exp::{measure_avg, ExpOpts};
+use hllc_bench::exp::{total, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::{Policy, CP_TH_CANDIDATES};
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig7",
         "Normalized NVM bytes written vs CP_th (full NVM capacity)",
         "Paper Fig. 7: CA between 0.05 and 0.80 of BH; CA_RWR up to 73% \
          below CA; CP_SD at 0.166 of BH.",
     );
-    let (_, bh_bytes, _) = measure_avg(Policy::Bh, 1.0, &opts);
+    let bytes = |policy| {
+        let metrics = opts.measure(&opts.spec_for(policy), 1.0);
+        total(&metrics, |m| m.llc.nvm_bytes_written as f64)
+    };
+    let bh_bytes = bytes(Policy::Bh);
 
     let mut table = Table::new(["CP_th", "CA", "CA_RWR"]);
     let mut json_rows = Vec::new();
     for cp_th in CP_TH_CANDIDATES {
-        let (_, ca, _) = measure_avg(Policy::Ca { cp_th }, 1.0, &opts);
-        let (_, rwr, _) = measure_avg(Policy::CaRwr { cp_th }, 1.0, &opts);
+        let ca = bytes(Policy::Ca { cp_th });
+        let rwr = bytes(Policy::CaRwr { cp_th });
         table.row([
             format!("{cp_th}"),
             format!("{:.3}", ca / bh_bytes),
@@ -35,7 +39,7 @@ fn main() {
     }
     table.print();
 
-    let (_, sd, _) = measure_avg(Policy::cp_sd(), 1.0, &opts);
+    let sd = bytes(Policy::cp_sd());
     println!(
         "\nCP_SD (Set Dueling) line: {:.3} of BH bytes",
         sd / bh_bytes

@@ -7,12 +7,12 @@
 //! and smaller thresholds win more often as capacity shrinks (large frames
 //! become scarce).
 
-use hllc_bench::exp::{measure_mix, ExpOpts};
+use hllc_bench::exp::{cp_th_wins, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
-use hllc_core::{Policy, CP_TH_CANDIDATES};
+use hllc_core::Policy;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "fig8a",
         "Optimal CP_th distribution vs NVM capacity",
@@ -23,39 +23,15 @@ fn main() {
         "capacity", "CPth=30", "37", "44", "51", "58", "64", "epochs",
     ]);
     let mut json_rows = Vec::new();
+    let spec = opts.spec_for(Policy::cp_sd());
     for capacity in [1.0, 0.9, 0.8, 0.7, 0.6, 0.5] {
-        let mut wins = [0usize; CP_TH_CANDIDATES.len()];
-        let mut epochs = 0usize;
-        for (i, mix) in opts.mix_list().iter().enumerate() {
-            let m = measure_mix(Policy::cp_sd(), capacity, mix, opts.seed + i as u64, &opts);
-            for e in &m.epochs {
-                if let Some(k) = e.max_hits_candidate() {
-                    wins[k] += 1;
-                    epochs += 1;
-                }
-            }
-        }
-        let pct = |k: usize| {
-            if epochs == 0 {
-                0.0
-            } else {
-                100.0 * wins[k] as f64 / epochs as f64
-            }
-        };
-        table.row([
-            format!("{:3.0}%", capacity * 100.0),
-            format!("{:4.1}", pct(0)),
-            format!("{:4.1}", pct(1)),
-            format!("{:4.1}", pct(2)),
-            format!("{:4.1}", pct(3)),
-            format!("{:4.1}", pct(4)),
-            format!("{:4.1}", pct(5)),
-            format!("{epochs}"),
-        ]);
+        let (pct, epochs) = cp_th_wins(&opts.measure(&spec, capacity));
+        let mut row = vec![format!("{:3.0}%", capacity * 100.0)];
+        row.extend(pct.iter().map(|p| format!("{p:4.1}")));
+        row.push(format!("{epochs}"));
+        table.row(row);
         json_rows.push(serde_json::json!({
-            "capacity": capacity,
-            "wins_pct": (0..6).map(pct).collect::<Vec<_>>(),
-            "epochs": epochs,
+            "capacity": capacity, "wins_pct": pct, "epochs": epochs,
         }));
     }
     table.print();

@@ -4,13 +4,13 @@
 //! The paper: the optimal threshold is highly workload-dependent — up to
 //! 96 % of mix 5's epochs prefer CP_th < 58 while other mixes sit at 58/64.
 
-use hllc_bench::exp::{measure_mix, ExpOpts};
+use hllc_bench::exp::{cp_th_wins, ExpOpts};
 use hllc_bench::report::{banner, save_json, Table};
-use hllc_core::{Policy, CP_TH_CANDIDATES};
+use hllc_core::Policy;
 use hllc_trace::mixes;
 
 fn main() {
-    let mut opts = ExpOpts::from_env();
+    let mut opts = ExpOpts::from_env_or_exit();
     opts.mixes = 10; // this figure is inherently per-mix
     banner(
         "fig8b",
@@ -19,37 +19,15 @@ fn main() {
     );
     let mut table = Table::new(["mix", "CPth=30", "37", "44", "51", "58", "64", "epochs"]);
     let mut json_rows = Vec::new();
-    for (i, mix) in mixes().iter().enumerate() {
-        let m = measure_mix(Policy::cp_sd(), 1.0, mix, opts.seed + i as u64, &opts);
-        let mut wins = [0usize; CP_TH_CANDIDATES.len()];
-        let mut epochs = 0usize;
-        for e in &m.epochs {
-            if let Some(k) = e.max_hits_candidate() {
-                wins[k] += 1;
-                epochs += 1;
-            }
-        }
-        let pct = |k: usize| {
-            if epochs == 0 {
-                0.0
-            } else {
-                100.0 * wins[k] as f64 / epochs as f64
-            }
-        };
-        table.row([
-            mix.name.to_string(),
-            format!("{:4.1}", pct(0)),
-            format!("{:4.1}", pct(1)),
-            format!("{:4.1}", pct(2)),
-            format!("{:4.1}", pct(3)),
-            format!("{:4.1}", pct(4)),
-            format!("{:4.1}", pct(5)),
-            format!("{epochs}"),
-        ]);
+    let metrics = opts.measure(&opts.spec_for(Policy::cp_sd()), 1.0);
+    for (mix, m) in mixes().iter().zip(&metrics) {
+        let (pct, epochs) = cp_th_wins(std::slice::from_ref(m));
+        let mut row = vec![mix.name.to_string()];
+        row.extend(pct.iter().map(|p| format!("{p:4.1}")));
+        row.push(format!("{epochs}"));
+        table.row(row);
         json_rows.push(serde_json::json!({
-            "mix": mix.name,
-            "wins_pct": (0..6).map(pct).collect::<Vec<_>>(),
-            "epochs": epochs,
+            "mix": mix.name, "wins_pct": pct, "epochs": epochs,
         }));
     }
     table.print();

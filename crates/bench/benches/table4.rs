@@ -1,11 +1,14 @@
 //! Table IV — System specification in force for the experiments.
 
-use hllc_bench::exp::{system_for, ExpOpts};
+use hllc_bench::exp::ExpOpts;
 use hllc_bench::report::{banner, save_json, Table};
 
 fn main() {
-    let opts = ExpOpts::from_env();
-    let cfg = system_for(&opts);
+    let opts = ExpOpts::from_env_or_exit();
+    let spec = &opts.spec;
+    let cfg = spec.system_config();
+    let llc = &spec.system;
+    let llc_kb = llc.llc_sets * (llc.sram_ways + llc.nvm_ways) * 64 / 1024;
     banner(
         "table4",
         "System specification",
@@ -37,11 +40,8 @@ fn main() {
     table.row([
         "LLC (shared)",
         &format!(
-            "{} KB, {} sets x ({} SRAM + {} NVM) ways",
-            cfg.llc.capacity_bytes() / 1024,
-            cfg.llc.sets,
-            cfg.llc.sram_ways,
-            cfg.llc.nvm_ways
+            "{llc_kb} KB, {} sets x ({} SRAM + {} NVM) ways",
+            llc.llc_sets, llc.sram_ways, llc.nvm_ways
         ),
     ]);
     table.row(["LLC SRAM load-use", &format!("{} cycles", t.llc_sram_hit)]);
@@ -54,17 +54,23 @@ fn main() {
         ),
     ]);
     table.row(["memory load-use", &format!("{} cycles", t.memory)]);
-    table.row(["endurance", "mean 1e10 writes, cv 0.2 (1e8 in scaled runs)"]);
+    table.row([
+        "endurance",
+        &format!(
+            "mean {:e} writes, cv {}",
+            spec.hybrid.endurance_mean, spec.hybrid.endurance_cv
+        ),
+    ]);
     table.print();
     save_json(
         "table4",
         &serde_json::json!({
             "experiment": "table4",
             "cores": cfg.cores,
-            "llc_sets": cfg.llc.sets,
-            "sram_ways": cfg.llc.sram_ways,
-            "nvm_ways": cfg.llc.nvm_ways,
-            "llc_kb": cfg.llc.capacity_bytes() / 1024,
+            "llc_sets": llc.llc_sets,
+            "sram_ways": llc.sram_ways,
+            "nvm_ways": llc.nvm_ways,
+            "llc_kb": llc_kb,
         }),
     );
 }

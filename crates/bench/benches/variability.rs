@@ -3,14 +3,13 @@
 //! sampling, workload interleaving, data synthesis) and reports the 95 %
 //! confidence intervals of the headline metrics.
 
-use hllc_bench::exp::{measure_mix, ExpOpts};
+use hllc_bench::exp::ExpOpts;
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_bench::stats::summarize;
 use hllc_core::Policy;
-use hllc_trace::mixes;
 
 fn main() {
-    let opts = ExpOpts::from_env();
+    let opts = ExpOpts::from_env_or_exit();
     banner(
         "variability",
         "Seed-to-seed variability of hit rate / NVM bytes / IPC",
@@ -18,7 +17,9 @@ fn main() {
          at the scaled configuration.",
     );
     let seeds = [11u64, 22, 33, 44, 55];
-    let mix = &mixes()[0];
+    // One run of the first mix per seed.
+    let one = ExpOpts { mixes: 1, ..opts };
+    let mix = &one.mix_list()[0];
 
     let mut table = Table::new(["policy", "hit rate", "NVM MB written", "IPC", "hit-rate CV"]);
     let mut json_rows = Vec::new();
@@ -27,7 +28,9 @@ fn main() {
         let mut bytes = Vec::new();
         let mut ipc = Vec::new();
         for &seed in &seeds {
-            let m = measure_mix(policy, 1.0, mix, seed, &opts);
+            let mut spec = one.spec_for(policy);
+            spec.workload.seed = seed;
+            let m = &one.measure(&spec, 1.0)[0];
             hit.push(m.hit_rate);
             bytes.push(m.llc.nvm_bytes_written as f64 / 1e6);
             ipc.push(m.ipc);

@@ -1,46 +1,132 @@
-//! Common experiment plumbing: options, policy sets, forecast averaging,
-//! and single-phase measurement sweeps.
+//! Common experiment plumbing: options, the per-mix measurement fan-out,
+//! and the forecast-experiment driver.
+//!
+//! Every curve or row of a harness is an edit of one resolved
+//! [`ExperimentSpec`] ([`ExpOpts::spec`]): the policy, a `system.*` axis
+//! (way split, L2 sets, NVM latency, DRAM) or a `hybrid.*` knob (endurance
+//! cv, epoch length, compressor). Specs become simulator configs only
+//! through [`PhaseSetup::from_spec`] and [`ForecastConfig::from_spec`].
 
-use hllc_config::ExperimentSpec;
-use hllc_core::{HybridConfig, Policy};
+use std::fmt;
+use std::str::FromStr;
+
+use hllc_config::{ExperimentSpec, PAPER_SETS};
+use hllc_core::{Policy, CP_TH_CANDIDATES};
 use hllc_forecast::{
     run_phase, Forecast, ForecastConfig, ForecastSeries, PhaseMetrics, PhaseSetup,
 };
-use hllc_sim::SystemConfig;
+use hllc_runner::{degraded_array, run_indexed};
 use hllc_trace::{mixes, Mix};
+
+/// A malformed `HLLC_*` environment variable.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// The value it was set to.
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let EnvError {
+            var,
+            value,
+            expected,
+        } = self;
+        write!(f, "invalid {var}={value:?}: expected {expected}")
+    }
+}
+
+impl std::error::Error for EnvError {}
 
 /// Options read from the environment (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct ExpOpts {
+    /// The resolved experiment every curve and row edits: the `scaled`
+    /// preset (`paper` under `HLLC_FULL=1`) with `HLLC_SEED` as its
+    /// `workload.seed`.
+    pub spec: ExperimentSpec,
     /// Number of Table V mixes to average over.
     pub mixes: usize,
-    /// Base seed.
-    pub seed: u64,
-    /// Run at the paper's full scale instead of the scaled-down system.
-    pub full_scale: bool,
-    /// Worker threads for per-mix fan-out. Results are independent of it:
-    /// per-run seeds depend only on the mix index, and reductions happen
-    /// in mix order (see `hllc-runner`).
+    /// Worker threads for the per-mix fan-out. Results are independent of
+    /// it: per-run seeds depend only on the mix index, and reductions
+    /// happen in mix order (see `hllc-runner`).
     pub jobs: usize,
+}
+
+/// Reads `var` through `get`: `default` when unset, an [`EnvError`] when
+/// the value does not parse or fails `valid`.
+fn env_value<T: FromStr>(
+    get: &impl Fn(&str) -> Option<String>,
+    var: &'static str,
+    expected: &'static str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, EnvError> {
+    let Some(value) = get(var) else {
+        return Ok(default);
+    };
+    match value.parse() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(EnvError {
+            var,
+            value,
+            expected,
+        }),
+    }
 }
 
 impl ExpOpts {
     /// Reads `HLLC_MIXES` / `HLLC_SEED` / `HLLC_FULL` / `HLLC_JOBS` from the
-    /// environment.
-    pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).ok();
-        ExpOpts {
-            mixes: get("HLLC_MIXES")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(3)
-                .clamp(1, 10),
-            seed: get("HLLC_SEED").and_then(|v| v.parse().ok()).unwrap_or(42),
-            full_scale: get("HLLC_FULL").is_some_and(|v| v == "1"),
-            jobs: get("HLLC_JOBS")
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(hllc_runner::default_threads),
-        }
+    /// process environment.
+    pub fn from_env() -> Result<Self, EnvError> {
+        Self::from_lookup(|var| std::env::var(var).ok())
+    }
+
+    /// [`from_env`](Self::from_env) for harness `main`s: reports a bad
+    /// variable on stderr and exits with status 2.
+    pub fn from_env_or_exit() -> Self {
+        Self::from_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Builds the options from an arbitrary variable lookup (`None` =
+    /// unset). Unset variables take their defaults; set ones must parse
+    /// and be in range.
+    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        let full = env_value(&get, "HLLC_FULL", "0 or 1", 0u8, |&v| v <= 1)? == 1;
+        let mut spec =
+            ExperimentSpec::preset(if full { "paper" } else { "scaled" }).expect("builtin preset");
+        spec.workload.seed = env_value(
+            &get,
+            "HLLC_SEED",
+            "an unsigned 64-bit integer",
+            spec.workload.seed,
+            |_| true,
+        )?;
+        Ok(ExpOpts {
+            mixes: env_value(&get, "HLLC_MIXES", "an integer in 1..=10", 3, |n| {
+                (1..=mixes().len()).contains(n)
+            })?,
+            jobs: env_value(
+                &get,
+                "HLLC_JOBS",
+                "a positive integer",
+                hllc_runner::default_threads(),
+                |&n| n >= 1,
+            )?,
+            spec,
+        })
+    }
+
+    /// True when running the paper's full-scale geometry (`HLLC_FULL=1`).
+    pub fn full_scale(&self) -> bool {
+        self.spec.system.llc_sets == PAPER_SETS
     }
 
     /// The mixes this experiment runs over.
@@ -48,35 +134,44 @@ impl ExpOpts {
         mixes().into_iter().take(self.mixes).collect()
     }
 
-    /// The experiment preset these options resolve to: `paper` under
-    /// `HLLC_FULL=1`, `scaled` otherwise.
-    pub fn spec(&self) -> ExperimentSpec {
-        let name = if self.full_scale { "paper" } else { "scaled" };
-        ExperimentSpec::preset(name).expect("builtin preset")
+    /// The resolved spec under `policy`: the starting point of every curve
+    /// or row.
+    pub fn spec_for(&self, policy: Policy) -> ExperimentSpec {
+        let mut spec = self.spec.clone();
+        spec.hybrid.policy = policy.label();
+        spec
     }
 
-    /// Base forecast configuration for a policy.
-    pub fn forecast_config(&self, policy: Policy) -> ForecastConfig {
-        ForecastConfig::from_spec(&self.spec()).with_policy(policy)
+    /// Runs one phase of `spec`'s forecast recipe (no aging) once per mix
+    /// — mix `i` with seed `spec.workload.seed + i`, its NVM part
+    /// pre-degraded to `capacity` — fanned across `jobs` workers. Returns
+    /// the metrics in mix order, so any reduction over them is identical
+    /// for every job count.
+    pub fn measure(&self, spec: &ExperimentSpec, capacity: f64) -> Vec<PhaseMetrics> {
+        self.measure_with(spec, capacity, |_| {})
     }
 
-    /// Single-phase setup at the configured scale, with the NVM part
-    /// optionally pre-degraded (capacity in 0..=1).
-    pub fn phase_setup(&self, policy: Policy) -> PhaseSetup {
-        let cfg = self.forecast_config(policy);
-        PhaseSetup {
-            system: cfg.system.clone(),
-            llc: cfg.llc.clone(),
-            warmup_cycles: cfg.warmup_cycles,
-            measure_cycles: cfg.measure_cycles,
-            scale: PhaseSetup::scale_for_sets(cfg.llc.sets),
-            compressor: cfg.compressor,
-        }
+    /// [`measure`](Self::measure) with `edit` applied to the built phase
+    /// setup: for mechanism ablations outside the spec schema (Fit-LRU).
+    pub fn measure_with(
+        &self,
+        spec: &ExperimentSpec,
+        capacity: f64,
+        edit: impl FnOnce(&mut PhaseSetup),
+    ) -> Vec<PhaseMetrics> {
+        let f = &spec.forecast;
+        let mut setup = PhaseSetup::from_spec(spec, f.warmup_cycles, f.measure_cycles);
+        edit(&mut setup);
+        run_indexed(self.mix_list(), self.jobs, |i, mix| {
+            let seed = spec.workload.seed + i as u64;
+            let array = degraded_array(&setup.llc, capacity, seed);
+            run_phase(&setup, &mix, array, seed).0
+        })
     }
 
     /// Lifetime axis note for reports.
     pub fn time_note(&self) -> &'static str {
-        if self.full_scale {
+        if self.full_scale() {
             "wall-clock months at mu=1e10"
         } else {
             "scaled hours at mu=1e8 (multiply by 100 for paper-equivalent time; ratios are exact)"
@@ -84,66 +179,38 @@ impl ExpOpts {
     }
 }
 
-/// The SRAM-only upper/lower performance bounds (dashed lines of Fig. 1/10).
-pub fn sram_bound_config(base: &ForecastConfig, ways: usize) -> ForecastConfig {
-    let mut cfg = base.clone();
-    cfg.llc = HybridConfig::new(cfg.llc.sets, ways, 0, Policy::Bh);
-    cfg
+/// Sums `f` over per-mix metrics in mix order.
+pub fn total(metrics: &[PhaseMetrics], f: impl Fn(&PhaseMetrics) -> f64) -> f64 {
+    metrics.iter().fold(0.0, |acc, m| acc + f(m))
 }
 
-/// Runs the forecast for a policy configuration over the option's mixes
-/// (fanned across `opts.jobs` workers) and averages the runs onto a common
-/// grid. Per-mix seeds and the averaging order depend only on the mix
-/// index, so the result is identical for every job count.
-pub fn forecast_avg(cfg: &ForecastConfig, opts: &ExpOpts, label: &str) -> ForecastSeries {
-    let runs = hllc_runner::run_indexed(opts.mix_list(), opts.jobs, |i, mix| {
-        Forecast::new(cfg.clone()).run(&mix, opts.seed + i as u64)
-    });
-    ForecastSeries::average(label, &runs, 48)
-}
-
-/// Builds the (optionally degraded) NVM array for a single-phase run:
-/// `None` at full capacity (the phase samples a fresh array itself).
-pub fn degraded_array(
-    llc_cfg: &HybridConfig,
-    capacity: f64,
-    seed: u64,
-) -> Option<hllc_nvm::NvmArray> {
-    hllc_runner::degraded_array(llc_cfg, capacity, seed)
-}
-
-/// One single-phase measurement (no aging) of `mix`, with the NVM part
-/// degraded to `capacity` first.
-pub fn measure_mix(
-    policy: Policy,
-    capacity: f64,
-    mix: &Mix,
-    seed: u64,
-    opts: &ExpOpts,
-) -> PhaseMetrics {
-    let setup = opts.phase_setup(policy);
-    let array = degraded_array(&setup.llc, capacity, seed);
-    let (m, _) = run_phase(&setup, mix, array, seed);
-    m
-}
-
-/// Single-phase measurement averaged over the options' mixes, fanned across
-/// `opts.jobs` workers. Returns the summed LLC hit count, summed NVM bytes
-/// written, and mean IPC. The sums run in mix order, so the result is
-/// identical for every job count.
-pub fn measure_avg(policy: Policy, capacity: f64, opts: &ExpOpts) -> (f64, f64, f64) {
-    let metrics = hllc_runner::run_indexed(opts.mix_list(), opts.jobs, |i, mix| {
-        measure_mix(policy, capacity, &mix, opts.seed + i as u64, opts)
-    });
-    let mut hits = 0.0;
-    let mut bytes = 0.0;
-    let mut ipc = 0.0;
-    for m in &metrics {
-        hits += m.llc.hits as f64;
-        bytes += m.llc.nvm_bytes_written as f64;
-        ipc += m.ipc;
+/// The Fig. 8 statistic over `metrics`: for each CP_th candidate, the
+/// share (in %) of Set Dueling epochs it won on hits, plus the number of
+/// epochs with a winner.
+pub fn cp_th_wins(metrics: &[PhaseMetrics]) -> (Vec<f64>, usize) {
+    let mut wins = [0usize; CP_TH_CANDIDATES.len()];
+    let winners = metrics.iter().flat_map(|m| &m.epochs);
+    for k in winners.filter_map(|e| e.max_hits_candidate()) {
+        wins[k] += 1;
     }
-    (hits, bytes, ipc / opts.mixes as f64)
+    let epochs: usize = wins.iter().sum();
+    let pct = wins.iter().map(|&w| match epochs {
+        0 => 0.0,
+        n => 100.0 * w as f64 / n as f64,
+    });
+    (pct.collect(), epochs)
+}
+
+/// The SRAM-only performance bounds (dashed lines of Fig. 1/10): `spec`
+/// with `ways` SRAM ways and no NVM, under BH. Such an LLC samples no NVM
+/// array and runs no Set Dueling, so the endurance and epoch knobs it
+/// inherits from `spec` do not affect it.
+pub fn sram_bound(spec: &ExperimentSpec, ways: usize) -> ExperimentSpec {
+    let mut bound = spec.clone();
+    bound.system.sram_ways = ways;
+    bound.system.nvm_ways = 0;
+    bound.hybrid.policy = Policy::Bh.label();
+    bound
 }
 
 /// The headline policy set of Figures 1 and 10a, plus the bounds.
@@ -159,51 +226,54 @@ pub fn headline_policies() -> Vec<(String, Policy)> {
     ]
 }
 
-/// Runs a family of forecast configurations (one per curve of a Figure
+/// Runs a family of forecast experiments (one spec per curve of a Figure
 /// 1/10/11-style plot), prints the summary table plus the full time series,
-/// and dumps JSON. The upper performance bound (16-way SRAM) is always run
-/// first and used to normalize IPC; the `4w SRAM` lower bound is included
-/// when `with_lower_bound` is set.
+/// and dumps JSON. The upper performance bound (all ways SRAM) is always
+/// run first and used to normalize IPC; the SRAM-part-only lower bound is
+/// included when `with_lower_bound` is set. Both bounds derive from the
+/// first curve's spec.
 pub fn run_forecast_experiment(
     id: &str,
-    configs: &[(String, ForecastConfig)],
+    curves: &[(String, ExperimentSpec)],
     opts: &ExpOpts,
     with_lower_bound: bool,
 ) {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let total_ways = configs[0].1.llc.sram_ways + configs[0].1.llc.nvm_ways;
+    assert!(!curves.is_empty(), "need at least one configuration");
+    let first = &curves[0].1;
+    let total_ways = first.system.sram_ways + first.system.nvm_ways;
 
-    // The bounds plus every requested configuration, one curve each.
-    let mut curve_cfgs: Vec<(String, ForecastConfig)> = vec![(
+    // The bounds plus every requested curve.
+    let mut specs = vec![(
         format!("{total_ways}w SRAM (upper bound)"),
-        sram_bound_config(&configs[0].1, total_ways),
+        sram_bound(first, total_ways),
     )];
     if with_lower_bound {
-        let sram_ways = configs[0].1.llc.sram_ways.max(1);
-        curve_cfgs.push((
+        let sram_ways = first.system.sram_ways.max(1);
+        specs.push((
             format!("{sram_ways}w SRAM (lower bound)"),
-            sram_bound_config(&configs[0].1, sram_ways),
+            sram_bound(first, sram_ways),
         ));
     }
-    curve_cfgs.extend(configs.iter().cloned());
+    specs.extend(curves.iter().cloned());
+    let cfgs: Vec<ForecastConfig> = specs
+        .iter()
+        .map(|(_, spec)| ForecastConfig::from_spec(spec))
+        .collect();
 
     // Flatten `curve × mix` into one job grid so the thread pool never
     // drains between curves. Seeds and the merge order depend only on the
     // (curve, mix) indices, so any job count reproduces the serial result.
     let mix_list = opts.mix_list();
-    let grid: Vec<(usize, usize)> = (0..curve_cfgs.len())
+    let grid: Vec<(usize, usize)> = (0..cfgs.len())
         .flat_map(|c| (0..mix_list.len()).map(move |m| (c, m)))
         .collect();
-    let runs = hllc_runner::run_indexed(grid, opts.jobs, |_, (c, m)| {
-        Forecast::new(curve_cfgs[c].1.clone()).run(&mix_list[m], opts.seed + m as u64)
+    let runs = run_indexed(grid, opts.jobs, |_, (c, m)| {
+        Forecast::new(cfgs[c].clone()).run(&mix_list[m], specs[c].1.workload.seed + m as u64)
     });
-    let curves: Vec<ForecastSeries> = curve_cfgs
+    let curves: Vec<ForecastSeries> = specs
         .iter()
-        .enumerate()
-        .map(|(c, (label, _))| {
-            let slice = &runs[c * mix_list.len()..(c + 1) * mix_list.len()];
-            ForecastSeries::average(label, slice, 48)
-        })
+        .zip(runs.chunks(mix_list.len()))
+        .map(|((label, _), runs)| ForecastSeries::average(label, runs, 48))
         .collect();
     let base_ipc = curves[0].initial_ipc().unwrap_or(1.0);
 
@@ -263,8 +333,8 @@ pub fn run_forecast_experiment(
     let json = serde_json::json!({
         "experiment": id,
         "mixes": opts.mixes,
-        "seed": opts.seed,
-        "full_scale": opts.full_scale,
+        "seed": opts.spec.workload.seed,
+        "full_scale": opts.full_scale(),
         "base_ipc": base_ipc,
         "curves": curves.iter().map(|c| serde_json::json!({
             "label": c.label,
@@ -286,11 +356,6 @@ pub fn fmt_life(hours: Option<f64>) -> String {
     }
 }
 
-/// System config accessor used by table harnesses.
-pub fn system_for(opts: &ExpOpts) -> SystemConfig {
-    opts.spec().system_config()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,10 +363,17 @@ mod tests {
     fn opts(mixes: usize) -> ExpOpts {
         ExpOpts {
             mixes,
-            seed: 1,
-            full_scale: false,
             jobs: 1,
+            ..ExpOpts::from_lookup(|_| None).unwrap()
         }
+    }
+
+    fn lookup(vars: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let vars: Vec<(String, String)> = vars
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |var| vars.iter().find(|(k, _)| k == var).map(|(_, v)| v.clone())
     }
 
     #[test]
@@ -311,26 +383,70 @@ mod tests {
     }
 
     #[test]
+    fn unset_variables_take_the_defaults() {
+        let o = ExpOpts::from_lookup(|_| None).unwrap();
+        assert_eq!(o.mixes, 3);
+        assert_eq!(o.spec.workload.seed, 42);
+        assert_eq!(o.jobs, hllc_runner::default_threads());
+        assert_eq!(o.spec, ExperimentSpec::preset("scaled").unwrap());
+        assert!(!o.full_scale());
+    }
+
+    #[test]
+    fn set_variables_are_read() {
+        let o = ExpOpts::from_lookup(lookup(&[
+            ("HLLC_MIXES", "10"),
+            ("HLLC_SEED", "7"),
+            ("HLLC_FULL", "1"),
+            ("HLLC_JOBS", "3"),
+        ]))
+        .unwrap();
+        assert_eq!((o.mixes, o.spec.workload.seed, o.jobs), (10, 7, 3));
+        assert!(o.full_scale());
+        assert_eq!(o.spec.name, "paper");
+        let o = ExpOpts::from_lookup(lookup(&[("HLLC_FULL", "0")])).unwrap();
+        assert!(!o.full_scale());
+    }
+
+    #[test]
+    fn bad_variables_are_named_errors() {
+        for (var, value) in [
+            ("HLLC_JOBS", "0"),
+            ("HLLC_JOBS", "-1"),
+            ("HLLC_SEED", "abc"),
+            ("HLLC_MIXES", "50"),
+            ("HLLC_MIXES", "0"),
+            ("HLLC_FULL", "yes"),
+            ("HLLC_FULL", "2"),
+        ] {
+            let e = ExpOpts::from_lookup(lookup(&[(var, value)])).unwrap_err();
+            assert_eq!((e.var, e.value.as_str()), (var, value));
+            let text = e.to_string();
+            assert!(text.contains(var) && text.contains(value), "{text}");
+        }
+    }
+
+    #[test]
     fn sram_bound_has_no_nvm() {
-        let base = opts(1).forecast_config(Policy::cp_sd());
-        let bound = sram_bound_config(&base, 16);
-        assert_eq!(bound.llc.nvm_ways, 0);
-        assert_eq!(bound.llc.sram_ways, 16);
-        assert_eq!(bound.llc.sets, base.llc.sets);
+        let base = opts(1).spec_for(Policy::cp_sd());
+        let bound = sram_bound(&base, 16);
+        bound.validate().unwrap();
+        let llc = bound.llc_config();
+        assert_eq!((llc.sram_ways, llc.nvm_ways), (16, 0));
+        assert_eq!(llc.sets, base.llc_config().sets);
+        assert_eq!(llc.policy, Policy::Bh);
+    }
+
+    #[test]
+    fn spec_for_sets_the_policy() {
+        let spec = opts(1).spec_for(Policy::cp_sd_th(4.0));
+        assert_eq!(spec.llc_config().policy, Policy::cp_sd_th(4.0));
     }
 
     #[test]
     fn fmt_life_handles_never() {
         assert_eq!(fmt_life(None).trim(), "never");
         assert_eq!(fmt_life(Some(1.5)).trim(), "1.50");
-    }
-
-    #[test]
-    fn degraded_array_none_at_full_capacity() {
-        let cfg = opts(1).forecast_config(Policy::cp_sd()).llc;
-        assert!(degraded_array(&cfg, 1.0, 1).is_none());
-        let arr = degraded_array(&cfg, 0.8, 1).expect("degraded array");
-        assert!(arr.capacity_fraction() <= 0.8);
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! `crates/bench/target/figures/` (the bench processes run with the
 //! package directory as their working directory).
 //!
-//! Environment knobs (all optional):
+//! Every curve or row of a harness is an edit of one resolved
+//! `ExperimentSpec` (see [`exp`]), measured by one per-mix fan-out
+//! ([`exp::ExpOpts::measure`]) or one forecast grid
+//! ([`exp::run_forecast_experiment`]).
+//!
+//! Environment knobs (all optional; a malformed value is an error naming
+//! the variable, not a silent default):
 //!
 //! * `HLLC_MIXES` — how many of the ten Table V mixes to average over
-//!   (default 3; the paper uses all 10).
-//! * `HLLC_SEED` — base RNG seed (default 42).
+//!   (1..=10, default 3; the paper uses all 10).
+//! * `HLLC_SEED` — base RNG seed (default: the preset's `workload.seed`, 42).
 //! * `HLLC_FULL=1` — run at the paper's full scale (4 MB LLC, μ = 10¹⁰)
 //!   instead of the fast scaled-down configuration. Expect hours.
+//! * `HLLC_JOBS` — worker threads for the per-mix and per-curve fan-out
+//!   (default: all cores). Every harness writes the same output for any
+//!   value.
 
 pub mod exp;
 pub mod kernel;

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use hllc_compress::CompressorKind;
 use hllc_core::{HybridConfig, Policy};
-use hllc_sim::{DramConfig, LlcGeometry, SystemConfig};
+use hllc_sim::{DramConfig, SystemConfig};
 use serde_json::{Number, Value};
 
 /// LLC sets of the paper's full-scale 4 MB configuration. Workload
@@ -483,7 +483,9 @@ impl ExperimentSpec {
     // Constructors onto the simulator's types
     // ------------------------------------------------------------------
 
-    /// Builds the [`SystemConfig`] this spec describes. Call
+    /// Builds the [`SystemConfig`] this spec describes: cores, private
+    /// caches, timing and memory. The LLC geometry (`llc_sets`, the way
+    /// split) goes to [`llc_config`](Self::llc_config) instead. Call
     /// [`validate`](Self::validate) first; geometry constraints are not
     /// re-checked here.
     pub fn system_config(&self) -> SystemConfig {
@@ -494,11 +496,6 @@ impl ExperimentSpec {
             l1_ways: s.l1_ways,
             l2_sets: s.l2_sets,
             l2_ways: s.l2_ways,
-            llc: LlcGeometry {
-                sets: s.llc_sets,
-                sram_ways: s.sram_ways,
-                nvm_ways: s.nvm_ways,
-            },
             timing: Default::default(),
             dram: s.dram.then(DramConfig::default),
         };
@@ -871,12 +868,9 @@ mod tests {
         assert_eq!(sys.cores, 4);
         assert_eq!((sys.l1_sets, sys.l1_ways), (64, 4));
         assert_eq!((sys.l2_sets, sys.l2_ways), (32, 16));
-        assert_eq!(
-            (sys.llc.sets, sys.llc.sram_ways, sys.llc.nvm_ways),
-            (512, 4, 12)
-        );
         assert!(sys.dram.is_none());
         let llc = spec.llc_config();
+        assert_eq!((llc.sets, llc.sram_ways, llc.nvm_ways), (512, 4, 12));
         assert_eq!(llc.policy, Policy::cp_sd());
         assert_eq!(llc.endurance.mean(), 1e8);
         assert_eq!(llc.endurance.cv(), 0.2);
@@ -889,10 +883,11 @@ mod tests {
     #[test]
     fn paper_preset_is_table_iv() {
         let spec = ExperimentSpec::preset("paper").unwrap();
-        let sys = spec.system_config();
-        assert_eq!(sys.llc.capacity_bytes(), 4 * 1024 * 1024);
+        assert_eq!(spec.system_config().cores, 4);
         assert_eq!(spec.footprint_scale(), 1.0);
         let llc = spec.llc_config();
+        let llc_bytes = llc.sets * (llc.sram_ways + llc.nvm_ways) * 64;
+        assert_eq!(llc_bytes, 4 * 1024 * 1024);
         assert_eq!(llc.endurance.mean(), 1e10);
         assert_eq!(llc.epoch_cycles, hllc_core::DEFAULT_EPOCH_CYCLES);
         assert_eq!(llc.dueling_smoothing, 0.0);
@@ -901,15 +896,27 @@ mod tests {
     #[test]
     fn sensitivity_presets_differ_only_on_their_axis() {
         let base = ExperimentSpec::preset("scaled").unwrap();
+        // Each axis is checked in the spec and in the derived config that
+        // owns it: the way split in `llc_config()`, the private caches and
+        // timing in `system_config()`.
         let split = ExperimentSpec::preset("waysplit-3-13").unwrap();
         assert_eq!((split.system.sram_ways, split.system.nvm_ways), (3, 13));
+        let llc = split.llc_config();
+        assert_eq!((llc.sram_ways, llc.nvm_ways), (3, 13));
+        assert_eq!(split.system_config(), base.system_config());
         let l2 = ExperimentSpec::preset("l2-doubled").unwrap();
         assert_eq!(l2.system.l2_sets, 2 * base.system.l2_sets);
+        assert_eq!(l2.system_config().l2_sets, 2 * base.system_config().l2_sets);
+        assert_eq!(l2.llc_config(), base.llc_config());
         let lat = ExperimentSpec::preset("nvm-latency-x1.5").unwrap();
         assert_eq!(lat.system.nvm_latency_factor, 1.5);
         assert_eq!(lat.system_config().timing.llc_nvm_hit(), 36);
+        assert_eq!(lat.llc_config(), base.llc_config());
         let eq = ExperimentSpec::preset("equal-cost-10w").unwrap();
         assert_eq!(eq.system.nvm_ways, 10);
+        assert_eq!(eq.llc_config().nvm_ways, 10);
+        assert_eq!(eq.llc_config().sram_ways, base.llc_config().sram_ways);
+        assert_eq!(eq.system_config(), base.system_config());
         assert_eq!(ExperimentSpec::preset("scaled").unwrap(), base);
     }
 

@@ -1,7 +1,6 @@
 //! Hybrid LLC configuration.
 
 use hllc_nvm::EnduranceModel;
-use hllc_sim::LlcGeometry;
 
 use crate::dueling::DEFAULT_EPOCH_CYCLES;
 use crate::policy::Policy;
@@ -76,11 +75,6 @@ impl HybridConfig {
         }
     }
 
-    /// Builds from an [`LlcGeometry`].
-    pub fn from_geometry(geom: LlcGeometry, policy: Policy) -> Self {
-        HybridConfig::new(geom.sets, geom.sram_ways, geom.nvm_ways, policy)
-    }
-
     /// Overrides the endurance distribution.
     pub fn with_endurance(mut self, mean: f64, cv: f64) -> Self {
         self.endurance = EnduranceModel::new(mean, cv);
@@ -104,12 +98,6 @@ impl HybridConfig {
         self.dueling_smoothing = smoothing;
         self
     }
-
-    /// Disables Fit-LRU in the NVM part (ablation study).
-    pub fn without_fit_lru(mut self) -> Self {
-        self.fit_lru = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -125,17 +113,6 @@ mod tests {
         assert_eq!(cfg.nvm_ways, 13);
         assert_eq!(cfg.endurance.cv(), 0.25);
         assert_eq!(cfg.epoch_cycles, 500);
-    }
-
-    #[test]
-    fn from_geometry() {
-        let geom = LlcGeometry {
-            sets: 128,
-            sram_ways: 4,
-            nvm_ways: 12,
-        };
-        let cfg = HybridConfig::from_geometry(geom, Policy::Bh);
-        assert_eq!((cfg.sets, cfg.sram_ways, cfg.nvm_ways), (128, 4, 12));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One simulation phase: run a mix over the current NVM state.
 
 use hllc_compress::CompressorKind;
+use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc};
 use hllc_nvm::NvmArray;
 use hllc_sim::{DataModel, Hierarchy, LlcPort, LlcStats, SystemConfig};
@@ -25,6 +26,21 @@ pub struct PhaseSetup {
 }
 
 impl PhaseSetup {
+    /// The phase an [`ExperimentSpec`] describes (system, LLC under the
+    /// spec's policy, footprint scale, compressor) with the given lengths.
+    /// [`ForecastConfig::from_spec`](crate::ForecastConfig::from_spec) and
+    /// sweep jobs build on it.
+    pub fn from_spec(spec: &ExperimentSpec, warmup_cycles: f64, measure_cycles: f64) -> Self {
+        PhaseSetup {
+            system: spec.system_config(),
+            llc: spec.llc_config(),
+            warmup_cycles,
+            measure_cycles,
+            scale: spec.footprint_scale(),
+            compressor: spec.compressor(),
+        }
+    }
+
     /// Footprint scale implied by the LLC geometry
     /// ([`hllc_config::PAPER_SETS`] sets = 1.0).
     pub fn scale_for_sets(sets: usize) -> f64 {
@@ -137,17 +153,11 @@ mod tests {
     use hllc_trace::mixes;
 
     fn setup(policy: Policy) -> PhaseSetup {
-        let mut spec = hllc_config::ExperimentSpec::preset("scaled").expect("builtin preset");
+        let mut spec = ExperimentSpec::preset("scaled").expect("builtin preset");
         spec.system.llc_sets = 256;
+        spec.hybrid.policy = policy.label();
         spec.validate().expect("256-set scaled variant");
-        PhaseSetup {
-            system: spec.system_config(),
-            llc: spec.llc_config_for(policy),
-            warmup_cycles: 100_000.0,
-            measure_cycles: 200_000.0,
-            scale: spec.footprint_scale(),
-            compressor: CompressorKind::Bdi,
-        }
+        PhaseSetup::from_spec(&spec, 100_000.0, 200_000.0)
     }
 
     #[test]

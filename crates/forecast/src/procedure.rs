@@ -38,16 +38,17 @@ impl ForecastConfig {
     /// under its own policy, and its `forecast` recipe.
     pub fn from_spec(spec: &ExperimentSpec) -> Self {
         let f = &spec.forecast;
+        let phase = PhaseSetup::from_spec(spec, f.warmup_cycles, f.measure_cycles);
         ForecastConfig {
-            system: spec.system_config(),
-            llc: spec.llc_config(),
-            warmup_cycles: f.warmup_cycles,
-            measure_cycles: f.measure_cycles,
+            system: phase.system,
+            llc: phase.llc,
+            warmup_cycles: phase.warmup_cycles,
+            measure_cycles: phase.measure_cycles,
             capacity_step: f.capacity_step,
             max_step_seconds: f.max_step_seconds,
             stop_capacity: f.stop_capacity,
             max_steps: f.max_steps,
-            compressor: spec.compressor(),
+            compressor: phase.compressor,
         }
     }
 

@@ -166,14 +166,8 @@ fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
     exp.system.sram_ways = job.sram_ways;
     exp.system.nvm_ways = job.nvm_ways;
     exp.system.nvm_latency_factor = job.nvm_latency_factor;
-    let setup = PhaseSetup {
-        system: exp.system_config(),
-        llc: exp.llc_config_for(job.policy),
-        warmup_cycles: spec.warmup_cycles,
-        measure_cycles: spec.measure_cycles,
-        scale: exp.footprint_scale(),
-        compressor: exp.compressor(),
-    };
+    exp.hybrid.policy = job.policy.label();
+    let setup = PhaseSetup::from_spec(&exp, spec.warmup_cycles, spec.measure_cycles);
     let array = degraded_array(&setup.llc, job.capacity, seed);
     let (m, _) = match &spec.trace {
         Some(trace) => {

@@ -3,31 +3,9 @@
 use crate::dram::DramConfig;
 use crate::timing::TimingModel;
 
-/// Geometry of the shared hybrid LLC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LlcGeometry {
-    /// Number of sets (power of two).
-    pub sets: usize,
-    /// SRAM ways per set (4 in the paper's main configuration).
-    pub sram_ways: usize,
-    /// NVM ways per set (12 in the paper's main configuration).
-    pub nvm_ways: usize,
-}
-
-impl LlcGeometry {
-    /// Total associativity.
-    pub fn total_ways(&self) -> usize {
-        self.sram_ways + self.nvm_ways
-    }
-
-    /// Total capacity in bytes at 64 B per block.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.total_ways() * 64
-    }
-}
-
-/// Full system configuration: core count, private cache geometry, LLC
-/// geometry, and timing.
+/// Full system configuration: core count, private cache geometry, and
+/// timing. The shared LLC is configured separately (its geometry lives in
+/// `hllc_core::HybridConfig`) and handed to `Hierarchy::new` already built.
 ///
 /// # Example
 ///
@@ -36,8 +14,7 @@ impl LlcGeometry {
 ///
 /// let cfg = SystemConfig::default();
 /// assert_eq!(cfg.cores, 4);
-/// assert_eq!(cfg.llc.sram_ways, 4);
-/// assert_eq!(cfg.llc.nvm_ways, 12);
+/// assert_eq!(cfg.l2_sets, 128);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -51,8 +28,6 @@ pub struct SystemConfig {
     pub l2_sets: usize,
     /// L2 associativity (paper: 16).
     pub l2_ways: usize,
-    /// Shared LLC geometry.
-    pub llc: LlcGeometry,
     /// Timing parameters.
     pub timing: TimingModel,
     /// Banked open-page DRAM model; `None` charges the flat
@@ -61,8 +36,7 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's Table IV system: 4 cores, 32 KB L1, 128 KB L2,
-    /// 4 MB LLC (4096 sets × 16 ways), 4 SRAM + 12 NVM ways.
+    /// The paper's Table IV system: 4 cores, 32 KB L1, 128 KB L2.
     pub fn paper_default() -> Self {
         SystemConfig {
             cores: 4,
@@ -70,33 +44,9 @@ impl SystemConfig {
             l1_ways: 4,
             l2_sets: 128,
             l2_ways: 16,
-            llc: LlcGeometry {
-                sets: 4096,
-                sram_ways: 4,
-                nvm_ways: 12,
-            },
             timing: TimingModel::paper_default(),
             dram: None,
         }
-    }
-
-    /// Doubles the private L2 (the Figure 11a sensitivity study).
-    pub fn with_l2_doubled(mut self) -> Self {
-        self.l2_sets *= 2;
-        self
-    }
-
-    /// Sets the SRAM/NVM way split (Figures 10b and 11c studies).
-    pub fn with_way_split(mut self, sram_ways: usize, nvm_ways: usize) -> Self {
-        self.llc.sram_ways = sram_ways;
-        self.llc.nvm_ways = nvm_ways;
-        self
-    }
-
-    /// Enables the banked open-page DRAM model.
-    pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = Some(dram);
-        self
     }
 
     /// Scales the NVM read latency (the Figure 11b ×1.5 study raises the
@@ -121,19 +71,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_llc_is_4mb() {
-        let cfg = SystemConfig::paper_default();
-        assert_eq!(cfg.llc.capacity_bytes(), 4 * 1024 * 1024);
-        assert_eq!(cfg.llc.total_ways(), 16);
-    }
-
-    #[test]
-    fn l2_doubling() {
-        let cfg = SystemConfig::paper_default().with_l2_doubled();
-        assert_eq!(cfg.l2_sets, 256);
-    }
-
-    #[test]
     fn nvm_latency_factor() {
         let cfg = SystemConfig::paper_default().with_nvm_latency_factor(1.5);
         assert_eq!(cfg.timing.llc_nvm_hit(), 36);
@@ -147,13 +84,5 @@ mod tests {
         custom.timing.llc_nvm_array = 10;
         let custom = custom.with_nvm_latency_factor(1.5);
         assert_eq!(custom.timing.llc_nvm_hit(), 39);
-    }
-
-    #[test]
-    fn way_split() {
-        let cfg = SystemConfig::paper_default().with_way_split(3, 13);
-        assert_eq!(cfg.llc.sram_ways, 3);
-        assert_eq!(cfg.llc.nvm_ways, 13);
-        assert_eq!(cfg.llc.total_ways(), 16);
     }
 }

@@ -45,7 +45,7 @@ mod timing;
 pub use access::{Access, Op};
 pub use address::{block_addr, block_of, set_index, BLOCK_OFFSET_BITS};
 pub use cache::{Cache, Entry, Evicted};
-pub use config::{LlcGeometry, SystemConfig};
+pub use config::SystemConfig;
 pub use data::{ConstSizeData, DataModel};
 pub use dram::{Dram, DramConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};

@@ -7,26 +7,25 @@
 //! ```
 
 use hybrid_llc::config::ExperimentSpec;
-use hybrid_llc::llc::{HybridConfig, HybridLlc, Policy};
+use hybrid_llc::llc::{HybridLlc, Policy};
 use hybrid_llc::sim::Hierarchy;
 use hybrid_llc::trace::{drive_cycles, mixes};
 use hybrid_llc::LlcPort;
 
 fn run(policy_name: &str, policy: Option<Policy>, mix_idx: usize) -> (String, f64, f64, u64) {
-    let spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-    let mut system = spec.system_config();
+    let mut spec = ExperimentSpec::preset("scaled").expect("builtin preset");
     let mix = &mixes()[mix_idx];
     let llc_cfg = match policy {
         Some(p) => spec.llc_config_for(p),
         None => {
-            // SRAM-only upper bound: all 16 ways SRAM.
-            system.llc.sram_ways = 16;
-            system.llc.nvm_ways = 0;
-            HybridConfig::from_geometry(system.llc, Policy::Bh)
+            // SRAM-only upper bound: every way SRAM, under BH.
+            spec.system.sram_ways += spec.system.nvm_ways;
+            spec.system.nvm_ways = 0;
+            spec.llc_config_for(Policy::Bh)
         }
     };
     let llc = HybridLlc::new(&llc_cfg);
-    let mut h = Hierarchy::new(&system, llc, mix.data_model(42));
+    let mut h = Hierarchy::new(&spec.system_config(), llc, mix.data_model(42));
     let mut streams = mix.instantiate(spec.footprint_scale(), 42);
     drive_cycles(&mut h, &mut streams, 400_000.0);
     h.reset_stats();

@@ -17,13 +17,14 @@ fn main() {
     // under CP_SD.
     let spec = ExperimentSpec::preset("scaled").expect("builtin preset");
     let system = spec.system_config();
+    let llc_cfg = spec.llc_config();
     let mix = &mixes()[spec.mix_index()];
     println!(
         "system: {} cores, LLC {} KB ({} SRAM + {} NVM ways)",
         system.cores,
-        system.llc.capacity_bytes() / 1024,
-        system.llc.sram_ways,
-        system.llc.nvm_ways
+        llc_cfg.sets * (llc_cfg.sram_ways + llc_cfg.nvm_ways) * 64 / 1024,
+        llc_cfg.sram_ways,
+        llc_cfg.nvm_ways
     );
     println!(
         "workload: {} = {}",
@@ -35,7 +36,7 @@ fn main() {
             .join(" + ")
     );
 
-    let llc = HybridLlc::new(&spec.llc_config());
+    let llc = HybridLlc::new(&llc_cfg);
     let mut hierarchy = Hierarchy::new(&system, llc, mix.data_model(42));
     let mut streams = mix.instantiate(spec.footprint_scale(), 42);
 

@@ -32,6 +32,7 @@ use hybrid_llc::session::{
 use hybrid_llc::sim::{EnergyModel, Op, SystemConfig};
 use hybrid_llc::trace::mixes;
 use hybrid_llc::traceio::{create_trace, load_trace, open_trace, Chunk, TraceContent, VERSION};
+use serde_json::Value;
 
 fn cmd_policies() {
     println!("available insertion policies (Table III):");
@@ -471,32 +472,31 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
         spec.job_count(),
         spec.threads,
     );
-    let report = run_sweep(&spec);
+    let report = report_json(&run_sweep(&spec));
 
     println!(
         "\n{:<12} {:>9} {:>8} {:>10} {:>14}",
         "policy", "capacity", "IPC", "LLC hit%", "NVM bytes"
     );
-    for (label, _) in &spec.policies {
-        for &capacity in &spec.capacities {
-            let cell: Vec<_> = report
-                .results
-                .iter()
-                .filter(|r| &r.policy == label && r.capacity == capacity)
-                .collect();
-            let n = cell.len() as f64;
-            let ipc: f64 = cell.iter().map(|r| r.ipc).sum::<f64>() / n;
-            let hit: f64 = cell.iter().map(|r| r.hit_rate).sum::<f64>() / n;
-            let bytes: u64 = cell.iter().map(|r| r.nvm_bytes_written).sum();
-            println!(
-                "{label:<12} {capacity:>9.2} {ipc:>8.3} {:>9.1}% {bytes:>14}",
-                100.0 * hit
-            );
-        }
+    let cells = report.get("summary").and_then(Value::as_array);
+    for cell in cells.into_iter().flatten() {
+        let number = |key| cell.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+        let label = cell
+            .get("policy")
+            .and_then(Value::as_str)
+            .unwrap_or_default();
+        let bytes = cell.get("total_nvm_bytes_written").and_then(Value::as_u64);
+        println!(
+            "{label:<12} {:>9.2} {:>8.3} {:>9.1}% {:>14}",
+            number("capacity"),
+            number("mean_ipc"),
+            100.0 * number("mean_hit_rate"),
+            bytes.unwrap_or_default()
+        );
     }
 
     if let Some(path) = &args.json {
-        let text = serde_json::to_string_pretty(&report_json(&report))
+        let text = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("serializing report: {e}"))?;
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
         println!("\nreport written to {path}");

@@ -21,7 +21,6 @@ fn tiny() -> (SystemConfig, HybridConfig) {
     system.l1_ways = 1;
     system.l2_sets = 2;
     system.l2_ways = 2;
-    system.llc.sets = 16;
     let llc = HybridConfig::new(16, 4, 12, Policy::CaRwr { cp_th: 37 });
     (system, llc)
 }
