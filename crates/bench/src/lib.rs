@@ -25,6 +25,5 @@
 //!   value.
 
 pub mod exp;
-pub mod kernel;
 pub mod report;
 pub mod stats;

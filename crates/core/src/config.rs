@@ -35,7 +35,10 @@ pub struct HybridConfig {
     /// raw per-epoch counters; scaled-down simulations use ~0.6 to recover
     /// full-size sampler statistics).
     pub dueling_smoothing: f64,
-    /// RNG seed for the endurance sampling.
+    /// RNG seed for the endurance sampling. Every LLC with the same
+    /// geometry, endurance model and seed shares one endurance map (see
+    /// `HybridLlc::new`), so sweep replicates differ in their workload and
+    /// degrade draws, not in endurance.
     pub seed: u64,
     /// NVM data-array write latency in cycles (Table IV: 20). A read that
     /// arrives at a bank while a write is in flight waits out the

@@ -11,8 +11,6 @@
 
 use hllc_nvm::NvmArray;
 use hllc_sim::{set_index, DataModel, LlcPort, LlcReq, LlcResponse, LlcStats, ReuseClass};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::HybridConfig;
 use crate::dueling::SetDueling;
@@ -65,16 +63,20 @@ pub struct HybridLlc {
 const TAP_TABLE_ENTRIES: usize = 1 << 16;
 
 impl HybridLlc {
-    /// Builds an LLC from a configuration, sampling fresh NVM endurances.
+    /// Builds an LLC from a configuration with a pristine NVM array whose
+    /// endurances are drawn from `cfg.seed` ([`NvmArray::sampled`]).
+    ///
+    /// Every LLC with the same geometry, endurance model and seed shares
+    /// one endurance map, whatever its policy: sweep replicates differ in
+    /// their workload and degrade draws, not in endurance.
     pub fn new(cfg: &HybridConfig) -> Self {
         let array = (cfg.nvm_ways > 0).then(|| {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            NvmArray::new(
+            NvmArray::sampled(
                 cfg.sets,
                 cfg.nvm_ways,
                 &cfg.endurance,
                 cfg.policy.granularity(),
-                &mut rng,
+                cfg.seed,
             )
         });
         Self::with_array(cfg, array)

@@ -132,7 +132,7 @@ pub fn run_phase_streams<S: RefSource, D: DataModel>(
         .array_mut()
         .map(|a| a.take_pending_writes())
         .unwrap_or_default();
-    let array_out = h.llc_mut().array_mut().map(|a| a.clone());
+    let array_out = h.into_llc().into_array();
 
     let metrics = PhaseMetrics {
         ipc,

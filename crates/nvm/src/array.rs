@@ -1,16 +1,36 @@
 //! The NVM portion of the LLC data array.
 
 use std::cell::Cell;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::endurance::EnduranceModel;
 use crate::fault_map::FRAME_BYTES;
-use crate::frame::{Frame, WearEvent};
+use crate::frame::{sample_endurance, Frame, WearEvent};
 
 /// Sentinel in the capacity lane: the cached value must be recomputed from
 /// the frame's fault map on the next query.
 const CAP_DIRTY: u8 = u8::MAX;
+
+/// The endurance limits of a whole array, one shared map per frame in
+/// `set * ways + way` order.
+type EnduranceMap = Arc<[Arc<[f64; FRAME_BYTES]>]>;
+
+/// What determines a seeded endurance map: `(sets, ways, mean bits, cv
+/// bits, seed)`.
+type MapKey = (usize, usize, u64, u64, u64);
+
+/// The most recently sampled seeded map ([`NvmArray::sampled`]). A single
+/// slot, so at most one map outlives the arrays built from it.
+static LAST_MAP: Mutex<Option<(MapKey, EnduranceMap)>> = Mutex::new(None);
+
+/// Draws the endurance limits of `frames` frames from `model`, frame by
+/// frame.
+fn sample_map<R: Rng + ?Sized>(frames: usize, model: &EnduranceModel, rng: &mut R) -> EnduranceMap {
+    (0..frames).map(|_| sample_endurance(model, rng)).collect()
+}
 
 /// Hard-fault disabling granularity (Table III).
 ///
@@ -70,7 +90,7 @@ pub struct NvmArray {
 
 impl NvmArray {
     /// Builds an array of `sets × ways` frames with endurances sampled from
-    /// `model`.
+    /// `model`, frame by frame in `set * ways + way` order.
     ///
     /// # Panics
     ///
@@ -83,8 +103,64 @@ impl NvmArray {
         rng: &mut R,
     ) -> Self {
         assert!(sets > 0 && ways > 0, "array must have at least one frame");
-        let n = sets * ways;
-        let frames = (0..n).map(|_| Frame::sampled(model, rng)).collect();
+        let map = sample_map(sets * ways, model, rng);
+        Self::with_endurance(sets, ways, granularity, &map)
+    }
+
+    /// The array `new` builds from `StdRng::seed_from_u64(seed)`, with its
+    /// endurance map shared rather than resampled: the most recently drawn
+    /// map is memoised per `(sets, ways, model, seed)`, and every array
+    /// built from it holds the same immutable limits. Wear, fault maps and
+    /// disabling stay per array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` or `ways` is zero.
+    pub fn sampled(
+        sets: usize,
+        ways: usize,
+        model: &EnduranceModel,
+        granularity: DisableGranularity,
+        seed: u64,
+    ) -> Self {
+        assert!(sets > 0 && ways > 0, "array must have at least one frame");
+        let key = (
+            sets,
+            ways,
+            model.mean().to_bits(),
+            model.cv().to_bits(),
+            seed,
+        );
+        let map = {
+            // The slot is only ever replaced whole, so a panic elsewhere
+            // cannot leave it half-written: a poisoned lock is safe to use.
+            let mut last = LAST_MAP.lock().unwrap_or_else(PoisonError::into_inner);
+            match &*last {
+                Some((k, map)) if *k == key => Arc::clone(map),
+                _ => {
+                    let map = sample_map(sets * ways, model, &mut StdRng::seed_from_u64(seed));
+                    *last = Some((key, Arc::clone(&map)));
+                    map
+                }
+            }
+        };
+        Self::with_endurance(sets, ways, granularity, &map)
+    }
+
+    /// A pristine array over per-frame endurance limits (`sets * ways` of
+    /// them, in frame order).
+    fn with_endurance(
+        sets: usize,
+        ways: usize,
+        granularity: DisableGranularity,
+        map: &[Arc<[f64; FRAME_BYTES]>],
+    ) -> Self {
+        let n = map.len();
+        debug_assert_eq!(n, sets * ways);
+        let frames = map
+            .iter()
+            .map(|e| Frame::with_endurance(Arc::clone(e)))
+            .collect();
         NvmArray {
             sets,
             ways,
@@ -294,10 +370,12 @@ impl NvmArray {
                     if self.disabled[i] || self.frames[i].is_dead() {
                         continue;
                     }
-                    let live_in_frame: Vec<usize> =
-                        self.frames[i].fault_map().live_indices().collect();
-                    // gen_range is bounded by live_in_frame.len().
-                    let b = live_in_frame[rng.gen_range(0..live_in_frame.len())];
+                    // The same draw as indexing the ascending live-byte
+                    // list, selected in place on the packed fault words.
+                    let k = rng.gen_range(0..self.frames[i].live_bytes());
+                    let Some(b) = self.frames[i].fault_map().nth_live(k) else {
+                        continue;
+                    };
                     self.frames[i].disable_byte(b);
                     self.capacity[i].set(CAP_DIRTY);
                     live -= 1;

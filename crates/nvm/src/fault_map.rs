@@ -121,6 +121,25 @@ impl FaultMap {
         live
     }
 
+    /// The `k`-th live byte in ascending order (0-based), as
+    /// `live_indices().nth(k)` would yield it, found by a select on the
+    /// packed live words. `None` if at most `k` bytes are live.
+    pub(crate) fn nth_live(&self, k: usize) -> Option<usize> {
+        let mut k = k;
+        for (w, &word) in self.live_words().iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let mut bits = word;
+                for _ in 0..k {
+                    bits &= bits - 1;
+                }
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            k -= ones;
+        }
+        None
+    }
+
     /// Iterator over live (non-faulty) byte indices in ascending order.
     pub fn live_indices(&self) -> LiveIndices {
         self.live_indices_from(0)
@@ -283,6 +302,17 @@ mod tests {
         assert_eq!(order, wrapped);
         // Offset in the second word starts there.
         assert_eq!(fm.live_indices_from(65).next(), Some(65));
+    }
+
+    #[test]
+    fn nth_live_selects_like_live_indices() {
+        let fm = FaultMap::from_faulty([0, 2, 5, 63, 64]);
+        let live: Vec<usize> = fm.live_indices().collect();
+        for (k, &b) in live.iter().enumerate() {
+            assert_eq!(fm.nth_live(k), Some(b), "k = {k}");
+        }
+        assert_eq!(fm.nth_live(live.len()), None);
+        assert_eq!(FaultMap::from_faulty(0..FRAME_BYTES).nth_live(0), None);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! A single NVM frame: fault map + per-byte wear state.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use crate::endurance::EnduranceModel;
@@ -17,6 +19,9 @@ pub struct WearEvent {
 ///
 /// Wear is tracked in fractional writes so the forecast can apply
 /// `rate × Δt` increments; the functional path adds 1.0 per actual write.
+/// Endurance limits never change after sampling, so they sit behind an
+/// [`Arc`] that every array built from the same sample shares; only the
+/// fault map and wear belong to the frame.
 ///
 /// # Example
 ///
@@ -35,17 +40,25 @@ pub struct WearEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     fault_map: FaultMap,
-    endurance: Box<[f64; FRAME_BYTES]>,
+    endurance: Arc<[f64; FRAME_BYTES]>,
     wear: Box<[f64; FRAME_BYTES]>,
 }
 
+/// Draws one frame's byte endurances from `model`, byte 0 first.
+pub(crate) fn sample_endurance<R: Rng + ?Sized>(
+    model: &EnduranceModel,
+    rng: &mut R,
+) -> Arc<[f64; FRAME_BYTES]> {
+    let mut endurance = [0.0; FRAME_BYTES];
+    for e in endurance.iter_mut() {
+        *e = model.sample(rng) as f64;
+    }
+    Arc::new(endurance)
+}
+
 impl Frame {
-    /// Creates a frame whose byte endurances are sampled from `model`.
-    pub fn sampled<R: Rng + ?Sized>(model: &EnduranceModel, rng: &mut R) -> Self {
-        let mut endurance = Box::new([0.0; FRAME_BYTES]);
-        for e in endurance.iter_mut() {
-            *e = model.sample(rng) as f64;
-        }
+    /// Creates a pristine, unworn frame over the given endurance limits.
+    pub(crate) fn with_endurance(endurance: Arc<[f64; FRAME_BYTES]>) -> Self {
         Frame {
             fault_map: FaultMap::new(),
             endurance,
@@ -53,14 +66,22 @@ impl Frame {
         }
     }
 
+    /// Creates a frame whose byte endurances are sampled from `model`.
+    pub fn sampled<R: Rng + ?Sized>(model: &EnduranceModel, rng: &mut R) -> Self {
+        Frame::with_endurance(sample_endurance(model, rng))
+    }
+
     /// Creates a frame where every byte endures exactly `writes` writes —
     /// handy for deterministic tests.
     pub fn with_uniform_endurance(writes: u64) -> Self {
-        Frame {
-            fault_map: FaultMap::new(),
-            endurance: Box::new([writes as f64; FRAME_BYTES]),
-            wear: Box::new([0.0; FRAME_BYTES]),
-        }
+        Frame::with_endurance(Arc::new([writes as f64; FRAME_BYTES]))
+    }
+
+    /// The frame's byte endurance limits, shared with this frame's
+    /// counterpart in every array built from the same sample.
+    #[inline]
+    pub fn endurance(&self) -> &Arc<[f64; FRAME_BYTES]> {
+        &self.endurance
     }
 
     /// The frame's current fault map.

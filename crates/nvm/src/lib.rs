@@ -34,12 +34,10 @@ mod endurance;
 mod fault_map;
 mod frame;
 pub mod rearrange;
-mod setlevel;
 mod wear;
 
 pub use array::{DisableGranularity, FrameId, NvmArray};
 pub use endurance::EnduranceModel;
 pub use fault_map::{FaultMap, LiveIndices, FAULT_WORDS, FRAME_BYTES};
 pub use frame::{Frame, WearEvent};
-pub use setlevel::StartGap;
 pub use wear::WearLevelCounter;

@@ -1,7 +1,11 @@
 //! Property-based tests for the NVM substrate.
 
-use hllc_nvm::{rearrange, FaultMap, Frame, FRAME_BYTES};
+use hllc_nvm::{
+    rearrange, DisableGranularity, EnduranceModel, FaultMap, Frame, NvmArray, FRAME_BYTES,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_fault_map(max_faults: usize) -> impl Strategy<Value = FaultMap> {
     prop::collection::btree_set(0usize..FRAME_BYTES, 0..=max_faults).prop_map(FaultMap::from_faulty)
@@ -71,5 +75,100 @@ proptest! {
                 prop_assert_eq!(ev[0].byte, 2);
             }
         }
+    }
+}
+
+/// The original `degrade_to`, kept as the reference: it collects each
+/// picked frame's live bytes into a list and indexes it with the draw.
+fn degrade_by_collecting(a: &mut NvmArray, target: f64, rng: &mut StdRng) {
+    let ways = a.ways();
+    let n = a.sets() * ways;
+    match a.granularity() {
+        DisableGranularity::Byte => {
+            let total = n * FRAME_BYTES;
+            let mut live: usize = (0..n)
+                .map(|i| {
+                    let (s, w) = (i / ways, i % ways);
+                    if a.is_disabled(s, w) {
+                        0
+                    } else {
+                        a.frame(s, w).live_bytes()
+                    }
+                })
+                .sum();
+            let target_live = (target * total as f64).floor() as usize;
+            while live > target_live {
+                let i = rng.gen_range(0..n);
+                let (s, w) = (i / ways, i % ways);
+                if a.is_disabled(s, w) || a.frame(s, w).is_dead() {
+                    continue;
+                }
+                let live_in_frame: Vec<usize> = a.frame(s, w).fault_map().live_indices().collect();
+                let b = live_in_frame[rng.gen_range(0..live_in_frame.len())];
+                a.frame_mut(s, w).disable_byte(b);
+                live -= 1;
+                if a.frame(s, w).is_dead() {
+                    a.disable_frame(s, w);
+                }
+            }
+        }
+        DisableGranularity::Frame => {
+            let mut live = (0..n)
+                .filter(|&i| !a.is_disabled(i / ways, i % ways))
+                .count();
+            let target_live = (target * n as f64).floor() as usize;
+            while live > target_live {
+                let i = rng.gen_range(0..n);
+                if !a.is_disabled(i / ways, i % ways) {
+                    a.disable_frame(i / ways, i % ways);
+                    live -= 1;
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// In-place `degrade_to` consumes the same draws and disables the same
+    /// bytes and frames as the collect-and-index original, on arrays that
+    /// are already aged (faulty bytes, dead and disabled frames).
+    #[test]
+    fn degrade_in_place_matches_collecting(
+        sets in 1usize..9,
+        ways in 1usize..7,
+        byte_granularity in any::<bool>(),
+        target in 0.0f64..=1.0,
+        wear in prop::collection::vec(0.0f64..1.3, 48),
+        seed in any::<u64>(),
+    ) {
+        let granularity = if byte_granularity {
+            DisableGranularity::Byte
+        } else {
+            DisableGranularity::Frame
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = EnduranceModel::new(100.0, 0.3);
+        let mut fast = NvmArray::new(sets, ways, &model, granularity, &mut rng);
+        for (f, &w) in wear.iter().take(sets * ways).enumerate() {
+            let _ = fast.apply_uniform_wear(f / ways, f % ways, w * 100.0 * FRAME_BYTES as f64);
+        }
+        let mut reference = fast.clone();
+        let mut fast_rng = StdRng::seed_from_u64(seed ^ 1);
+        let mut reference_rng = fast_rng.clone();
+        fast.degrade_to(target, &mut fast_rng);
+        degrade_by_collecting(&mut reference, target, &mut reference_rng);
+
+        for set in 0..sets {
+            for way in 0..ways {
+                prop_assert_eq!(fast.frame(set, way).fault_map(), reference.frame(set, way).fault_map());
+                prop_assert_eq!(fast.is_disabled(set, way), reference.is_disabled(set, way));
+            }
+            let lane = |a: &NvmArray| a.capacity_lane(set).iter().map(|c| c.get()).collect::<Vec<_>>();
+            prop_assert_eq!(lane(&fast), lane(&reference));
+        }
+        prop_assert_eq!(fast.capacity_fraction().to_bits(), reference.capacity_fraction().to_bits());
+        prop_assert_eq!(fast_rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 }

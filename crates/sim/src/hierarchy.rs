@@ -139,6 +139,11 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         &mut self.llc
     }
 
+    /// Consumes the hierarchy, returning its LLC.
+    pub fn into_llc(self) -> L {
+        self.llc
+    }
+
     /// The data model.
     pub fn data_mut(&mut self) -> &mut D {
         &mut self.data

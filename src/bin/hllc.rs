@@ -18,9 +18,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use hybrid_llc::cli::{
-    parse_args, parse_bench_kernel_args, parse_policy, parse_record_args, parse_replay_args,
-    parse_spec_args, parse_sweep_args, parse_trace_info_args, Args, BenchKernelArgs, RecordArgs,
-    ReplayArgs, SpecArgs, SweepArgs,
+    parse_args, parse_policy, parse_record_args, parse_replay_args, parse_spec_args,
+    parse_sweep_args, parse_trace_info_args, Args, RecordArgs, ReplayArgs, SpecArgs, SweepArgs,
 };
 use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
@@ -172,49 +171,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("{text}");
     } else {
         print_stats(&stats, args.cycles(), &system);
-    }
-    Ok(())
-}
-
-fn cmd_bench_kernel(args: &BenchKernelArgs) -> Result<(), String> {
-    use hybrid_llc::bench::kernel::{kernel_policies, kernel_report, measure_kernel};
-
-    if !args.json {
-        println!(
-            "measuring LLC kernel throughput ({} accesses per policy, seed {}) -> [{}] of {} ...",
-            args.accesses, args.seed, args.label, args.out
-        );
-    }
-    let results: Vec<_> = kernel_policies()
-        .into_iter()
-        .map(|(_, policy)| measure_kernel(policy, args.accesses, args.seed))
-        .collect();
-
-    let existing = std::fs::read_to_string(&args.out)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok());
-    let report = kernel_report(existing.as_ref(), &args.label, &results, args.seed);
-    let text =
-        serde_json::to_string_pretty(&report).map_err(|e| format!("serializing report: {e}"))?;
-    std::fs::write(&args.out, text.clone() + "\n")
-        .map_err(|e| format!("writing {}: {e}", args.out))?;
-
-    if args.json {
-        println!("{text}");
-    } else {
-        for r in &results {
-            println!(
-                "  {:<12} {:>12.0} accesses/sec",
-                r.policy, r.accesses_per_sec
-            );
-        }
-        if let Some(mean) = report.get("speedup").and_then(|s| s.get("mean")) {
-            println!(
-                "  speedup (after/before, mean): {:.2}x",
-                mean.as_f64().unwrap_or(0.0)
-            );
-        }
-        println!("report written to {}", args.out);
     }
     Ok(())
 }
@@ -537,15 +493,14 @@ fn cmd_figures() {
 
 fn usage() {
     println!(
-        "usage: hllc <policies|mixes|figures|spec|run|forecast|compare|sweep|record|replay|trace-info|bench-kernel> \
+        "usage: hllc <policies|mixes|figures|spec|run|forecast|compare|sweep|record|replay|trace-info> \
         [--spec file|preset] [--policy P] [--mix 1..10] [--cycles N] [--seed S] [--jobs N] [--trace f.trc] [--json]\n\
         \x20      hllc spec [--preset name] [--dump out.json]           (presets: {})\n\
         \x20      hllc sweep [--spec file|preset] [--policies a,b] [--mixes 1,2] [--seeds K] [--capacities 1.0,0.7] \
         [--way-splits 4/12,3/13] [--nvm-latency 1.0,1.5] [--sets N] [--json out.json] [--trace f.trc]\n\
         \x20      hllc record --out f.trc [--cores N] [--json stats.json] [run flags]\n\
         \x20      hllc replay --trace f.trc [--policy P] [--cycles N] [--spec file|preset] [--json stats.json]\n\
-        \x20      hllc trace-info f.trc\n\
-        \x20      hllc bench-kernel [--label before|after] [--accesses N] [--seed S] [--out f.json] [--json]",
+        \x20      hllc trace-info f.trc",
         ExperimentSpec::preset_names().join(", ")
     );
 }
@@ -578,9 +533,6 @@ fn main() -> ExitCode {
             })
         }
         "sweep" => parse_sweep_args(&argv[1..]).and_then(|args| cmd_sweep(&args)),
-        "bench-kernel" => {
-            parse_bench_kernel_args(&argv[1..]).and_then(|args| cmd_bench_kernel(&args))
-        }
         "record" => parse_record_args(&argv[1..]).and_then(|args| cmd_record(&args)),
         "replay" => parse_replay_args(&argv[1..]).and_then(|args| cmd_replay(&args)),
         "trace-info" => parse_trace_info_args(&argv[1..]).and_then(|path| cmd_trace_info(&path)),

@@ -455,63 +455,6 @@ pub fn parse_trace_info_args(argv: &[String]) -> Result<String, String> {
     }
 }
 
-/// Arguments of `hllc bench-kernel`.
-#[derive(Clone, Debug)]
-pub struct BenchKernelArgs {
-    /// Which report section the measurement lands in (`before`/`after`) —
-    /// the other section of an existing report is preserved, so a PR can
-    /// record its baseline first and its result after the change.
-    pub label: String,
-    /// References driven through the LLC kernel per policy.
-    pub accesses: u64,
-    /// Workload/endurance seed.
-    pub seed: u64,
-    /// Print the full report JSON to stdout instead of the summary table.
-    pub json: bool,
-    /// Report file, written in-place (default `BENCH_kernel.json`).
-    pub out: String,
-}
-
-/// Parses the flags of `hllc bench-kernel`.
-pub fn parse_bench_kernel_args(argv: &[String]) -> Result<BenchKernelArgs, String> {
-    let mut args = BenchKernelArgs {
-        label: "after".into(),
-        accesses: hllc_bench::kernel::DEFAULT_ACCESSES,
-        seed: 42,
-        json: false,
-        out: "BENCH_kernel.json".into(),
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--label" => {
-                let v = value()?;
-                if v != "before" && v != "after" {
-                    return Err("--label expects 'before' or 'after'".into());
-                }
-                args.label = v.clone();
-            }
-            "--accesses" => {
-                args.accesses = value()?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n >= 1000)
-                    .ok_or_else(|| "--accesses expects an integer >= 1000".to_string())?;
-            }
-            "--seed" => {
-                args.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--json" => args.json = true,
-            "--out" => args.out = value()?.clone(),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
-
 /// Parses a comma-separated policy list, keeping the flag spelling as label.
 fn parse_policy_list(v: &str) -> Result<Vec<(String, Policy)>, String> {
     let list: Vec<(String, Policy)> = v
@@ -823,30 +766,6 @@ mod tests {
         let a = parse_args(&argv("--policy bh --json")).unwrap();
         assert!(a.json);
         assert_eq!(a.policy(), Policy::Bh);
-    }
-
-    #[test]
-    fn parse_bench_kernel_args_reads_every_flag() {
-        let a = parse_bench_kernel_args(&argv(
-            "--label before --accesses 50000 --seed 9 --json --out bk.json",
-        ))
-        .unwrap();
-        assert_eq!(a.label, "before");
-        assert_eq!(a.accesses, 50_000);
-        assert_eq!(a.seed, 9);
-        assert!(a.json);
-        assert_eq!(a.out, "bk.json");
-    }
-
-    #[test]
-    fn parse_bench_kernel_args_defaults_and_rejects() {
-        let d = parse_bench_kernel_args(&[]).unwrap();
-        assert_eq!(d.label, "after");
-        assert!(d.accesses >= 1000 && !d.json);
-        assert_eq!(d.out, "BENCH_kernel.json");
-        assert!(parse_bench_kernel_args(&argv("--label during")).is_err());
-        assert!(parse_bench_kernel_args(&argv("--accesses 10")).is_err());
-        assert!(parse_bench_kernel_args(&argv("--frobnicate 1")).is_err());
     }
 
     #[test]
