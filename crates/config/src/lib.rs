@@ -26,8 +26,8 @@ use serde_json::{Number, Value};
 /// footprints scale relative to this (see [`footprint_scale`]).
 pub const PAPER_SETS: usize = 4096;
 
-/// Width of the coherence-directory sharer mask: the hard ceiling on
-/// `system.cores`.
+/// Width of the `u16` remote-holder mask the hierarchy's peer-L2 probe
+/// builds on each coherence miss: the hard ceiling on `system.cores`.
 pub const MAX_CORES: usize = 16;
 
 /// Width of the per-set way mask: the hard ceiling on
@@ -361,7 +361,7 @@ impl ExperimentSpec {
             return Err(invalid(
                 "system.cores",
                 format!(
-                    "must be 1..={MAX_CORES} (the coherence directory's sharer mask is {MAX_CORES} bits), got {}",
+                    "must be 1..={MAX_CORES} (the coherence probe's remote-holder mask is {MAX_CORES} bits), got {}",
                     s.cores
                 ),
             ));

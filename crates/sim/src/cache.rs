@@ -1,5 +1,6 @@
-//! A generic set-associative, write-back cache with true-LRU replacement,
-//! used for the private L1 and L2 levels.
+//! A generic set-associative cache with true-LRU replacement, used for the
+//! private L1 and L2 levels. It keeps no dirty bit: the hierarchy reads
+//! dirtiness from the L2 coherence state in the caller metadata.
 
 use crate::address::set_index;
 
@@ -8,8 +9,6 @@ use crate::address::set_index;
 pub struct Entry<T> {
     /// Block address stored in this entry.
     pub block: u64,
-    /// True if the copy is modified with respect to the next level.
-    pub dirty: bool,
     /// Caller metadata (e.g. coherence state, reuse tag).
     pub aux: T,
     lru: u64,
@@ -20,8 +19,6 @@ pub struct Entry<T> {
 pub struct Evicted<T> {
     /// Block address of the victim.
     pub block: u64,
-    /// True if the victim was dirty and must be passed down.
-    pub dirty: bool,
     /// Caller metadata of the victim.
     pub aux: T,
 }
@@ -34,7 +31,7 @@ pub struct Evicted<T> {
 /// use hllc_sim::Cache;
 ///
 /// let mut c: Cache<()> = Cache::new(2, 2);
-/// assert!(c.insert(0, false, ()).is_none());
+/// assert!(c.insert(0, ()).is_none());
 /// assert!(c.lookup(0).is_some());
 /// ```
 #[derive(Clone, Debug)]
@@ -43,8 +40,6 @@ pub struct Cache<T> {
     ways: usize,
     entries: Vec<Option<Entry<T>>>,
     stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<T> Cache<T> {
@@ -61,29 +56,7 @@ impl<T> Cache<T> {
             ways,
             entries: (0..sets * ways).map(|_| None).collect(),
             stamp: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Hits recorded by [`Cache::lookup`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded by [`Cache::lookup`].
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     fn set_range(&self, block: u64) -> std::ops::Range<usize> {
@@ -91,33 +64,23 @@ impl<T> Cache<T> {
         s * self.ways..(s + 1) * self.ways
     }
 
-    /// Looks a block up, updating LRU and hit/miss statistics. Returns the
-    /// entry on a hit.
+    /// Looks a block up, updating LRU order. Returns the entry on a hit.
     pub fn lookup(&mut self, block: u64) -> Option<&mut Entry<T>> {
         self.stamp += 1;
         let stamp = self.stamp;
         let range = self.set_range(block);
         // range is in bounds: set_index(_, sets) < sets, len == sets * ways.
-        let hit = self.entries[range]
+        let e = self.entries[range]
             .iter_mut()
             .flatten()
-            .find(|e| e.block == block);
-        match hit {
-            Some(e) => {
-                self.hits += 1;
-                e.lru = stamp;
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+            .find(|e| e.block == block)?;
+        e.lru = stamp;
+        Some(e)
     }
 
-    /// Mutable access to a block's entry without touching LRU order or
-    /// hit/miss statistics — for coherence actions (downgrades) performed
-    /// *on* a cache rather than *by* it.
+    /// Mutable access to a block's entry without touching LRU order — for
+    /// coherence actions (downgrades) performed *on* a cache rather than
+    /// *by* it.
     pub fn entry_mut(&mut self, block: u64) -> Option<&mut Entry<T>> {
         // set_range is in bounds (see `lookup`).
         let range = self.set_range(block);
@@ -127,7 +90,7 @@ impl<T> Cache<T> {
             .find(|e| e.block == block)
     }
 
-    /// Looks a block up without touching LRU or statistics.
+    /// Looks a block up without touching LRU order.
     pub fn peek(&self, block: u64) -> Option<&Entry<T>> {
         let range = self.set_range(block);
         self.entries[range]
@@ -142,7 +105,7 @@ impl<T> Cache<T> {
     /// # Panics
     ///
     /// Panics in debug builds if the block is already present.
-    pub fn insert(&mut self, block: u64, dirty: bool, aux: T) -> Option<Evicted<T>> {
+    pub fn insert(&mut self, block: u64, aux: T) -> Option<Evicted<T>> {
         debug_assert!(
             self.peek(block).is_none(),
             "block {block:#x} already present"
@@ -172,12 +135,10 @@ impl<T> Cache<T> {
         // victim_idx was chosen inside `range`, so it is in bounds.
         let evicted = self.entries[victim_idx].take().map(|e| Evicted {
             block: e.block,
-            dirty: e.dirty,
             aux: e.aux,
         });
         self.entries[victim_idx] = Some(Entry {
             block,
-            dirty,
             aux,
             lru: stamp,
         });
@@ -192,7 +153,6 @@ impl<T> Cache<T> {
             if let Some(e) = self.entries[i].take_if(|e| e.block == block) {
                 return Some(Evicted {
                     block: e.block,
-                    dirty: e.dirty,
                     aux: e.aux,
                 });
             }
@@ -223,39 +183,37 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut c: Cache<u8> = Cache::new(4, 2);
-        c.insert(100, false, 7);
+        c.insert(100, 7);
         let e = c.lookup(100).expect("hit");
         assert_eq!(e.aux, 7);
-        assert_eq!(c.hits(), 1);
     }
 
     #[test]
     fn lru_eviction_order() {
         // One set, two ways: fill a, b; touch a; inserting c evicts b.
         let mut c: Cache<()> = Cache::new(1, 2);
-        c.insert(1, false, ());
-        c.insert(2, false, ());
+        c.insert(1, ());
+        c.insert(2, ());
         c.lookup(1);
-        let victim = c.insert(3, false, ()).expect("eviction");
+        let victim = c.insert(3, ()).expect("eviction");
         assert_eq!(victim.block, 2);
         assert!(c.contains(1) && c.contains(3));
     }
 
     #[test]
-    fn dirty_victim_reported() {
-        let mut c: Cache<()> = Cache::new(1, 1);
-        c.insert(5, true, ());
-        let v = c.insert(9, false, ()).unwrap();
-        assert!(v.dirty);
-        assert_eq!(v.block, 5);
+    fn victim_carries_its_metadata() {
+        let mut c: Cache<u8> = Cache::new(1, 1);
+        c.insert(5, 3);
+        let v = c.insert(9, 4).unwrap();
+        assert_eq!((v.block, v.aux), (5, 3));
     }
 
     #[test]
     fn invalidate_removes() {
         let mut c: Cache<()> = Cache::new(2, 2);
-        c.insert(4, true, ());
+        c.insert(4, ());
         let v = c.invalidate(4).unwrap();
-        assert!(v.dirty);
+        assert_eq!(v.block, 4);
         assert!(!c.contains(4));
         assert!(c.invalidate(4).is_none());
     }
@@ -263,9 +221,9 @@ mod tests {
     #[test]
     fn sets_are_independent() {
         let mut c: Cache<()> = Cache::new(2, 1);
-        c.insert(0, false, ()); // set 0
-        c.insert(1, false, ()); // set 1
-        assert!(c.insert(3, false, ()).is_some()); // set 1 again -> evicts 1
+        c.insert(0, ()); // set 0
+        c.insert(1, ()); // set 1
+        assert!(c.insert(3, ()).is_some()); // set 1 again -> evicts 1
         assert!(c.contains(0));
         assert_eq!(c.occupancy(), 2);
     }
@@ -274,18 +232,18 @@ mod tests {
     fn empty_ways_used_before_eviction() {
         let mut c: Cache<()> = Cache::new(1, 4);
         for b in 0..4 {
-            assert!(c.insert(b, false, ()).is_none());
+            assert!(c.insert(b, ()).is_none());
         }
-        assert!(c.insert(4, false, ()).is_some());
+        assert!(c.insert(4, ()).is_some());
     }
 
     #[test]
     fn peek_does_not_affect_lru() {
         let mut c: Cache<()> = Cache::new(1, 2);
-        c.insert(1, false, ());
-        c.insert(2, false, ());
+        c.insert(1, ());
+        c.insert(2, ());
         let _ = c.peek(1); // must not refresh 1
-        let victim = c.insert(3, false, ()).unwrap();
+        let victim = c.insert(3, ()).unwrap();
         assert_eq!(victim.block, 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Pure, table-driven coherence protocol (§III-A).
 //!
-//! The MESI-subset directory protocol the [`Hierarchy`](crate::Hierarchy)
+//! The MESI-subset protocol the [`Hierarchy`](crate::Hierarchy)
 //! implements is specified here as data: an explicit
 //! [`TRANSITION_TABLE`] mapping every reachable
 //! (requester state, others summary, request) configuration to a
@@ -13,10 +13,13 @@
 //! * **SWMR** — at most one core in `E`/`M`, never alongside sharers;
 //! * **no-stale-owner** — while a core owns a block (`E`/`M`), the LLC
 //!   holds no copy (memory fills bypass the LLC, `GetX` hits invalidate);
-//! * **sharer-mask/dir-state consistency** — the directory mask equals
-//!   the set of cores whose L2 holds the block;
 //! * **table coverage** — every reachable configuration has exactly one
 //!   table entry, and every table entry is reachable.
+//!
+//! There is no sharer directory to keep consistent: the per-core states
+//! are the only record of who holds a block (the hierarchy recomputes the
+//! remote holders from the peer L2s on each use), and `M` is the only
+//! dirty state, so the table carries no separate dirty flag.
 //!
 //! The [`model`] submodule is the executable form of the abstract
 //! protocol over N cores; the checker and the property tests drive it.
@@ -131,9 +134,6 @@ pub struct Transition {
     pub serve: ServeClass,
     /// True if the step counts as an S→M upgrade in the statistics.
     pub upgrade: bool,
-    /// True if the requester must mark its copy dirty afterwards (every
-    /// store path; `M` is always dirty).
-    pub dirty_fill: bool,
 }
 
 /// One row of the protocol specification.
@@ -156,7 +156,6 @@ const fn t(
     llc: LlcOp,
     serve: ServeClass,
     upgrade: bool,
-    dirty_fill: bool,
 ) -> Transition {
     Transition {
         next_on_hit,
@@ -165,7 +164,6 @@ const fn t(
         llc,
         serve,
         upgrade,
-        dirty_fill,
     }
 }
 
@@ -199,25 +197,25 @@ pub const TRANSITION_TABLE: &[Rule] = &[
         S,
         OthersClass::None,
         Load,
-        t(S, S, RemoteAction::None, LlcOp::None, Local, false, false),
+        t(S, S, RemoteAction::None, LlcOp::None, Local, false),
     ),
     rule(
         S,
         Sharers,
         Load,
-        t(S, S, RemoteAction::None, LlcOp::None, Local, false, false),
+        t(S, S, RemoteAction::None, LlcOp::None, Local, false),
     ),
     rule(
         E,
         OthersClass::None,
         Load,
-        t(E, E, RemoteAction::None, LlcOp::None, Local, false, false),
+        t(E, E, RemoteAction::None, LlcOp::None, Local, false),
     ),
     rule(
         M,
         OthersClass::None,
         Load,
-        t(M, M, RemoteAction::None, LlcOp::None, Local, false, false),
+        t(M, M, RemoteAction::None, LlcOp::None, Local, false),
     ),
     // ---- Load misses. --------------------------------------------------
     // Nobody else holds it: probe the LLC; a hit grants S (the LLC keeps
@@ -226,21 +224,21 @@ pub const TRANSITION_TABLE: &[Rule] = &[
         I,
         OthersClass::None,
         Load,
-        t(S, E, RemoteAction::None, GetS, LlcOrMemory, false, false),
+        t(S, E, RemoteAction::None, GetS, LlcOrMemory, false),
     ),
     // Remote sharers: cache-to-cache forward, requester joins in S.
     rule(
         I,
         Sharers,
         Load,
-        t(S, S, Downgrade, LlcOp::None, Remote, false, false),
+        t(S, S, Downgrade, LlcOp::None, Remote, false),
     ),
     // Remote exclusive-clean owner: downgrade to S, forward.
     rule(
         I,
         OwnerE,
         Load,
-        t(S, S, Downgrade, LlcOp::None, Remote, false, false),
+        t(S, S, Downgrade, LlcOp::None, Remote, false),
     ),
     // Remote modified owner: downgrade to S; the dirty data is written
     // back into the LLC (which becomes the owner) as it is forwarded.
@@ -248,120 +246,68 @@ pub const TRANSITION_TABLE: &[Rule] = &[
         I,
         OwnerM,
         Load,
-        t(S, S, Downgrade, WritebackDirty, Remote, false, false),
+        t(S, S, Downgrade, WritebackDirty, Remote, false),
     ),
     // ---- Stores on a locally held block. -------------------------------
     rule(
         M,
         OthersClass::None,
         Store,
-        t(M, M, RemoteAction::None, LlcOp::None, Local, false, true),
+        t(M, M, RemoteAction::None, LlcOp::None, Local, false),
     ),
     // E→M upgrades silently (no bus traffic).
     rule(
         E,
         OthersClass::None,
         Store,
-        t(M, M, RemoteAction::None, LlcOp::None, Local, false, true),
+        t(M, M, RemoteAction::None, LlcOp::None, Local, false),
     ),
     // S→M is an upgrade: GetX through the LLC (invalidate-on-hit).
     rule(
         S,
         OthersClass::None,
         Store,
-        t(M, M, RemoteAction::None, GetX, Local, true, true),
+        t(M, M, RemoteAction::None, GetX, Local, true),
     ),
     // ... invalidating any remote shared copies first.
-    rule(
-        S,
-        Sharers,
-        Store,
-        t(M, M, Invalidate, GetX, Local, true, true),
-    ),
+    rule(S, Sharers, Store, t(M, M, Invalidate, GetX, Local, true)),
     // ---- Store misses. -------------------------------------------------
     // Nobody else holds it: GetX probe (invalidate-on-hit), fill in M.
     rule(
         I,
         OthersClass::None,
         Store,
-        t(M, M, RemoteAction::None, GetX, LlcOrMemory, false, true),
+        t(M, M, RemoteAction::None, GetX, LlcOrMemory, false),
     ),
     // Remote copies exist: invalidate them all; a remote dirty owner's
     // data is implicitly forwarded to the requesting writer.
-    rule(
-        I,
-        Sharers,
-        Store,
-        t(M, M, Invalidate, GetX, Remote, false, true),
-    ),
-    rule(
-        I,
-        OwnerE,
-        Store,
-        t(M, M, Invalidate, GetX, Remote, false, true),
-    ),
-    rule(
-        I,
-        OwnerM,
-        Store,
-        t(M, M, Invalidate, GetX, Remote, false, true),
-    ),
+    rule(I, Sharers, Store, t(M, M, Invalidate, GetX, Remote, false)),
+    rule(I, OwnerE, Store, t(M, M, Invalidate, GetX, Remote, false)),
+    rule(I, OwnerM, Store, t(M, M, Invalidate, GetX, Remote, false)),
     // ---- Evictions (L2 victim to the LLC, non-inclusive insertion). ----
     rule(
         S,
         OthersClass::None,
         Evict,
-        t(
-            I,
-            I,
-            RemoteAction::None,
-            InsertClean,
-            NoService,
-            false,
-            false,
-        ),
+        t(I, I, RemoteAction::None, InsertClean, NoService, false),
     ),
     rule(
         S,
         Sharers,
         Evict,
-        t(
-            I,
-            I,
-            RemoteAction::None,
-            InsertClean,
-            NoService,
-            false,
-            false,
-        ),
+        t(I, I, RemoteAction::None, InsertClean, NoService, false),
     ),
     rule(
         E,
         OthersClass::None,
         Evict,
-        t(
-            I,
-            I,
-            RemoteAction::None,
-            InsertClean,
-            NoService,
-            false,
-            false,
-        ),
+        t(I, I, RemoteAction::None, InsertClean, NoService, false),
     ),
     rule(
         M,
         OthersClass::None,
         Evict,
-        t(
-            I,
-            I,
-            RemoteAction::None,
-            InsertDirty,
-            NoService,
-            false,
-            false,
-        ),
+        t(I, I, RemoteAction::None, InsertDirty, NoService, false),
     ),
 ];
 
@@ -416,15 +362,14 @@ pub mod model {
     //! Executable abstract model of the protocol over N cores.
     //!
     //! This is the same transition table applied to an abstract system
-    //! state: per-core [`CacheState`]s, one LLC presence bit, and the
-    //! directory sharer mask, with the LLC environment (inserts kept or
-    //! bypassed, silent LLC evictions) left nondeterministic. The
-    //! `check-protocol` state-space checker enumerates it exhaustively;
-    //! the property tests drive it with random request sequences.
+    //! state: per-core [`CacheState`]s and one LLC presence bit, with the
+    //! LLC environment (inserts kept or bypassed, silent LLC evictions)
+    //! left nondeterministic. The `check-protocol` state-space checker
+    //! enumerates it exhaustively; the property tests drive it with random
+    //! request sequences.
 
     use super::{
-        step_index, CacheState, LlcOp, OthersClass, RemoteAction, ReqKind, ServeClass,
-        TRANSITION_TABLE,
+        step_index, CacheState, LlcOp, OthersClass, RemoteAction, ReqKind, TRANSITION_TABLE,
     };
 
     /// A protocol invariant violation or specification gap found while
@@ -455,13 +400,6 @@ pub mod model {
             /// The owner's state.
             state: CacheState,
         },
-        /// The directory mask disagrees with the per-core states.
-        DirMismatch {
-            /// The directory's sharer mask.
-            mask: u32,
-            /// The mask derived from the per-core states.
-            derived: u32,
-        },
         /// A request was applied to a core that cannot issue it (evicting
         /// a block the core does not hold).
         BadRequest {
@@ -491,10 +429,6 @@ pub mod model {
                     f,
                     "stale owner: core {core} in {state:?} while the LLC holds a copy"
                 ),
-                ProtocolError::DirMismatch { mask, derived } => write!(
-                    f,
-                    "directory mask {mask:#x} != derived sharer set {derived:#x}"
-                ),
                 ProtocolError::BadRequest { core, req } => {
                     write!(f, "core {core} cannot issue {req:?} in state I")
                 }
@@ -509,10 +443,6 @@ pub mod model {
         pub cores: Vec<CacheState>,
         /// True if the LLC holds a copy.
         pub llc: bool,
-        /// Directory sharer mask, maintained by the modeled directory
-        /// bookkeeping (checked against `cores` by
-        /// [`ModelState::check_invariants`]).
-        pub dir_mask: u32,
     }
 
     impl ModelState {
@@ -522,7 +452,6 @@ pub mod model {
             ModelState {
                 cores: vec![CacheState::I; n],
                 llc: false,
-                dir_mask: 0,
             }
         }
 
@@ -549,8 +478,7 @@ pub mod model {
             class
         }
 
-        /// Applies `req` issued by `core`, mirroring the hierarchy's
-        /// directory bookkeeping. `insert_kept` resolves the LLC's
+        /// Applies `req` issued by `core`. `insert_kept` resolves the LLC's
         /// nondeterministic choice to keep or bypass an inserted victim
         /// (only meaningful for `Evict` and dirty-forward writebacks).
         ///
@@ -591,7 +519,6 @@ pub mod model {
                     for (i, s) in self.cores.iter_mut().enumerate() {
                         if i != core && *s != CacheState::I {
                             *s = CacheState::I;
-                            self.dir_mask &= !(1u32 << i);
                         }
                     }
                 }
@@ -610,18 +537,12 @@ pub mod model {
                 }
             }
 
-            // Requester state and directory bit.
-            let next = if probe_hit {
+            // Requester state.
+            self.cores[core] = if probe_hit {
                 t.next_on_hit
             } else {
                 t.next_on_miss
             };
-            self.cores[core] = next;
-            if next == CacheState::I {
-                self.dir_mask &= !(1u32 << core);
-            } else if matches!(t.serve, ServeClass::Remote | ServeClass::LlcOrMemory) {
-                self.dir_mask |= 1u32 << core;
-            }
             Ok(idx)
         }
 
@@ -630,17 +551,7 @@ pub mod model {
             self.llc = false;
         }
 
-        /// Sharer mask derived from the per-core states.
-        pub fn derived_mask(&self) -> u32 {
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s != CacheState::I)
-                .fold(0u32, |m, (i, _)| m | (1u32 << i))
-        }
-
-        /// Verifies SWMR, no-stale-owner, and sharer-mask/dir-state
-        /// consistency.
+        /// Verifies SWMR and no-stale-owner.
         pub fn check_invariants(&self) -> Result<(), ProtocolError> {
             let mut owners = 0usize;
             let mut sharers = 0usize;
@@ -664,13 +575,6 @@ pub mod model {
                 return Err(ProtocolError::StaleOwner {
                     core: owner_core,
                     state: owner_state,
-                });
-            }
-            let derived = self.derived_mask();
-            if derived != self.dir_mask {
-                return Err(ProtocolError::DirMismatch {
-                    mask: self.dir_mask,
-                    derived,
                 });
             }
             Ok(())
@@ -736,16 +640,5 @@ mod tests {
                 req: Evict
             })
         );
-    }
-
-    #[test]
-    fn model_detects_a_corrupted_directory() {
-        let mut m = ModelState::new(2);
-        m.apply(0, Load, false).unwrap();
-        m.dir_mask = 0; // corrupt it
-        assert!(matches!(
-            m.check_invariants(),
-            Err(ProtocolError::DirMismatch { .. })
-        ));
     }
 }

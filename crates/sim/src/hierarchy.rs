@@ -18,13 +18,17 @@
 //! `GetS` hits grant S (the LLC keeps a copy), stores upgrade S→M through a
 //! `GetX` to the LLC and E→M silently.
 //!
-//! A block-granular **directory** tracks which private caches hold each
-//! block. Cross-core reads of a modified block trigger a cache-to-cache
+//! The L2 coherence state is the only record of who holds a block and
+//! whether it is dirty (`M` is the only dirty state). There is no sharer
+//! directory: when the table needs the remote side, one `peek` pass over
+//! the peer L2s (at most 15) yields both the remote class and the mask of
+//! holders. Cross-core reads of a modified block trigger a cache-to-cache
 //! transfer (the dirty data is simultaneously written back into the LLC,
 //! which becomes the owner — the "O" responsibility of MOESI); writes
 //! invalidate every remote copy. The paper's multi-programmed workloads
-//! never share, so the directory is quiescent there, but the protocol is
-//! fully functional (see `assert_coherent` and the sharing tests).
+//! never share, so the peer probe always comes back empty there, but the
+//! protocol is fully functional (see `assert_coherent` and the sharing
+//! tests).
 //!
 //! The protocol itself is specified as data: every coherence decision is
 //! a lookup in [`coherence::TRANSITION_TABLE`] through the pure
@@ -45,9 +49,6 @@ use crate::dram::Dram;
 use crate::llc::{LlcPort, LlcReq, ReuseClass};
 use crate::stats::HierarchyStats;
 use crate::timing::{ServiceLevel, TimingModel};
-// Keyed directory lookups only; never iterated on a simulation path (the
-// only iteration is the order-insensitive `assert_coherent` diagnostic).
-use std::collections::HashMap;
 
 #[derive(Clone, Copy, Debug)]
 struct L2Meta {
@@ -88,9 +89,6 @@ pub struct Hierarchy<L, D> {
     data: D,
     timing: TimingModel,
     dram: Option<Dram>,
-    /// Directory: bitmask of cores whose L2 holds each block. Entries are
-    /// removed when the last sharer evicts.
-    directory: HashMap<u64, u16>,
     stats: HierarchyStats,
     clocks: Vec<f64>,
 }
@@ -100,13 +98,16 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores` exceeds 16 (the directory uses a 16-bit
-    /// sharer mask; the paper's system has 4 cores). User-facing inputs
-    /// are range-checked earlier by `ExperimentSpec::validate` in
-    /// `hllc-config`; this assert is the last-resort guard for configs
-    /// built by hand.
+    /// Panics if `cfg.cores` exceeds 16 (the peer probe reports remote
+    /// holders in a 16-bit mask; the paper's system has 4 cores).
+    /// User-facing inputs are range-checked earlier by
+    /// `ExperimentSpec::validate` in `hllc-config`; this assert is the
+    /// last-resort guard for configs built by hand.
     pub fn new(cfg: &SystemConfig, llc: L, data: D) -> Self {
-        assert!(cfg.cores <= 16, "directory supports at most 16 cores");
+        assert!(
+            cfg.cores <= 16,
+            "the 16-bit remote mask supports at most 16 cores"
+        );
         Hierarchy {
             l1: (0..cfg.cores)
                 .map(|_| Cache::new(cfg.l1_sets, cfg.l1_ways))
@@ -118,7 +119,6 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
             data,
             timing: cfg.timing,
             dram: cfg.dram.map(Dram::new),
-            directory: HashMap::new(),
             stats: HierarchyStats::new(cfg.cores),
             clocks: vec![0.0; cfg.cores],
         }
@@ -234,8 +234,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
 
         // Miss in the private levels: classify the rest of the system and
         // let the transition table decide what happens.
-        let remote_mask = self.directory.get(&block).copied().unwrap_or(0) & !(1u16 << core);
-        let others = self.classify_remotes(block, remote_mask);
+        let (others, remote_mask) = self.classify_remotes(core, block);
         let req = if op == Op::Store {
             ReqKind::Store
         } else {
@@ -298,35 +297,35 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
 
         self.fill_l2(core, block, state, reuse, now);
         self.fill_l1(core, block);
-        if t.dirty_fill {
-            self.mark_dirty(core, block);
-        }
         (level, latency)
     }
 
-    /// Summarizes the remote holders of `block` for the transition table:
-    /// a dirty owner wins, then an exclusive-clean owner, then sharers.
-    fn classify_remotes(&self, block: u64, remote_mask: u16) -> OthersClass {
-        if remote_mask == 0 {
-            return OthersClass::None;
-        }
-        let mut class = OthersClass::Sharers;
-        for other in 0..self.l2.len() {
-            if remote_mask & (1 << other) == 0 {
+    /// Summarizes the holders of `block` other than `core` with one `peek`
+    /// pass over the peer L2s. Returns the class the transition table
+    /// keys on (a dirty owner wins, then an exclusive-clean owner, then
+    /// sharers) and the mask of peers holding the block.
+    fn classify_remotes(&self, core: usize, block: u64) -> (OthersClass, u16) {
+        let mut class = OthersClass::None;
+        let mut mask = 0u16;
+        for (other, l2) in self.l2.iter().enumerate() {
+            if other == core {
                 continue;
             }
-            // other < l2.len() by the loop bound.
-            let Some(e) = self.l2[other].peek(block) else {
-                debug_assert!(false, "directory points at a core without the block");
+            let Some(e) = l2.peek(block) else {
                 continue;
             };
-            match e.aux.state {
-                CacheState::M => return OthersClass::OwnerM,
-                CacheState::E => class = OthersClass::OwnerE,
-                CacheState::S | CacheState::I => {}
+            mask |= 1 << other;
+            let seen = match e.aux.state {
+                CacheState::M => OthersClass::OwnerM,
+                CacheState::E => OthersClass::OwnerE,
+                CacheState::S | CacheState::I => OthersClass::Sharers,
+            };
+            // OthersClass is declared in precedence order.
+            if seen as u8 > class as u8 {
+                class = seen;
             }
         }
-        class
+        (class, mask)
     }
 
     /// Grants write permission for a block already held in L2: S requires a
@@ -339,20 +338,17 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         };
         let state = entry.aux.state;
         // SWMR (proven by `check-protocol`) lets the owner states skip the
-        // directory probe: an E/M holder never has remote company.
+        // peer probe: an E/M holder never has remote company.
         let (others, remote_mask) = match state {
             CacheState::M | CacheState::E => (OthersClass::None, 0),
-            CacheState::S | CacheState::I => {
-                let mask = self.directory.get(&block).copied().unwrap_or(0) & !(1u16 << core);
-                (self.classify_remotes(block, mask), mask)
-            }
+            CacheState::S | CacheState::I => self.classify_remotes(core, block),
         };
         let t = step_or_panic(state, others, ReqKind::Store);
         if t.upgrade {
             self.stats.upgrades += 1;
         }
         if t.remote == RemoteAction::Invalidate {
-            self.invalidate_remote(core, block, remote_mask);
+            self.invalidate_remote(block, remote_mask);
         }
         match t.llc {
             LlcOp::GetX => {
@@ -381,21 +377,17 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
                 }
             }
         }
-        debug_assert!(t.dirty_fill, "store transitions always dirty the copy");
-        self.mark_dirty(core, block);
-    }
-
-    fn mark_dirty(&mut self, core: usize, block: u64) {
-        if let Some(e) = self.l2[core].lookup(block) {
-            e.dirty = true;
-            debug_assert_eq!(e.aux.state, CacheState::M, "dirty block must be in M");
-        }
+        debug_assert_eq!(
+            self.l2[core].peek(block).map(|e| e.aux.state),
+            Some(CacheState::M),
+            "store transitions always end in M"
+        );
     }
 
     fn fill_l1(&mut self, core: usize, block: u64) {
-        // L1 victims need no action: the dirty bit is propagated to L2 at
-        // store time, so the L1 copy is never the only up-to-date one.
-        let _ = self.l1[core].insert(block, false, ());
+        // L1 victims need no action: a store moves the L2 copy to M, so the
+        // L1 copy is never the only up-to-date one.
+        let _ = self.l1[core].insert(block, ());
     }
 
     /// Fills L2 and routes the L2 victim (clean or dirty) into the LLC —
@@ -406,29 +398,12 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// skips re-classifying the victim block.
     fn fill_l2(&mut self, core: usize, block: u64, state: CacheState, reuse: ReuseClass, now: u64) {
         debug_assert_ne!(state, CacheState::I, "resident entries are never I");
-        let victim = self.l2[core].insert(block, false, L2Meta { state, reuse });
-        *self.directory.entry(block).or_insert(0) |= 1 << core;
-        if let Some(v) = victim {
-            debug_assert_eq!(
-                v.dirty,
-                v.aux.state == CacheState::M,
-                "victim dirtiness must match its coherence state"
-            );
+        if let Some(v) = self.l2[core].insert(block, L2Meta { state, reuse }) {
             // Inclusion: drop the L1 copy of the victim.
             let _ = self.l1[core].invalidate(v.block);
-            self.directory_drop(core, v.block);
+            let dirty = v.aux.state == CacheState::M;
             self.llc
-                .insert(now, v.block, v.dirty, v.aux.reuse, &mut self.data);
-        }
-    }
-
-    /// Clears `core`'s directory bit for `block`, removing empty entries.
-    fn directory_drop(&mut self, core: usize, block: u64) {
-        if let Some(mask) = self.directory.get_mut(&block) {
-            *mask &= !(1u16 << core);
-            if *mask == 0 {
-                self.directory.remove(&block);
-            }
+                .insert(now, v.block, dirty, v.aux.reuse, &mut self.data);
         }
     }
 
@@ -451,7 +426,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     ) -> ServiceLevel {
         let mut forwarded_reuse = ReuseClass::None;
         if t.remote == RemoteAction::Invalidate {
-            self.invalidate_remote(core, block, remote_mask);
+            self.invalidate_remote(block, remote_mask);
             // The LLC may also hold a (clean) copy: invalidate-on-GetX.
             debug_assert_eq!(t.llc, LlcOp::GetX);
             let resp = self.llc.request(now, block, LlcReq::GetX);
@@ -460,9 +435,6 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
             }
             self.fill_l2(core, block, t.next_on_hit, forwarded_reuse, now);
             self.fill_l1(core, block);
-            if t.dirty_fill {
-                self.mark_dirty(core, block);
-            }
         } else {
             debug_assert_eq!(t.remote, RemoteAction::Downgrade);
             let mut observed_dirty = false;
@@ -470,15 +442,15 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
                 if remote_mask & (1 << other) == 0 {
                     continue;
                 }
+                // other < l2.len() by the loop bound.
                 let Some(entry) = self.l2[other].entry_mut(block) else {
-                    debug_assert!(false, "directory points at a core without the block");
+                    debug_assert!(false, "remote mask points at a core without the block");
                     continue;
                 };
-                if entry.dirty {
+                if entry.aux.state == CacheState::M {
                     observed_dirty = true;
                 }
                 forwarded_reuse = entry.aux.reuse;
-                entry.dirty = false;
                 entry.aux.state = CacheState::S;
             }
             let writeback = t.llc == LlcOp::WritebackDirty;
@@ -497,68 +469,40 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         ServiceLevel::RemoteL2
     }
 
-    /// Invalidates `block` in every core of `mask` (L1 and L2), updating
-    /// the directory. Dirty remote data is implicitly forwarded to the
-    /// requesting writer (which will mark its own copy dirty).
-    fn invalidate_remote(&mut self, _requester: usize, block: u64, mask: u16) {
+    /// Invalidates `block` in every core of `mask` (L1 and L2). Dirty
+    /// remote data is implicitly forwarded to the requesting writer, whose
+    /// copy ends in `M`.
+    fn invalidate_remote(&mut self, block: u64, mask: u16) {
         for other in 0..self.l2.len() {
             if mask & (1 << other) == 0 {
                 continue;
             }
             let _ = self.l1[other].invalidate(block);
             let _ = self.l2[other].invalidate(block);
-            self.directory_drop(other, block);
             self.stats.remote_invalidations += 1;
         }
     }
 
-    /// Verifies the coherence invariants (test/diagnostic helper):
-    /// directory bits match L2 contents exactly; a block with any M/E
-    /// holder has exactly one holder; dirty copies are in M.
+    /// Verifies the coherence invariants (test/diagnostic helper): no
+    /// resident L2 entry is in `I`, and a block held in `E` or `M` has no
+    /// other holder (SWMR).
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated.
     pub fn assert_coherent(&self) {
-        for (block, mask) in &self.directory {
-            let mut holders = 0u32;
-            let mut exclusive = false;
-            for core in 0..self.l2.len() {
-                let has = self.l2[core].peek(*block).is_some();
-                let bit = mask & (1 << core) != 0;
-                assert_eq!(
-                    has, bit,
-                    "directory bit mismatch for block {block:#x} core {core}"
-                );
-                if let Some(e) = self.l2[core].peek(*block) {
-                    holders += 1;
-                    assert_ne!(e.aux.state, CacheState::I, "resident block {block:#x} in I");
-                    if e.aux.state != CacheState::S {
-                        exclusive = true;
-                    }
-                    if e.dirty {
-                        assert_eq!(
-                            e.aux.state,
-                            CacheState::M,
-                            "dirty block {block:#x} not in M"
-                        );
-                    }
+        for (core, l2) in self.l2.iter().enumerate() {
+            for e in l2.iter() {
+                let block = e.block;
+                assert_ne!(e.aux.state, CacheState::I, "resident block {block:#x} in I");
+                if e.aux.state != CacheState::S {
+                    let (_, remote_mask) = self.classify_remotes(core, block);
+                    assert_eq!(
+                        remote_mask, 0,
+                        "block {block:#x} is {:?} in core {core} with remote holders {remote_mask:#x}",
+                        e.aux.state
+                    );
                 }
-            }
-            assert!(
-                !(exclusive && holders > 1),
-                "block {block:#x} exclusive with {holders} holders"
-            );
-        }
-        // Every L2-resident block must be in the directory.
-        for core in 0..self.l2.len() {
-            for e in self.l2[core].iter() {
-                let mask = self.directory.get(&e.block).copied().unwrap_or(0);
-                assert!(
-                    mask & (1 << core) != 0,
-                    "block {:#x} in L2 {core} missing from directory",
-                    e.block
-                );
             }
         }
     }
@@ -693,12 +637,12 @@ mod tests {
     }
 
     #[test]
-    fn twelve_cores_share_through_the_widened_directory() {
+    fn twelve_cores_share_through_the_peer_probe() {
         let mut cfg = tiny_cfg();
         cfg.cores = 12;
         let mut h = Hierarchy::new(&cfg, NullLlc::default(), ConstSizeData::new(64));
         // Every core reads the same block: the high cores exercise the
-        // sharer-mask bits beyond the old u8 width.
+        // remote-mask bits beyond a u8 width.
         for core in 0..12 {
             h.access(&Access::load(core as u8, 0x1000));
         }
@@ -709,6 +653,19 @@ mod tests {
         // A store from core 11 invalidates all other copies.
         h.access(&Access::store(11, 0x1000));
         assert_eq!(h.stats().remote_invalidations, 11);
+        h.assert_coherent();
+    }
+
+    #[test]
+    #[should_panic(expected = "remote holders")]
+    fn assert_coherent_catches_an_owner_with_company() {
+        let mut h = h();
+        h.access(&Access::load(0, 0x100)); // core 0 holds block 4 in E
+        let meta = L2Meta {
+            state: CacheState::S,
+            reuse: ReuseClass::None,
+        };
+        let _ = h.l2[1].insert(4, meta);
         h.assert_coherent();
     }
 

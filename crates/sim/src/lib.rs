@@ -9,7 +9,9 @@
 //!   directly to the private levels, L2 victims (clean or dirty) are
 //!   inserted into the LLC, and `GetX` requests that hit the LLC invalidate
 //!   the LLC copy;
-//! * a block-granular directory coherence layer: M/E/S states in L2,
+//! * a block-granular coherence layer without a sharer directory: the
+//!   M/E/S states in L2 are the only record of holders and dirtiness
+//!   (remote holders are found by probing the peer L2s), with
 //!   upgrade-on-write through the LLC, cache-to-cache transfers with
 //!   LLC-writeback of forwarded dirty data, and invalidate-on-write — fully
 //!   functional for shared data, quiescent under the paper's

@@ -27,8 +27,8 @@ pub enum ServiceLevel {
     LlcNvmCompressed,
     /// Main memory.
     Memory,
-    /// Cache-to-cache transfer from another core's L2 (directory
-    /// indirection + remote array access).
+    /// Cache-to-cache transfer from another core's L2 (coherence lookup +
+    /// remote array access).
     RemoteL2,
 }
 

@@ -1,5 +1,6 @@
-//! Cross-core sharing through the directory: cache-to-cache transfers,
-//! invalidate-on-write, and the single-owner invariant.
+//! Cross-core sharing with no sharer directory: the hierarchy finds the
+//! remote holders by probing the peer L2s. Covers cache-to-cache
+//! transfers, invalidate-on-write, and the single-owner invariant.
 
 use hllc_sim::{Access, ConstSizeData, Hierarchy, LlcPort, NullLlc, SystemConfig};
 use rand::rngs::StdRng;
@@ -97,26 +98,34 @@ fn ping_pong_writes_stay_coherent() {
     assert_eq!(h.stats().remote_invalidations, 19);
 }
 
-#[test]
-fn random_sharing_traffic_maintains_invariants() {
-    let mut h = h(4);
+/// Random loads and stores from `cores` cores over a few shared blocks,
+/// checking the coherence invariants after every access.
+fn random_sharing_traffic(cores: u8) {
+    let mut h = h(usize::from(cores));
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..3_000 {
-        let core = rng.gen_range(0..4u8);
+        let core = rng.gen_range(0..cores);
         let addr = u64::from(rng.gen_range(0..24u8)) * 64; // heavy sharing
         if rng.gen_bool(0.3) {
             h.access(&Access::store(core, addr));
         } else {
             h.access(&Access::load(core, addr));
         }
+        h.assert_coherent();
     }
-    h.assert_coherent();
-    assert!(h.stats().remote_invalidations > 0);
-    assert!(h.stats().services[REMOTE_SLOT] > 0);
+    assert!(h.stats().remote_invalidations > 0, "{cores} cores");
+    assert!(h.stats().services[REMOTE_SLOT] > 0, "{cores} cores");
 }
 
 #[test]
-fn disjoint_workloads_never_touch_the_directory_paths() {
+fn random_sharing_traffic_maintains_invariants() {
+    for cores in [2, 4, 12, 16] {
+        random_sharing_traffic(cores);
+    }
+}
+
+#[test]
+fn disjoint_workloads_never_find_a_remote_holder() {
     let mut h = h(2);
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..2_000 {

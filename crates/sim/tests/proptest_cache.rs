@@ -8,25 +8,25 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Lookup(u64),
-    Insert(u64, bool),
+    Insert(u64),
     Invalidate(u64),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
         (0u64..64).prop_map(Op::Lookup),
-        (0u64..64, any::<bool>()).prop_map(|(b, d)| Op::Insert(b, d)),
+        (0u64..64).prop_map(Op::Insert),
         (0u64..64).prop_map(Op::Invalidate),
     ];
     prop::collection::vec(op, 1..300)
 }
 
-/// Reference: per-set vectors in LRU order (front = LRU), with dirty bits.
+/// Reference: per-set vectors of blocks in LRU order (front = LRU).
 #[derive(Default)]
 struct Model {
     sets: usize,
     ways: usize,
-    lists: HashMap<usize, Vec<(u64, bool)>>,
+    lists: HashMap<usize, Vec<u64>>,
 }
 
 impl Model {
@@ -45,7 +45,7 @@ impl Model {
     fn lookup(&mut self, block: u64) -> bool {
         let set = self.set_of(block);
         let list = self.lists.entry(set).or_default();
-        if let Some(pos) = list.iter().position(|&(b, _)| b == block) {
+        if let Some(pos) = list.iter().position(|&b| b == block) {
             let e = list.remove(pos);
             list.push(e);
             true
@@ -54,7 +54,7 @@ impl Model {
         }
     }
 
-    fn insert(&mut self, block: u64, dirty: bool) -> Option<(u64, bool)> {
+    fn insert(&mut self, block: u64) -> Option<u64> {
         let ways = self.ways;
         let set = self.set_of(block);
         let list = self.lists.entry(set).or_default();
@@ -63,15 +63,15 @@ impl Model {
         } else {
             None
         };
-        list.push((block, dirty));
+        list.push(block);
         victim
     }
 
-    fn invalidate(&mut self, block: u64) -> Option<(u64, bool)> {
+    fn invalidate(&mut self, block: u64) -> Option<u64> {
         let set = self.set_of(block);
         let list = self.lists.entry(set).or_default();
         list.iter()
-            .position(|&(b, _)| b == block)
+            .position(|&b| b == block)
             .map(|p| list.remove(p))
     }
 }
@@ -89,7 +89,7 @@ proptest! {
                     let hit = cache.lookup(b).is_some();
                     prop_assert_eq!(hit, model.lookup(b), "lookup({}) diverged", b);
                 }
-                Op::Insert(b, d) => {
+                Op::Insert(b) => {
                     if cache.contains(b) {
                         // The cache's insert requires absence; refresh instead
                         // (mirrors how the hierarchy uses it).
@@ -97,23 +97,11 @@ proptest! {
                         model.lookup(b);
                         continue;
                     }
-                    let victim = cache.insert(b, d, ());
-                    let expected = model.insert(b, d);
-                    match (victim, expected) {
-                        (Some(v), Some((mb, md))) => {
-                            prop_assert_eq!(v.block, mb);
-                            prop_assert_eq!(v.dirty, md);
-                        }
-                        (None, None) => {}
-                        (got, want) => {
-                            return Err(TestCaseError::fail(format!(
-                                "insert({b}) victims diverged: {got:?} vs {want:?}"
-                            )));
-                        }
-                    }
+                    let victim = cache.insert(b, ()).map(|v| v.block);
+                    prop_assert_eq!(victim, model.insert(b), "insert({}) victims diverged", b);
                 }
                 Op::Invalidate(b) => {
-                    let got = cache.invalidate(b).map(|e| (e.block, e.dirty));
+                    let got = cache.invalidate(b).map(|e| e.block);
                     prop_assert_eq!(got, model.invalidate(b), "invalidate({}) diverged", b);
                 }
             }

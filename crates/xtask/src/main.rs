@@ -6,11 +6,12 @@
 //!   (std-only tokenizer, no external parser) over the workspace with the
 //!   per-rule allowlists in `xtask/lint.toml`, prints `file:line`
 //!   diagnostics, and writes the machine-readable `lint_report.json`.
+//!   A finding outside the allowlist and a stale allowlist entry (one
+//!   that matches nothing) both fail the run.
 //! * `cargo run -p hllc-xtask -- check-protocol` — exhaustively
 //!   enumerates the coherence protocol's reachable state space (up to 16
 //!   cores' worth of sharer-mask symmetry classes) and proves SWMR,
-//!   no-stale-owner, directory consistency, and exact transition-table
-//!   coverage.
+//!   no-stale-owner, and exact transition-table coverage.
 //!
 //! Exit codes: 0 clean, 1 violations/invariant failures, 2 usage or
 //! configuration errors.
@@ -82,7 +83,7 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
     for &i in &outcome.stale_allows {
         let e = &config.allow[i];
         println!(
-            "xtask/lint.toml:{}: warning: stale allowlist entry ([{}] {} contains \
+            "xtask/lint.toml:{}: error: stale allowlist entry ([{}] {} contains \
              {:?} matched nothing)",
             e.line, e.rule, e.path, e.contains
         );
@@ -96,13 +97,15 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
     let violations = outcome.violations().count();
     let allowed = outcome.findings.len() - violations;
     println!(
-        "lint: {} files scanned, {} violation(s), {} allowed finding(s), report: {}",
+        "lint: {} files scanned, {} violation(s), {} allowed finding(s), \
+         {} stale allowlist entr(ies), report: {}",
         outcome.files_scanned,
         violations,
         allowed,
+        outcome.stale_allows.len(),
         report_path.display()
     );
-    Ok(if violations == 0 {
+    Ok(if outcome.passes() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -52,6 +52,12 @@ impl LintOutcome {
     pub(crate) fn violations(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.allowed_by.is_none())
     }
+
+    /// True when the run is clean: no finding outside the allowlist and no
+    /// stale allowlist entry, so the list cannot rot.
+    pub(crate) fn passes(&self) -> bool {
+        self.violations().next().is_none() && self.stale_allows.is_empty()
+    }
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build products,
@@ -660,6 +666,35 @@ mod tests {
             rule_exhaustive_match(&ctx, &enums, &mut out);
             assert!(out.is_empty(), "{clean}");
         }
+    }
+
+    #[test]
+    fn a_stale_allow_entry_fails_the_run() {
+        let root = std::env::temp_dir().join(format!("hllc-xtask-stale-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("src")).expect("temp workspace");
+        std::fs::write(root.join("src/lib.rs"), "use std::collections::HashMap;\n")
+            .expect("temp source");
+        let rules = "[rules.no-unordered-iteration]\npaths = [\"src\"]\n";
+        let live = "[[allow]]\nrule = \"no-unordered-iteration\"\npath = \"src/lib.rs\"\n\
+                    reason = \"keyed lookups only\"\n";
+        let stale = "[[allow]]\nrule = \"no-unordered-iteration\"\npath = \"src/gone.rs\"\n\
+                     reason = \"the file was deleted\"\n";
+
+        let clean = run(
+            &root,
+            &crate::config::parse(&format!("{rules}{live}")).expect("parses"),
+        );
+        let rotted = run(
+            &root,
+            &crate::config::parse(&format!("{rules}{live}{stale}")).expect("parses"),
+        );
+        std::fs::remove_dir_all(&root).expect("remove temp workspace");
+
+        assert_eq!(clean.violations().count(), 0);
+        assert!(clean.stale_allows.is_empty() && clean.passes());
+        assert_eq!(rotted.violations().count(), 0);
+        assert_eq!(rotted.stale_allows, [1]);
+        assert!(!rotted.passes());
     }
 
     #[test]
