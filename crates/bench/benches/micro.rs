@@ -1,13 +1,16 @@
 //! Criterion microbenchmarks of the hardware-modelled components: BDI
 //! compression/decompression, SECDED encode/decode/correct, the block
-//! rearrangement circuitry, and raw hybrid-LLC operations.
+//! rearrangement circuitry, raw hybrid-LLC operations, and the private
+//! L1/L2 hierarchy under a real reference stream.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor};
+use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc, Policy};
 use hllc_ecc::{BitVec, FrameCodec};
 use hllc_nvm::{rearrange, FaultMap};
-use hllc_sim::{ConstSizeData, LlcPort, LlcReq, ReuseClass};
+use hllc_sim::{Access, ConstSizeData, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
+use hllc_trace::mixes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -99,5 +102,53 @@ fn bench_llc(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_bdi, bench_secded, bench_rearrange, bench_llc);
+/// `refs` scaled mix-1 references for `cores` cores, issued round-robin.
+/// Core `c` runs the mix's app `c % 4` in address slot `c`, so 16 cores
+/// run four slot-disjoint copies of the mix.
+fn mix1_stream(spec: &ExperimentSpec, cores: usize, refs: usize) -> Vec<Access> {
+    let apps = &mixes()[0].apps;
+    let seed = spec.workload.seed;
+    let mut streams: Vec<_> = (0..cores)
+        .map(|c| {
+            let app = &apps[c % apps.len()];
+            app.instantiate(
+                c,
+                spec.footprint_scale(),
+                seed.wrapping_add(c as u64 * 7919),
+            )
+        })
+        .collect();
+    (0..refs)
+        .map(|i| streams[i % cores].next_access((i % cores) as u8))
+        .collect()
+}
+
+/// One reference through the private L1/L2 (and the peer-L2 probe on a
+/// miss) over a `NullLlc`, so only the private-cache layer is timed:
+/// ns/iter is ns per reference.
+fn bench_hierarchy(c: &mut Criterion) {
+    let spec = ExperimentSpec::preset("scaled").expect("the scaled preset exists");
+    for cores in [4, 16] {
+        let stream = mix1_stream(&spec, cores, 1 << 18);
+        let mut cfg = spec.system_config();
+        cfg.cores = cores;
+        let mut h = Hierarchy::new(&cfg, NullLlc::default(), ConstSizeData::new(64));
+        for a in &stream {
+            h.access(a); // warm the private caches
+        }
+        let mut refs = stream.iter().cycle();
+        c.bench_function(&format!("hierarchy/access_{cores}c"), |b| {
+            b.iter(|| h.access(refs.next().expect("a cycled stream never ends")))
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_bdi,
+    bench_secded,
+    bench_rearrange,
+    bench_llc,
+    bench_hierarchy
+);
 criterion_main!(benches);

@@ -366,21 +366,19 @@ impl ExperimentSpec {
                 ),
             ));
         }
-        for (field, v) in [
-            ("system.l1_sets", s.l1_sets),
-            ("system.l1_ways", s.l1_ways),
-            ("system.l2_sets", s.l2_sets),
-            ("system.l2_ways", s.l2_ways),
-        ] {
+        for (field, v) in [("system.l1_ways", s.l1_ways), ("system.l2_ways", s.l2_ways)] {
             if v == 0 {
                 return Err(invalid(field, "must be at least 1"));
             }
         }
-        if !s.llc_sets.is_power_of_two() {
-            return Err(invalid(
-                "system.llc_sets",
-                format!("must be a power of two, got {}", s.llc_sets),
-            ));
+        for (field, v) in [
+            ("system.l1_sets", s.l1_sets),
+            ("system.l2_sets", s.l2_sets),
+            ("system.llc_sets", s.llc_sets),
+        ] {
+            if !v.is_power_of_two() {
+                return Err(invalid(field, format!("must be a power of two, got {v}")));
+            }
         }
         if s.sram_ways + s.nvm_ways == 0 {
             return Err(invalid(
@@ -977,6 +975,25 @@ mod tests {
         assert_eq!(
             spec.validate().unwrap_err(),
             invalid("system.llc_sets", "must be a power of two, got 500")
+        );
+
+        let mut spec = ExperimentSpec::preset("scaled").unwrap();
+        spec.system.l1_sets = 48;
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            invalid("system.l1_sets", "must be a power of two, got 48")
+        );
+
+        let mut spec = ExperimentSpec::preset("scaled").unwrap();
+        spec.system.l2_sets = 0;
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            invalid("system.l2_sets", "must be a power of two, got 0")
+        );
+        spec.system.l2_sets = 24;
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            invalid("system.l2_sets", "must be a power of two, got 24")
         );
 
         let mut spec = ExperimentSpec::preset("scaled").unwrap();

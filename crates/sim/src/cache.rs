@@ -1,6 +1,27 @@
 //! A generic set-associative cache with true-LRU replacement, used for the
 //! private L1 and L2 levels. It keeps no dirty bit: the hierarchy reads
 //! dirtiness from the L2 coherence state in the caller metadata.
+//!
+//! # One scan per set
+//!
+//! Every operation reaches a set through one routine, `scan`, which finds
+//! the block's way and, in the same pass, the way a fill would take (the
+//! first empty way, else the smallest LRU stamp). [`Cache::lookup`] hands
+//! that victim slot to the caller on a miss, and [`Cache::fill`] places the
+//! missed block there without scanning again; [`Cache::insert`] is the two
+//! steps back to back.
+//!
+//! # Address signature
+//!
+//! The cache also keeps the OR and the AND of every block it has ever
+//! placed. A block with a 1 bit where no placed block had one, or a 0 bit
+//! where every placed block had a 1, was never placed and so cannot be
+//! resident: [`Cache::peek`], [`Cache::entry_mut`], [`Cache::invalidate`]
+//! and [`Cache::contains`] answer it without scanning. The signature
+//! summarizes history, not contents, so evictions and invalidations leave
+//! it alone and it never hides a resident block. For the hierarchy's peer
+//! probe on slot-disjoint workloads (each app in its own high-bit address
+//! slot) every peer L2 rejects the block on these two word tests.
 
 use crate::address::set_index;
 
@@ -14,7 +35,7 @@ pub struct Entry<T> {
     lru: u64,
 }
 
-/// A block evicted by [`Cache::insert`] or removed by [`Cache::invalidate`].
+/// A block evicted by [`Cache::fill`] or removed by [`Cache::invalidate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Evicted<T> {
     /// Block address of the victim.
@@ -22,6 +43,11 @@ pub struct Evicted<T> {
     /// Caller metadata of the victim.
     pub aux: T,
 }
+
+/// The way a missed block would be placed in, returned by a missing
+/// [`Cache::lookup`] and consumed by [`Cache::fill`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(usize);
 
 /// Set-associative cache of block addresses with per-set LRU.
 ///
@@ -32,7 +58,10 @@ pub struct Evicted<T> {
 ///
 /// let mut c: Cache<()> = Cache::new(2, 2);
 /// assert!(c.insert(0, ()).is_none());
-/// assert!(c.lookup(0).is_some());
+/// assert!(c.lookup(0).is_ok());
+/// let slot = c.lookup(2).unwrap_err(); // miss: the way a fill would take
+/// assert!(c.fill(slot, 2, ()).is_none());
+/// assert!(c.contains(2));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache<T> {
@@ -40,6 +69,10 @@ pub struct Cache<T> {
     ways: usize,
     entries: Vec<Option<Entry<T>>>,
     stamp: u64,
+    /// OR of every block ever placed (the address signature).
+    ever_or: u64,
+    /// AND of every block ever placed (the address signature).
+    ever_and: u64,
 }
 
 impl<T> Cache<T> {
@@ -56,47 +89,105 @@ impl<T> Cache<T> {
             ways,
             entries: (0..sets * ways).map(|_| None).collect(),
             stamp: 0,
+            ever_or: 0,
+            ever_and: !0,
         }
     }
 
-    fn set_range(&self, block: u64) -> std::ops::Range<usize> {
-        let s = set_index(block, self.sets);
-        s * self.ways..(s + 1) * self.ways
+    /// Scans `block`'s set once: `Ok(index)` of its entry on a hit, else
+    /// `Err(index)` of the victim way — the first empty way, otherwise the
+    /// least recently used entry. This is the only placement rule.
+    fn scan(&self, block: u64) -> Result<usize, usize> {
+        let start = set_index(block, self.sets) * self.ways;
+        let mut empty = None;
+        let mut lru_way = 0;
+        let mut lru_stamp = u64::MAX;
+        // The set is in bounds: set_index(_, sets) < sets, len == sets * ways.
+        for (way, slot) in self.entries[start..start + self.ways].iter().enumerate() {
+            match slot {
+                Some(e) if e.block == block => return Ok(start + way),
+                Some(e) => {
+                    if e.lru < lru_stamp {
+                        lru_way = way;
+                        lru_stamp = e.lru;
+                    }
+                }
+                None => {
+                    empty.get_or_insert(way);
+                }
+            }
+        }
+        Err(start + empty.unwrap_or(lru_way))
     }
 
-    /// Looks a block up, updating LRU order. Returns the entry on a hit.
-    pub fn lookup(&mut self, block: u64) -> Option<&mut Entry<T>> {
+    /// The index of `block`'s entry, answering from the address signature
+    /// without a scan when the block was never placed.
+    fn find(&self, block: u64) -> Option<usize> {
+        let never_placed = (block & !self.ever_or) | (!block & self.ever_and) != 0;
+        if never_placed {
+            return None;
+        }
+        self.scan(block).ok()
+    }
+
+    /// Looks a block up, updating LRU order. Returns the entry on a hit, or
+    /// on a miss the [`Slot`] a [`Cache::fill`] of the block would take.
+    pub fn lookup(&mut self, block: u64) -> Result<&mut Entry<T>, Slot> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let range = self.set_range(block);
-        // range is in bounds: set_index(_, sets) < sets, len == sets * ways.
-        let e = self.entries[range]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.block == block)?;
+        let hit = self.scan(block).map_err(Slot)?;
+        // scan returns indices inside the block's set, Ok only when occupied.
+        let e = self.entries[hit].as_mut().ok_or(Slot(hit))?;
         e.lru = stamp;
-        Some(e)
+        Ok(e)
     }
 
     /// Mutable access to a block's entry without touching LRU order — for
     /// coherence actions (downgrades) performed *on* a cache rather than
     /// *by* it.
     pub fn entry_mut(&mut self, block: u64) -> Option<&mut Entry<T>> {
-        // set_range is in bounds (see `lookup`).
-        let range = self.set_range(block);
-        self.entries[range]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.block == block)
+        let i = self.find(block)?;
+        // find returns indices from scan, inside the block's set.
+        self.entries[i].as_mut()
     }
 
     /// Looks a block up without touching LRU order.
     pub fn peek(&self, block: u64) -> Option<&Entry<T>> {
-        let range = self.set_range(block);
-        self.entries[range]
-            .iter()
-            .flatten()
-            .find(|e| e.block == block)
+        let i = self.find(block)?;
+        // find returns indices from scan (see `entry_mut`).
+        self.entries[i].as_ref()
+    }
+
+    /// Places a block missed by [`Cache::lookup`] in the returned `slot`,
+    /// evicting the entry there. Returns the victim, if any.
+    ///
+    /// The slot is exact only while the set is untouched: nothing may be
+    /// placed in or removed from the block's set between the lookup and
+    /// the fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` came from a cache with more entries; in debug
+    /// builds, also if it lies outside the block's set.
+    pub fn fill(&mut self, slot: Slot, block: u64, aux: T) -> Option<Evicted<T>> {
+        debug_assert_eq!(
+            slot.0 / self.ways,
+            set_index(block, self.sets),
+            "slot lies outside block {block:#x}'s set"
+        );
+        self.stamp += 1;
+        self.ever_or |= block;
+        self.ever_and &= block;
+        let entry = Entry {
+            block,
+            aux,
+            lru: self.stamp,
+        };
+        // slot.0 came from scan of this cache, inside the block's set.
+        self.entries[slot.0].replace(entry).map(|e| Evicted {
+            block: e.block,
+            aux: e.aux,
+        })
     }
 
     /// Inserts a block (which must not already be present), evicting the
@@ -106,63 +197,25 @@ impl<T> Cache<T> {
     ///
     /// Panics in debug builds if the block is already present.
     pub fn insert(&mut self, block: u64, aux: T) -> Option<Evicted<T>> {
-        debug_assert!(
-            self.peek(block).is_none(),
-            "block {block:#x} already present"
-        );
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let range = self.set_range(block);
-
-        // Prefer an invalid way; otherwise evict the LRU entry.
-        let mut victim_idx = range.start;
-        let mut victim_lru = u64::MAX;
-        for i in range.clone() {
-            // i ranges over the set's ways (range ⊆ entries).
-            match &self.entries[i] {
-                None => {
-                    victim_idx = i;
-                    break;
-                }
-                Some(e) if e.lru < victim_lru => {
-                    victim_idx = i;
-                    victim_lru = e.lru;
-                }
-                Some(_) => {}
-            }
-        }
-
-        // victim_idx was chosen inside `range`, so it is in bounds.
-        let evicted = self.entries[victim_idx].take().map(|e| Evicted {
-            block: e.block,
-            aux: e.aux,
-        });
-        self.entries[victim_idx] = Some(Entry {
-            block,
-            aux,
-            lru: stamp,
-        });
-        evicted
+        let way = self.scan(block);
+        debug_assert!(way.is_err(), "block {block:#x} already present");
+        let (Ok(i) | Err(i)) = way;
+        self.fill(Slot(i), block, aux)
     }
 
     /// Removes a block if present, returning it.
     pub fn invalidate(&mut self, block: u64) -> Option<Evicted<T>> {
-        let range = self.set_range(block);
-        for i in range {
-            // i ranges over the set's ways (range ⊆ entries).
-            if let Some(e) = self.entries[i].take_if(|e| e.block == block) {
-                return Some(Evicted {
-                    block: e.block,
-                    aux: e.aux,
-                });
-            }
-        }
-        None
+        let i = self.find(block)?;
+        // find returns indices from scan (see `entry_mut`).
+        self.entries[i].take().map(|e| Evicted {
+            block: e.block,
+            aux: e.aux,
+        })
     }
 
     /// True if the block is cached.
     pub fn contains(&self, block: u64) -> bool {
-        self.peek(block).is_some()
+        self.find(block).is_some()
     }
 
     /// Number of valid entries (diagnostics).
@@ -194,7 +247,7 @@ mod tests {
         let mut c: Cache<()> = Cache::new(1, 2);
         c.insert(1, ());
         c.insert(2, ());
-        c.lookup(1);
+        let _ = c.lookup(1);
         let victim = c.insert(3, ()).expect("eviction");
         assert_eq!(victim.block, 2);
         assert!(c.contains(1) && c.contains(3));
@@ -235,6 +288,35 @@ mod tests {
             assert!(c.insert(b, ()).is_none());
         }
         assert!(c.insert(4, ()).is_some());
+    }
+
+    #[test]
+    fn missed_lookup_hands_insert_s_victim_to_fill() {
+        let mut c: Cache<u8> = Cache::new(1, 2);
+        c.insert(1, 1);
+        c.insert(2, 2);
+        let _ = c.lookup(1);
+        let slot = c.lookup(3).unwrap_err();
+        let victim = c.fill(slot, 3, 3).expect("eviction");
+        assert_eq!((victim.block, victim.aux), (2, 2));
+        assert!(c.contains(1) && c.contains(3));
+    }
+
+    #[test]
+    fn signature_admits_a_block_evicted_and_refilled() {
+        // One way; `a` and `b` differ in a high (address-slot) bit.
+        let (a, b) = (5u64, 5 | 1 << 34);
+        let mut c: Cache<()> = Cache::new(1, 1);
+        c.insert(a, ());
+        assert!(c.peek(b).is_none());
+        assert_eq!(c.insert(b, ()).map(|v| v.block), Some(a));
+        assert!(c.contains(b) && !c.contains(a));
+        assert_eq!(c.insert(a, ()).map(|v| v.block), Some(b));
+        assert!(c.contains(a) && c.peek(a).is_some());
+        assert!(c.invalidate(a).is_some());
+        assert!(c.entry_mut(a).is_none());
+        assert!(c.insert(b, ()).is_none());
+        assert!(c.contains(b) && c.entry_mut(b).is_some());
     }
 
     #[test]

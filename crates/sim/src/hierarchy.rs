@@ -22,13 +22,21 @@
 //! whether it is dirty (`M` is the only dirty state). There is no sharer
 //! directory: when the table needs the remote side, one `peek` pass over
 //! the peer L2s (at most 15) yields both the remote class and the mask of
-//! holders. Cross-core reads of a modified block trigger a cache-to-cache
-//! transfer (the dirty data is simultaneously written back into the LLC,
-//! which becomes the owner — the "O" responsibility of MOESI); writes
-//! invalidate every remote copy. The paper's multi-programmed workloads
+//! holders. Each `peek` first tests the peer's address signature (see
+//! [`Cache`]), so a block from another app's address slot costs two word
+//! tests per peer instead of a set scan. Cross-core reads of a modified
+//! block trigger a cache-to-cache transfer (the dirty data is
+//! simultaneously written back into the LLC, which becomes the owner — the
+//! "O" responsibility of MOESI); writes invalidate every remote copy. The paper's multi-programmed workloads
 //! never share, so the peer probe always comes back empty there, but the
 //! protocol is fully functional (see `assert_coherent` and the sharing
 //! tests).
+//!
+//! # Miss path
+//!
+//! A private miss scans the requester's L2 set once: the missed
+//! [`Cache::lookup`] returns the [`Slot`] the fill will take, and `serve`
+//! passes that slot down to `fill_l2`.
 //!
 //! The protocol itself is specified as data: every coherence decision is
 //! a lookup in [`coherence::TRANSITION_TABLE`] through the pure
@@ -39,7 +47,7 @@
 
 use crate::access::{Access, Op};
 use crate::address::block_of;
-use crate::cache::Cache;
+use crate::cache::{Cache, Slot};
 use crate::coherence::{
     self, CacheState, LlcOp, OthersClass, RemoteAction, ReqKind, ServeClass, Transition,
 };
@@ -216,21 +224,27 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// raw latency in cycles (variable for DRAM and contended NVM banks).
     fn serve(&mut self, core: usize, block: u64, op: Op, now: u64) -> (ServiceLevel, u32) {
         // L1.
-        if self.l1[core].lookup(block).is_some() {
+        if self.l1[core].lookup(block).is_ok() {
             if op == Op::Store {
                 self.ensure_writable(core, block, now);
             }
             return (ServiceLevel::L1, self.timing.latency(ServiceLevel::L1));
         }
 
-        // L2.
-        if self.l2[core].lookup(block).is_some() {
-            if op == Op::Store {
-                self.ensure_writable(core, block, now);
+        // L2: on a miss the same scan yields the way the fill will take.
+        // Nothing below touches this core's own L2 set before `fill_l2`:
+        // the remote mask excludes the requester and the LLC never reaches
+        // into the private levels, so the slot stays exact.
+        let slot = match self.l2[core].lookup(block) {
+            Ok(_) => {
+                if op == Op::Store {
+                    self.ensure_writable(core, block, now);
+                }
+                self.fill_l1(core, block);
+                return (ServiceLevel::L2, self.timing.latency(ServiceLevel::L2));
             }
-            self.fill_l1(core, block);
-            return (ServiceLevel::L2, self.timing.latency(ServiceLevel::L2));
-        }
+            Err(slot) => slot,
+        };
 
         // Miss in the private levels: classify the rest of the system and
         // let the transition table decide what happens.
@@ -243,22 +257,24 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         let t = step_or_panic(CacheState::I, others, req);
         match t.serve {
             ServeClass::Remote => {
-                let level = self.serve_from_remote(core, block, &t, remote_mask, now);
+                let level = self.serve_from_remote(core, block, slot, &t, remote_mask, now);
                 (level, self.timing.latency(level))
             }
             ServeClass::LlcOrMemory | ServeClass::Local | ServeClass::NoService => {
                 debug_assert_eq!(t.serve, ServeClass::LlcOrMemory);
-                self.serve_from_llc_or_memory(core, block, &t, now)
+                self.serve_from_llc_or_memory(core, block, slot, &t, now)
             }
         }
     }
 
     /// Executes an `LlcOrMemory` transition: probe the LLC, fall back to
-    /// main memory, fill the private levels in the table-decided state.
+    /// main memory, fill the private levels in the table-decided state
+    /// (the L2 fill takes `slot`, from the missed L2 lookup).
     fn serve_from_llc_or_memory(
         &mut self,
         core: usize,
         block: u64,
+        slot: Slot,
         t: &Transition,
         now: u64,
     ) -> (ServiceLevel, u32) {
@@ -295,7 +311,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
             )
         };
 
-        self.fill_l2(core, block, state, reuse, now);
+        self.fill_l2(core, slot, block, state, reuse, now);
         self.fill_l1(core, block);
         (level, latency)
     }
@@ -332,7 +348,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// `GetX` through the LLC (invalidate-on-hit); E/M upgrade silently.
     /// The table decides; this only executes the transition.
     fn ensure_writable(&mut self, core: usize, block: u64, now: u64) {
-        let Some(entry) = self.l2[core].lookup(block) else {
+        let Ok(entry) = self.l2[core].lookup(block) else {
             debug_assert!(false, "writable block must be in L2");
             return;
         };
@@ -353,7 +369,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         match t.llc {
             LlcOp::GetX => {
                 let resp = self.llc.request(now, block, LlcReq::GetX);
-                let Some(entry) = self.l2[core].lookup(block) else {
+                let Ok(entry) = self.l2[core].lookup(block) else {
                     debug_assert!(false, "upgraded block vanished from L2");
                     return;
                 };
@@ -390,15 +406,23 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         let _ = self.l1[core].insert(block, ());
     }
 
-    /// Fills L2 and routes the L2 victim (clean or dirty) into the LLC —
-    /// the non-inclusive insertion path that generates all LLC write
-    /// traffic. The victim follows the table's `Evict` transitions
-    /// (requester → I, LLC insert, clean or dirty by coherence state);
-    /// those rows do not depend on the remote summary, so the hot path
-    /// skips re-classifying the victim block.
-    fn fill_l2(&mut self, core: usize, block: u64, state: CacheState, reuse: ReuseClass, now: u64) {
+    /// Fills L2 at `slot` (from the missed lookup) and routes the L2
+    /// victim (clean or dirty) into the LLC — the non-inclusive insertion
+    /// path that generates all LLC write traffic. The victim follows the
+    /// table's `Evict` transitions (requester → I, LLC insert, clean or
+    /// dirty by coherence state); those rows do not depend on the remote
+    /// summary, so the hot path skips re-classifying the victim block.
+    fn fill_l2(
+        &mut self,
+        core: usize,
+        slot: Slot,
+        block: u64,
+        state: CacheState,
+        reuse: ReuseClass,
+        now: u64,
+    ) {
         debug_assert_ne!(state, CacheState::I, "resident entries are never I");
-        if let Some(v) = self.l2[core].insert(block, L2Meta { state, reuse }) {
+        if let Some(v) = self.l2[core].fill(slot, block, L2Meta { state, reuse }) {
             // Inclusion: drop the L1 copy of the victim.
             let _ = self.l1[core].invalidate(v.block);
             let dirty = v.aux.state == CacheState::M;
@@ -420,6 +444,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         &mut self,
         core: usize,
         block: u64,
+        slot: Slot,
         t: &Transition,
         remote_mask: u16,
         now: u64,
@@ -433,7 +458,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
             if resp.hit {
                 forwarded_reuse = resp.reuse;
             }
-            self.fill_l2(core, block, t.next_on_hit, forwarded_reuse, now);
+            self.fill_l2(core, slot, block, t.next_on_hit, forwarded_reuse, now);
             self.fill_l1(core, block);
         } else {
             debug_assert_eq!(t.remote, RemoteAction::Downgrade);
@@ -463,7 +488,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
                 self.llc
                     .insert(now, block, true, forwarded_reuse, &mut self.data);
             }
-            self.fill_l2(core, block, t.next_on_hit, forwarded_reuse, now);
+            self.fill_l2(core, slot, block, t.next_on_hit, forwarded_reuse, now);
             self.fill_l1(core, block);
         }
         ServiceLevel::RemoteL2

@@ -4,7 +4,10 @@
 //! *Compression-Aware and Performance-Efficient Insertion Policies for
 //! Long-Lasting Hybrid LLCs* (HPCA 2023), §III-A and Table IV:
 //!
-//! * private, inclusive L1/L2 per core with LRU replacement;
+//! * private, inclusive L1/L2 per core with LRU replacement, where a miss
+//!   scans the L2 set once (the missed lookup names the fill's victim way)
+//!   and each cache's address signature answers peer probes for blocks it
+//!   never held without a scan;
 //! * a *non-inclusive, mostly-exclusive* LLC attachment: memory fills go
 //!   directly to the private levels, L2 victims (clean or dirty) are
 //!   inserted into the LLC, and `GetX` requests that hit the LLC invalidate
@@ -46,7 +49,7 @@ mod timing;
 
 pub use access::{Access, Op};
 pub use address::{block_addr, block_of, set_index, BLOCK_OFFSET_BITS};
-pub use cache::{Cache, Entry, Evicted};
+pub use cache::{Cache, Entry, Evicted, Slot};
 pub use config::SystemConfig;
 pub use data::{ConstSizeData, DataModel};
 pub use dram::{Dram, DramConfig};

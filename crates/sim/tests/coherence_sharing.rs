@@ -1,6 +1,8 @@
 //! Cross-core sharing with no sharer directory: the hierarchy finds the
 //! remote holders by probing the peer L2s. Covers cache-to-cache
-//! transfers, invalidate-on-write, and the single-owner invariant.
+//! transfers, invalidate-on-write, and the single-owner invariant, also
+//! when private slot-disjoint traffic (which each peer L2's address
+//! signature rejects without a scan) surrounds the shared blocks.
 
 use hllc_sim::{Access, ConstSizeData, Hierarchy, LlcPort, NullLlc, SystemConfig};
 use rand::rngs::StdRng;
@@ -21,6 +23,12 @@ fn h(cores: usize) -> Hierarchy<NullLlc, ConstSizeData> {
 }
 
 const REMOTE_SLOT: usize = 6;
+
+/// Byte-address bit of the per-app address slot, as in the trace crate.
+const ADDR_SLOT_SHIFT: u32 = 40;
+
+/// An address slot no core owns privately.
+const SHARED_SLOT: u64 = 31;
 
 #[test]
 fn second_reader_gets_cache_to_cache_transfer() {
@@ -141,4 +149,57 @@ fn disjoint_workloads_never_find_a_remote_holder() {
     h.assert_coherent();
     assert_eq!(h.stats().remote_invalidations, 0);
     assert_eq!(h.stats().services[REMOTE_SLOT], 0);
+}
+
+/// Each core streams blocks of its own address slot, as the paper's mixes
+/// do, and now and then touches a small region every core shares, in a
+/// slot no core owns. The peer probe's address signatures reject the
+/// private blocks; they must still let every holder of a shared block be
+/// found.
+fn private_and_shared_traffic(cores: u8) {
+    let mut h = h(usize::from(cores));
+    let mut rng = StdRng::seed_from_u64(2024);
+    for _ in 0..4_000 {
+        let core = rng.gen_range(0..cores);
+        let (slot, blocks) = if rng.gen_bool(0.25) {
+            (SHARED_SLOT, 8u64)
+        } else {
+            (u64::from(core), 32)
+        };
+        let addr = (slot << ADDR_SLOT_SHIFT) | (rng.gen_range(0..blocks) * 64);
+        if rng.gen_bool(0.3) {
+            h.access(&Access::store(core, addr));
+        } else {
+            h.access(&Access::load(core, addr));
+        }
+        h.assert_coherent();
+    }
+    assert!(h.stats().remote_invalidations > 0, "{cores} cores");
+    assert!(h.stats().services[REMOTE_SLOT] > 0, "{cores} cores");
+}
+
+#[test]
+fn slot_disjoint_traffic_around_a_shared_region_stays_coherent() {
+    for cores in [4, 16] {
+        private_and_shared_traffic(cores);
+    }
+}
+
+#[test]
+fn a_holder_is_found_after_its_copy_was_evicted_and_refilled() {
+    let mut h = h(2);
+    // Block 2 of the shared slot maps to L2 set 2 (4 sets, 2 ways).
+    let shared = (SHARED_SLOT << ADDR_SLOT_SHIFT) | (2 * 64);
+    h.access(&Access::load(1, shared));
+    // Two private blocks of core 1 in the same set evict the shared one.
+    for i in [6u64, 10] {
+        h.access(&Access::load(1, (1 << ADDR_SLOT_SHIFT) | (i * 64)));
+    }
+    h.access(&Access::load(1, shared)); // refilled from memory (E)
+    assert_eq!(h.stats().services[5], 4, "four memory fills");
+    // Core 0's store must find core 1's copy and invalidate it.
+    h.access(&Access::store(0, shared));
+    assert_eq!(h.stats().remote_invalidations, 1);
+    assert_eq!(h.stats().services[REMOTE_SLOT], 1);
+    h.assert_coherent();
 }

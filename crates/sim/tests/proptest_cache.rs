@@ -1,5 +1,10 @@
 //! Property-based equivalence of the generic set-associative cache against
 //! a reference LRU model.
+//!
+//! Blocks come from four high-bit regions (like the per-app address slots
+//! of a mix), so the cache's address signature both rejects blocks outright
+//! and admits them to a full scan; `peek`/`contains` are checked against
+//! the model after every operation either way.
 
 use hllc_sim::Cache;
 use proptest::prelude::*;
@@ -9,14 +14,24 @@ use std::collections::HashMap;
 enum Op {
     Lookup(u64),
     Insert(u64),
+    /// A lookup that misses, then a `fill` of the slot it returned.
+    LookupFill(u64),
     Invalidate(u64),
+}
+
+/// Bit where a block's region starts (the app slot bit of a block address).
+const REGION_SHIFT: u32 = 34;
+
+fn arb_block() -> impl Strategy<Value = u64> {
+    (0u64..64, 0u64..4).prop_map(|(b, region)| b | region << REGION_SHIFT)
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
-        (0u64..64).prop_map(Op::Lookup),
-        (0u64..64).prop_map(Op::Insert),
-        (0u64..64).prop_map(Op::Invalidate),
+        arb_block().prop_map(Op::Lookup),
+        arb_block().prop_map(Op::Insert),
+        arb_block().prop_map(Op::LookupFill),
+        arb_block().prop_map(Op::Invalidate),
     ];
     prop::collection::vec(op, 1..300)
 }
@@ -67,6 +82,12 @@ impl Model {
         victim
     }
 
+    fn contains(&self, block: u64) -> bool {
+        self.lists
+            .get(&self.set_of(block))
+            .is_some_and(|l| l.contains(&block))
+    }
+
     fn invalidate(&mut self, block: u64) -> Option<u64> {
         let set = self.set_of(block);
         let list = self.lists.entry(set).or_default();
@@ -86,24 +107,55 @@ proptest! {
         for op in ops {
             match op {
                 Op::Lookup(b) => {
-                    let hit = cache.lookup(b).is_some();
+                    let hit = cache.lookup(b).is_ok();
                     prop_assert_eq!(hit, model.lookup(b), "lookup({}) diverged", b);
                 }
+                Op::Insert(b) | Op::LookupFill(b) if cache.contains(b) => {
+                    // Insert and fill require absence; refresh instead
+                    // (mirrors how the hierarchy uses them).
+                    prop_assert!(cache.lookup(b).is_ok());
+                    model.lookup(b);
+                }
                 Op::Insert(b) => {
-                    if cache.contains(b) {
-                        // The cache's insert requires absence; refresh instead
-                        // (mirrors how the hierarchy uses it).
-                        cache.lookup(b);
-                        model.lookup(b);
-                        continue;
-                    }
                     let victim = cache.insert(b, ()).map(|v| v.block);
                     prop_assert_eq!(victim, model.insert(b), "insert({}) victims diverged", b);
+                }
+                Op::LookupFill(b) => {
+                    // The same placement as `insert` on an identical copy.
+                    let mut twin = cache.clone();
+                    let inserted = twin.insert(b, ()).map(|v| v.block);
+                    let slot = match cache.lookup(b) {
+                        Ok(_) => return Err(TestCaseError::fail(format!("{b} was present"))),
+                        Err(slot) => slot,
+                    };
+                    let filled = cache.fill(slot, b, ()).map(|v| v.block);
+                    prop_assert_eq!(filled, inserted, "fill({}) and insert victims differ", b);
+                    let ways: Vec<u64> = cache.iter().map(|e| e.block).collect();
+                    let twin_ways: Vec<u64> = twin.iter().map(|e| e.block).collect();
+                    prop_assert_eq!(ways, twin_ways, "fill({}) and insert placements differ", b);
+                    prop_assert_eq!(filled, model.insert(b), "fill({}) victims diverged", b);
                 }
                 Op::Invalidate(b) => {
                     let got = cache.invalidate(b).map(|e| e.block);
                     prop_assert_eq!(got, model.invalidate(b), "invalidate({}) diverged", b);
                 }
+            }
+            // Contents agree, and so do `peek`/`contains` for the block in
+            // every region: rejected by the signature or scanned.
+            let mut held: Vec<u64> = cache.iter().map(|e| e.block).collect();
+            let mut expected: Vec<u64> = model.lists.values().flatten().copied().collect();
+            held.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(held, expected, "contents diverged after {:?}", op);
+            let low = match op {
+                Op::Lookup(b) | Op::Insert(b) | Op::LookupFill(b) | Op::Invalidate(b) => {
+                    b & !(3 << REGION_SHIFT)
+                }
+            };
+            for probe in (0..4u64).map(|r| low | r << REGION_SHIFT) {
+                let held = model.contains(probe);
+                prop_assert_eq!(cache.contains(probe), held, "contains({}) after {:?}", probe, op);
+                prop_assert_eq!(cache.peek(probe).is_some(), held, "peek({}) after {:?}", probe, op);
             }
         }
 
