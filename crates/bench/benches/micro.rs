@@ -1,16 +1,17 @@
 //! Criterion microbenchmarks of the hardware-modelled components: BDI
 //! compression/decompression, SECDED encode/decode/correct, the block
-//! rearrangement circuitry, raw hybrid-LLC operations, and the private
-//! L1/L2 hierarchy under a real reference stream.
+//! rearrangement circuitry, raw hybrid-LLC operations, the private L1/L2
+//! hierarchy under a real reference stream, and the per-job set-up work:
+//! block sizing by the workload data model and the NVM array build.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hllc_compress::{Block, Compressor};
+use hllc_compress::{Block, Compressor, CompressorKind};
 use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc, Policy};
 use hllc_ecc::{BitVec, FrameCodec};
-use hllc_nvm::{rearrange, FaultMap};
-use hllc_sim::{Access, ConstSizeData, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
-use hllc_trace::mixes;
+use hllc_nvm::{rearrange, FaultMap, NvmArray};
+use hllc_sim::{Access, ConstSizeData, DataModel, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
+use hllc_trace::{mixes, APP_SLOT_SHIFT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,12 +144,83 @@ fn bench_hierarchy(c: &mut Criterion) {
     }
 }
 
+/// Block `i` of a sizing sequence that cycles over the four app slots of
+/// a mix (slot bits at block bit `APP_SLOT_SHIFT - 6`).
+fn slot_block(i: u64) -> u64 {
+    (i & 3) << (APP_SLOT_SHIFT - 6) | i >> 2
+}
+
+/// `WorkloadData::compressed_size` for mix 1 under each compressor, 1024
+/// sizings per iteration (so ns/iter ÷ 1024 is ns per block, with the
+/// timer's cost amortized). `size_first_touch` sizes blocks never sized
+/// before (a fresh model every 2^15 blocks, about one sweep job's first
+/// touches); `size_repeat` re-sizes blocks sized already.
+fn bench_data(c: &mut Criterion) {
+    const BLOCKS: u64 = 1 << 15;
+    const PER_ITER: u64 = 1 << 10;
+    let mix = &mixes()[0];
+    for kind in [CompressorKind::Bdi, CompressorKind::Fpc] {
+        let name = kind.name().to_lowercase();
+        let model = || mix.data_model_with(kind, 42);
+        let mut data = model();
+        let mut next = 0u64;
+        c.bench_function(&format!("data/size_first_touch_{name}"), |b| {
+            b.iter(|| {
+                if next.is_multiple_of(BLOCKS) {
+                    data = model();
+                }
+                let sum: u64 = (next..next + PER_ITER)
+                    .map(|i| u64::from(data.compressed_size(slot_block(i))))
+                    .sum();
+                next += PER_ITER;
+                sum
+            })
+        });
+        let mut data = model();
+        for i in 0..BLOCKS {
+            data.compressed_size(slot_block(i));
+        }
+        let mut next = 0u64;
+        c.bench_function(&format!("data/size_repeat_{name}"), |b| {
+            b.iter(|| {
+                let sum: u64 = (next..next + PER_ITER)
+                    .map(|i| u64::from(data.compressed_size(slot_block(i))))
+                    .sum();
+                next = (next + PER_ITER) % BLOCKS;
+                sum
+            })
+        });
+    }
+}
+
+/// The NVM array `HybridLlc::new` builds at the scaled geometry, over the
+/// shared endurance map (sampled once, before the timed loop).
+fn bench_nvm_array(c: &mut Criterion) {
+    let cfg = ExperimentSpec::preset("scaled")
+        .expect("the scaled preset exists")
+        .llc_config();
+    let granularity = cfg.policy.granularity();
+    c.bench_function("nvm/sampled_array", |b| {
+        b.iter(|| {
+            NvmArray::sampled(
+                cfg.sets,
+                cfg.nvm_ways,
+                &cfg.endurance,
+                granularity,
+                cfg.seed,
+            )
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_bdi,
     bench_secded,
     bench_rearrange,
     bench_llc,
-    bench_hierarchy
+    bench_hierarchy,
+    bench_data,
+    bench_nvm_array
 );
 criterion_main!(benches);

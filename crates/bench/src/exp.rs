@@ -168,14 +168,22 @@ impl ExpOpts {
             run_phase(&setup, &mix, array, seed).0
         })
     }
+}
 
-    /// Lifetime axis note for reports.
-    pub fn time_note(&self) -> &'static str {
-        if self.full_scale() {
-            "wall-clock months at mu=1e10"
-        } else {
-            "scaled hours at mu=1e8 (multiply by 100 for paper-equivalent time; ratios are exact)"
-        }
+/// The unit of the `life50 [h]` column for runs of `spec`, and how to
+/// convert it to paper-scale time ([`ExperimentSpec::paper_time_scale`]).
+pub fn lifetime_note(spec: &ExperimentSpec) -> String {
+    let unit = format!(
+        "simulated hours at mu={:e} with {} LLC sets",
+        spec.hybrid.endurance_mean, spec.system.llc_sets
+    );
+    match spec.paper_time_scale() {
+        (mu, frames) if mu == 1.0 && frames == 1.0 => format!("{unit} (paper scale)"),
+        (mu, frames) => format!(
+            "{unit}; multiply by ~{:.0} for paper-scale hours (mu x{mu}, NVM frames x{frames}); \
+             the vs-BH ratios need no conversion",
+            mu * frames
+        ),
     }
 }
 
@@ -309,7 +317,7 @@ pub fn run_forecast_experiment(
         ]);
     }
     table.print();
-    println!("\nLifetime axis: {}", opts.time_note());
+    println!("\nLifetime axis: {}", lifetime_note(&opts.spec));
 
     // Normalized-IPC-over-time series (the lines of the figure).
     println!("\nNormalized IPC over time (columns: fraction of the longest run):");
@@ -441,6 +449,26 @@ mod tests {
     fn spec_for_sets_the_policy() {
         let spec = opts(1).spec_for(Policy::cp_sd_th(4.0));
         assert_eq!(spec.llc_config().policy, Policy::cp_sd_th(4.0));
+    }
+
+    #[test]
+    fn lifetime_note_derives_the_paper_conversion() {
+        let scaled = lifetime_note(&ExperimentSpec::preset("scaled").unwrap());
+        assert_eq!(
+            scaled,
+            "simulated hours at mu=1e8 with 512 LLC sets; multiply by ~800 for paper-scale \
+             hours (mu x100, NVM frames x8); the vs-BH ratios need no conversion"
+        );
+        let paper = lifetime_note(&ExperimentSpec::preset("paper").unwrap());
+        assert_eq!(
+            paper,
+            "simulated hours at mu=1e10 with 4096 LLC sets (paper scale)"
+        );
+        let full = ExpOpts::from_lookup(lookup(&[("HLLC_FULL", "1")])).unwrap();
+        assert_eq!(lifetime_note(&full.spec), paper);
+        let mut slow = ExperimentSpec::preset("scaled").unwrap();
+        slow.hybrid.endurance_mean = 1e9;
+        assert!(lifetime_note(&slow).contains("~80 for paper-scale hours (mu x10,"));
     }
 
     #[test]

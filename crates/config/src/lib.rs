@@ -26,6 +26,9 @@ use serde_json::{Number, Value};
 /// footprints scale relative to this (see [`footprint_scale`]).
 pub const PAPER_SETS: usize = 4096;
 
+/// Mean NVM bitcell endurance of the paper's configuration (writes).
+pub const PAPER_ENDURANCE: f64 = 1e10;
+
 /// Width of the `u16` remote-holder mask the hierarchy's peer-L2 probe
 /// builds on each coherence miss: the hard ceiling on `system.cores`.
 pub const MAX_CORES: usize = 16;
@@ -249,7 +252,7 @@ impl ExperimentSpec {
                 },
                 hybrid: HybridSpec {
                     policy: "cp_sd".into(),
-                    endurance_mean: 1e10,
+                    endurance_mean: PAPER_ENDURANCE,
                     endurance_cv: 0.2,
                     epoch_cycles: 2_000_000,
                     dueling_smoothing: 0.0,
@@ -548,6 +551,20 @@ impl ExperimentSpec {
     /// ([`PAPER_SETS`] sets = 1.0).
     pub fn footprint_scale(&self) -> f64 {
         footprint_scale(self.system.llc_sets)
+    }
+
+    /// How many times longer the paper's system ([`PAPER_ENDURANCE`],
+    /// [`PAPER_SETS`] sets, this spec's ways) takes to reach a capacity
+    /// point than this spec's, as `(μ ratio, frame ratio)`. Failure times
+    /// are linear in μ, and in the number of NVM frames that share the NVM
+    /// write bandwidth, which is about the same bytes per cycle at both
+    /// scales. The product converts this spec's simulated time into
+    /// paper-equivalent time: ×800 for `scaled`, ×1 for `paper`.
+    pub fn paper_time_scale(&self) -> (f64, f64) {
+        (
+            PAPER_ENDURANCE / self.hybrid.endurance_mean,
+            PAPER_SETS as f64 / self.system.llc_sets as f64,
+        )
     }
 
     /// The 0-based index of the Table V mix (`workload.mix` is 1-based).

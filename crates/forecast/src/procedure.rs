@@ -62,8 +62,8 @@ impl ForecastConfig {
     /// Scaled-down configuration for fast experimentation: the `scaled`
     /// preset's 512-set LLC, μ = 10⁸ endurance. Lifetime *ratios* between
     /// policies are preserved because failure times are linear in μ
-    /// (DESIGN.md substitution #4); multiply reported lifetimes by 100 for
-    /// paper-equivalent time.
+    /// (DESIGN.md substitution #4); `ExperimentSpec::paper_time_scale`
+    /// gives the factor (about 800) to paper-equivalent time.
     pub fn scaled(policy: Policy) -> Self {
         Self::from_spec(&ExperimentSpec::preset("scaled").expect("builtin preset"))
             .with_policy(policy)

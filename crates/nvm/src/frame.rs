@@ -21,7 +21,11 @@ pub struct WearEvent {
 /// `rate × Δt` increments; the functional path adds 1.0 per actual write.
 /// Endurance limits never change after sampling, so they sit behind an
 /// [`Arc`] that every array built from the same sample shares; only the
-/// fault map and wear belong to the frame.
+/// fault map and wear belong to the frame. The wear lane is allocated by
+/// the first [`record_write`](Self::record_write) or
+/// [`apply_uniform_wear`](Self::apply_uniform_wear): until then it reads
+/// as all zeros, so building an array the simulation never wears (every
+/// sweep job and replay) allocates no wear at all.
 ///
 /// # Example
 ///
@@ -37,11 +41,24 @@ pub struct WearEvent {
 /// assert_eq!(events.len(), 2);
 /// assert_eq!(f.live_bytes(), 64);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Frame {
     fault_map: FaultMap,
     endurance: Arc<[f64; FRAME_BYTES]>,
-    wear: Box<[f64; FRAME_BYTES]>,
+    /// Per-byte wear; `None` until the first wear is applied, and equal to
+    /// an all-zero lane.
+    wear: Option<Box<[f64; FRAME_BYTES]>>,
+}
+
+/// The wear of a frame that has never been worn.
+static NO_WEAR: [f64; FRAME_BYTES] = [0.0; FRAME_BYTES];
+
+impl PartialEq for Frame {
+    fn eq(&self, other: &Self) -> bool {
+        self.fault_map == other.fault_map
+            && self.endurance == other.endurance
+            && self.wear() == other.wear()
+    }
 }
 
 /// Draws one frame's byte endurances from `model`, byte 0 first.
@@ -62,7 +79,7 @@ impl Frame {
         Frame {
             fault_map: FaultMap::new(),
             endurance,
-            wear: Box::new([0.0; FRAME_BYTES]),
+            wear: None,
         }
     }
 
@@ -82,6 +99,11 @@ impl Frame {
     #[inline]
     pub fn endurance(&self) -> &Arc<[f64; FRAME_BYTES]> {
         &self.endurance
+    }
+
+    /// Per-byte wear so far (all zeros before the first write).
+    fn wear(&self) -> &[f64; FRAME_BYTES] {
+        self.wear.as_deref().unwrap_or(&NO_WEAR)
     }
 
     /// The frame's current fault map.
@@ -119,7 +141,7 @@ impl Frame {
             0.0
         } else {
             // i < FRAME_BYTES (asserted above), the length of both lanes.
-            (self.endurance[i] - self.wear[i]).max(0.0)
+            (self.endurance[i] - self.wear()[i]).max(0.0)
         }
     }
 
@@ -131,6 +153,7 @@ impl Frame {
         // word at a time, then walk the surviving bits.
         let live = self.fault_map.live_words();
         let mask_words = [mask as u64, (mask >> 64) as u64];
+        let wear = self.wear.get_or_insert_with(|| Box::new(NO_WEAR));
         let mut events = Vec::new();
         for (w, &word) in mask_words.iter().enumerate() {
             // w < 2 == live.len() (both arrays cover FRAME_BYTES bits).
@@ -138,8 +161,8 @@ impl Frame {
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.wear[i] += 1.0;
-                if self.wear[i] >= self.endurance[i] {
+                wear[i] += 1.0;
+                if wear[i] >= self.endurance[i] {
                     self.fault_map.mark_faulty(i);
                     events.push(WearEvent { byte: i });
                 }
@@ -157,14 +180,15 @@ impl Frame {
             return Vec::new();
         }
         let per_byte = total_byte_writes / live as f64;
+        let wear = self.wear.get_or_insert_with(|| Box::new(NO_WEAR));
         let mut events = Vec::new();
         for (w, &word) in self.fault_map.live_words().iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.wear[i] += per_byte;
-                if self.wear[i] >= self.endurance[i] {
+                wear[i] += per_byte;
+                if wear[i] >= self.endurance[i] {
                     self.fault_map.mark_faulty(i);
                     events.push(WearEvent { byte: i });
                 }
@@ -185,7 +209,7 @@ impl Frame {
 
     /// Total wear accumulated across all bytes (diagnostics).
     pub fn total_wear(&self) -> f64 {
-        self.wear.iter().sum()
+        self.wear().iter().sum()
     }
 }
 

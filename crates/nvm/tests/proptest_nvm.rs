@@ -172,3 +172,126 @@ proptest! {
         prop_assert_eq!(fast_rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 }
+
+/// An eagerly allocated frame, kept as the reference for the lazily
+/// allocated wear lane: the same per-byte rules over plain arrays.
+struct EagerFrame {
+    endurance: [f64; FRAME_BYTES],
+    wear: [f64; FRAME_BYTES],
+    faulty: [bool; FRAME_BYTES],
+}
+
+impl EagerFrame {
+    fn new(frame: &Frame) -> Self {
+        EagerFrame {
+            endurance: **frame.endurance(),
+            wear: [0.0; FRAME_BYTES],
+            faulty: std::array::from_fn(|i| frame.fault_map().is_faulty(i)),
+        }
+    }
+
+    /// Adds `amount` to each byte in `bytes` (all live at the start of the
+    /// operation, ascending) and returns the bytes that failed.
+    fn wear_bytes(&mut self, bytes: Vec<usize>, amount: f64) -> Vec<usize> {
+        let mut failed = Vec::new();
+        for i in bytes {
+            self.wear[i] += amount;
+            if self.wear[i] >= self.endurance[i] {
+                self.faulty[i] = true;
+                failed.push(i);
+            }
+        }
+        failed
+    }
+
+    fn live(&self) -> Vec<usize> {
+        (0..FRAME_BYTES).filter(|&i| !self.faulty[i]).collect()
+    }
+
+    fn record_write(&mut self, mask: u128) -> Vec<usize> {
+        let written = self
+            .live()
+            .into_iter()
+            .filter(|&i| mask >> i & 1 == 1)
+            .collect();
+        self.wear_bytes(written, 1.0)
+    }
+
+    fn apply_uniform_wear(&mut self, total: f64) -> Vec<usize> {
+        let live = self.live();
+        if live.is_empty() || total <= 0.0 {
+            return Vec::new();
+        }
+        let per_byte = total / live.len() as f64;
+        self.wear_bytes(live, per_byte)
+    }
+
+    fn remaining_writes(&self, i: usize) -> f64 {
+        if self.faulty[i] {
+            0.0
+        } else {
+            (self.endurance[i] - self.wear[i]).max(0.0)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A frame whose wear lane is allocated on first write behaves exactly
+    /// like an eagerly allocated one: same events, fault maps, remaining
+    /// writes and total wear (compared bit for bit) after every operation.
+    #[test]
+    fn lazy_wear_matches_an_eager_frame(
+        seed in any::<u64>(),
+        faults in prop::collection::btree_set(0usize..FRAME_BYTES, 0..4),
+        ops in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>(), -20.0f64..400.0), 0..40),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut frame = Frame::sampled(&EnduranceModel::new(20.0, 0.3), &mut rng);
+        for &b in &faults {
+            frame.disable_byte(b);
+        }
+        let mut eager = EagerFrame::new(&frame);
+        for (kind, lo, hi, amount) in ops {
+            let (events, expected) = match kind {
+                0 => {
+                    let mask = u128::from(lo) | u128::from(hi) << 64;
+                    (frame.record_write(mask), eager.record_write(mask))
+                }
+                1 => {
+                    let sparse = u128::from(lo & hi) | u128::from(lo & hi & 0b11) << 64;
+                    (frame.record_write(sparse), eager.record_write(sparse))
+                }
+                _ => (frame.apply_uniform_wear(amount), eager.apply_uniform_wear(amount)),
+            };
+            let events: Vec<usize> = events.iter().map(|e| e.byte).collect();
+            prop_assert_eq!(events, expected);
+            for i in 0..FRAME_BYTES {
+                prop_assert_eq!(frame.fault_map().is_faulty(i), eager.faulty[i]);
+                prop_assert_eq!(frame.remaining_writes(i).to_bits(), eager.remaining_writes(i).to_bits());
+            }
+            let eager_total: f64 = eager.wear.iter().sum();
+            prop_assert_eq!(frame.total_wear().to_bits(), eager_total.to_bits());
+        }
+    }
+
+    /// An unallocated wear lane equals an allocated all-zero one, and
+    /// clones compare equal either way.
+    #[test]
+    fn pristine_frame_equals_its_zero_write(seed in any::<u64>(), fault in 0usize..FRAME_BYTES) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pristine = Frame::sampled(&EnduranceModel::new(1e6, 0.2), &mut rng);
+        pristine.disable_byte(fault);
+        let mut zero_write = pristine.clone();
+        prop_assert!(zero_write.record_write(0).is_empty());
+        prop_assert_eq!(zero_write.total_wear(), 0.0);
+        prop_assert_eq!(&pristine, &zero_write);
+        prop_assert_eq!(&zero_write, &pristine);
+        let mut worn = pristine.clone();
+        let _ = worn.record_write(1 << ((fault + 1) % FRAME_BYTES));
+        prop_assert_ne!(&worn, &pristine);
+        prop_assert_ne!(&pristine, &worn);
+        prop_assert_eq!(&worn, &worn.clone());
+    }
+}

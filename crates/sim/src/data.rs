@@ -4,9 +4,10 @@
 //! insertion time. Rather than carrying 64-byte payloads through the whole
 //! hierarchy, the hierarchy consults a [`DataModel`] when it inserts a block
 //! into the LLC. The workload generator (`hllc-trace`) implements this trait
-//! by synthesizing real 64-byte payloads from per-application
-//! compressibility profiles and running them through the real BDI
-//! compressor, memoizing the result per block.
+//! from per-application compressibility profiles: each block has a sticky
+//! compressibility class whose BDI size is known without building a
+//! payload (under the FPC ablation, real 64-byte payloads of the class are
+//! synthesized and compressed, and the size memoized per block).
 
 /// Source of per-block compressed sizes.
 pub trait DataModel {

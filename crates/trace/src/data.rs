@@ -1,5 +1,5 @@
-//! The workload-backed data model: real payload synthesis through the real
-//! BDI compressor, memoized per block.
+//! The workload-backed data model: per-block compressed sizes from each
+//! block's sticky compressibility class.
 
 use std::collections::HashMap;
 
@@ -9,15 +9,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::app::APP_SLOT_SHIFT;
-use crate::profile::{splitmix, BuildSplitmix, Profile};
+use crate::profile::{splitmix, BuildSplitmix, Profile, SynthClass};
 
 /// Block-address bit where the app slot lives (byte bit 40 → block bit 34).
 const SLOT_SHIFT_BLOCKS: u32 = APP_SLOT_SHIFT - 6;
 
 /// Data model for a multi-programmed mix: each app slot has its own
-/// compressibility profile; per-block compressed sizes are derived by
-/// synthesizing a payload of the block's sticky class and compressing it
-/// with the real BDI compressor, then memoized.
+/// compressibility profile, which assigns every block a sticky
+/// [`SynthClass`].
+///
+/// Under BDI (the default) a block's size is its class's
+/// [`nominal_size`](SynthClass::nominal_size): every payload synthesized for
+/// a class compresses to exactly that size (DESIGN.md substitution #6), so
+/// no payload is built and nothing is stored. Under FPC, whose sizes depend
+/// on the payload values, a payload of the block's class is synthesized
+/// from the model's seeded RNG, compressed, and the size memoized.
 ///
 /// # Example
 ///
@@ -32,10 +38,13 @@ const SLOT_SHIFT_BLOCKS: u32 = APP_SLOT_SHIFT - 6;
 pub struct WorkloadData {
     profiles: Vec<Profile>,
     compressor: CompressorKind,
-    /// Memoized per-block sizes. Keyed with the splitmix hasher: the map is
-    /// only ever probed and inserted (never iterated), so the hash function
-    /// affects speed, not simulation results.
+    /// Memoized per-block FPC sizes (empty under BDI). Keyed with the
+    /// splitmix hasher: the map is only ever probed and inserted (never
+    /// iterated), so the hash function affects speed, not simulation
+    /// results.
     sizes: HashMap<u64, u8, BuildSplitmix>,
+    /// Whether any block has been sized, under either compressor.
+    sized: bool,
     rng: StdRng,
 }
 
@@ -51,17 +60,19 @@ impl WorkloadData {
             profiles,
             compressor: CompressorKind::Bdi,
             sizes: HashMap::default(),
+            sized: false,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// Switches the compression mechanism used to size blocks (ablation:
     /// the insertion policies are compressor-orthogonal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block has already been sized.
     pub fn with_compressor(mut self, kind: CompressorKind) -> Self {
-        assert!(
-            self.sizes.is_empty(),
-            "switch compressors before any sizing"
-        );
+        assert!(!self.sized, "switch compressors before any sizing");
         self.compressor = kind;
         self
     }
@@ -71,19 +82,24 @@ impl WorkloadData {
         self.compressor
     }
 
+    /// The compressibility profile of `block`'s app slot.
     fn profile_of(&self, block: u64) -> &Profile {
         let slot = (block >> SLOT_SHIFT_BLOCKS) as usize;
         &self.profiles[slot.min(self.profiles.len() - 1)]
     }
 
-    /// Synthesizes the current payload of `block` (for functional examples
-    /// and round-trip tests; the hot path only needs the size).
-    pub fn synthesize_block(&mut self, block: u64) -> Block {
-        let class = self.profile_of(block).sample_class(splitmix(block));
-        Profile::synthesize(class, &mut self.rng)
+    /// The sticky compressibility class of `block`.
+    fn class_of(&self, block: u64) -> SynthClass {
+        self.profile_of(block).sample_class(splitmix(block))
     }
 
-    /// Number of memoized block sizes (diagnostics).
+    /// Synthesizes a payload of `block`'s class (for functional examples
+    /// and round-trip tests; the hot path only needs the size).
+    pub fn synthesize_block(&mut self, block: u64) -> Block {
+        Profile::synthesize(self.class_of(block), &mut self.rng)
+    }
+
+    /// Number of memoized block sizes (diagnostics; always 0 under BDI).
     pub fn memoized(&self) -> usize {
         self.sizes.len()
     }
@@ -91,11 +107,14 @@ impl WorkloadData {
 
 impl DataModel for WorkloadData {
     fn compressed_size(&mut self, block: u64) -> u8 {
+        self.sized = true;
+        if self.compressor == CompressorKind::Bdi {
+            return self.profile_of(block).sample_size(splitmix(block));
+        }
         if let Some(&s) = self.sizes.get(&block) {
             return s;
         }
-        let class = self.profile_of(block).sample_class(splitmix(block));
-        let payload = Profile::synthesize(class, &mut self.rng);
+        let payload = Profile::synthesize(self.class_of(block), &mut self.rng);
         let size = self.compressor.compressed_size(&payload);
         self.sizes.insert(block, size);
         size
@@ -105,15 +124,80 @@ impl DataModel for WorkloadData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::SynthClass;
 
     #[test]
-    fn sizes_are_memoized_and_stable() {
-        let mut d = WorkloadData::new(vec![Profile::from_fractions(0.5, 0.3, 0.2, 0.2)], 3);
-        let s1 = d.compressed_size(77);
-        let s2 = d.compressed_size(77);
-        assert_eq!(s1, s2);
-        assert_eq!(d.memoized(), 1);
+    fn sizes_are_stable_under_bdi_and_memoized_under_fpc() {
+        let p = Profile::from_fractions(0.5, 0.3, 0.2, 0.2);
+        let mut bdi = WorkloadData::new(vec![p.clone()], 3);
+        let s = bdi.compressed_size(77);
+        assert_eq!(bdi.compressed_size(77), s);
+        assert_eq!(s, bdi.class_of(77).nominal_size());
+        assert_eq!(bdi.memoized(), 0, "BDI sizes are derived, not stored");
+
+        let mut fpc = WorkloadData::new(vec![p], 3).with_compressor(CompressorKind::Fpc);
+        let s = fpc.compressed_size(77);
+        assert_eq!(fpc.compressed_size(77), s);
+        assert_eq!(fpc.memoized(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "before any sizing")]
+    fn compressor_switch_after_bdi_sizing_panics() {
+        let mut d = WorkloadData::new(vec![Profile::incompressible()], 3);
+        d.compressed_size(1);
+        let _ = d.with_compressor(CompressorKind::Fpc);
+    }
+
+    /// The sizing recipe class-derived BDI sizes replace: synthesize a
+    /// payload of the block's class from the seeded RNG on first touch,
+    /// compress it with BDI and memoize the result.
+    struct SynthesizedBdi {
+        profiles: Vec<Profile>,
+        sizes: HashMap<u64, u8>,
+        rng: StdRng,
+    }
+
+    impl SynthesizedBdi {
+        fn compressed_size(&mut self, block: u64) -> u8 {
+            if let Some(&s) = self.sizes.get(&block) {
+                return s;
+            }
+            let slot = (block >> SLOT_SHIFT_BLOCKS) as usize;
+            let profile = &self.profiles[slot.min(self.profiles.len() - 1)];
+            let class = profile.sample_class(splitmix(block));
+            let payload = Profile::synthesize(class, &mut self.rng);
+            let size = CompressorKind::Bdi.compressed_size(&payload);
+            self.sizes.insert(block, size);
+            size
+        }
+    }
+
+    #[test]
+    fn class_derived_sizes_match_synthesized_payloads_on_every_mix() {
+        // 10 mixes × 12 000 sizings = 120 000 over 3 000 blocks per slot,
+        // so about a third of them repeat a block sized earlier.
+        for (m, mix) in crate::mixes().iter().enumerate() {
+            let seed = 1000 + m as u64;
+            let mut derived = mix.data_model(seed);
+            let mut oracle = SynthesizedBdi {
+                profiles: mix.apps.iter().map(|a| a.profile.clone()).collect(),
+                sizes: HashMap::new(),
+                rng: StdRng::seed_from_u64(seed),
+            };
+            let mut x = seed;
+            for i in 0..12_000u64 {
+                x = splitmix(x);
+                let slot = i % mix.apps.len() as u64;
+                let block = (slot << SLOT_SHIFT_BLOCKS) | (x % 3_000);
+                assert_eq!(
+                    derived.compressed_size(block),
+                    oracle.compressed_size(block),
+                    "{} block {block:#x}",
+                    mix.name
+                );
+            }
+            assert!(oracle.sizes.len() < 9_000, "too few repeats");
+        }
     }
 
     #[test]
@@ -146,8 +230,6 @@ mod tests {
                 _ => lcr += 1,
             }
         }
-        // The compressor can only shrink below nominal, so HCR may gain a
-        // little mass from LCR draws — tolerances are loose.
         assert!((hcr as f64 / n as f64 - 0.49).abs() < 0.05, "hcr {hcr}");
         assert!((lcr as f64 / n as f64 - 0.29).abs() < 0.05, "lcr {lcr}");
         assert!((inc as f64 / n as f64 - 0.22).abs() < 0.05, "inc {inc}");
@@ -155,7 +237,6 @@ mod tests {
 
     #[test]
     fn fpc_compressor_swaps_in() {
-        use hllc_compress::CompressorKind;
         let p = Profile::from_fractions(1.0, 0.0, 0.0, 1.0); // all-zero blocks
         let mut bdi = WorkloadData::new(vec![p.clone()], 3);
         let mut fpc = WorkloadData::new(vec![p], 3).with_compressor(CompressorKind::Fpc);

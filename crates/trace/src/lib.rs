@@ -8,9 +8,10 @@
 //! * an **access pattern** archetype (looping, streaming, uniform random,
 //!   hot/cold, phased combinations) over a private footprint;
 //! * a **write fraction** and mean instruction gap;
-//! * a **data-compressibility profile** calibrated against Figure 2 —
-//!   64-byte payloads are synthesized per block and pushed through the real
-//!   BDI compressor to obtain compressed sizes.
+//! * a **data-compressibility profile** calibrated against Figure 2: each
+//!   block gets a sticky class whose synthesized 64-byte payloads all
+//!   compress to one BDI size, so the data model reads a block's size from
+//!   its class ([`WorkloadData`]).
 //!
 //! # Example
 //!

@@ -86,14 +86,14 @@ proptest! {
         prop_assert!((1..=64).contains(&size));
     }
 
-    /// Profile synthesis honours the class regardless of RNG state.
+    /// Profile synthesis hits the class's BDI size regardless of RNG state.
     #[test]
-    fn synthesis_never_exceeds_nominal(class_idx in 0usize..10, seed in any::<u64>()) {
+    fn synthesis_matches_nominal_size(class_idx in 0usize..10, seed in any::<u64>()) {
         use hllc_compress::Compressor;
         use hllc_trace::SynthClass;
         let class = SynthClass::ALL[class_idx];
         let mut rng = StdRng::seed_from_u64(seed);
         let block = Profile::synthesize(class, &mut rng);
-        prop_assert!(Compressor::new().compressed_size(&block) <= class.nominal_size());
+        prop_assert_eq!(Compressor::new().compressed_size(&block), class.nominal_size());
     }
 }

@@ -6,6 +6,7 @@
 //! cargo run --release --example lifetime_forecast
 //! ```
 
+use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
 use hybrid_llc::llc::Policy;
 use hybrid_llc::trace::mixes;
@@ -16,7 +17,14 @@ fn main() {
         "forecasting NVM aging on {} (scaled config, mu = 1e8)...",
         mix.name
     );
-    println!("multiply times by 100 for paper-equivalent wall-clock (mu = 1e10).\n");
+    let (mu, frames) = ExperimentSpec::preset("scaled")
+        .expect("builtin preset")
+        .paper_time_scale();
+    let to_paper = mu * frames;
+    println!(
+        "times are simulated hours; multiply by ~{to_paper:.0} for paper scale \
+         (mu x{mu}, NVM frames x{frames}).\n"
+    );
 
     for policy in [Policy::Bh, Policy::cp_sd()] {
         let series = Forecast::new(ForecastConfig::scaled(policy)).run(mix, 42);
@@ -36,9 +44,9 @@ fn main() {
         }
         match series.lifetime_seconds(0.5) {
             Some(s) => println!(
-                "=> 50% capacity reached after {:.2} scaled hours (~{:.1} paper-months)\n",
+                "=> 50% capacity reached after {:.2} simulated hours (~{:.1} paper-scale months)\n",
                 s / 3600.0,
-                100.0 * s / (30.44 * 86_400.0)
+                to_paper * s / (30.44 * 86_400.0)
             ),
             None => println!("=> never reached 50% capacity within the forecast horizon\n"),
         }

@@ -306,7 +306,14 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
         );
     }
     match series.lifetime_seconds(0.5) {
-        Some(s) => println!("=> 50% capacity after {:.2} scaled hours", s / 3600.0),
+        Some(s) => {
+            let (mu, frames) = args.spec.paper_time_scale();
+            println!(
+                "=> 50% capacity after {:.2} simulated hours (~{:.0} at paper scale)",
+                s / 3600.0,
+                mu * frames * s / 3600.0
+            )
+        }
         None => println!("=> never reached 50% capacity (SRAM-only or idle NVM)"),
     }
     Ok(())

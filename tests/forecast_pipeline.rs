@@ -87,7 +87,7 @@ fn capacity_and_ipc_degrade_together() {
 #[test]
 fn lifetimes_scale_linearly_with_endurance() {
     // t_fail = endurance / write-rate: doubling μ must double measured
-    // lifetime (the basis of the ×100 scaled-time equivalence).
+    // lifetime (the μ part of the scaled-to-paper time conversion).
     let mix = &mixes()[0];
     let l1 = Forecast::new(tiny(Policy::Bh, 2e6))
         .run(mix, 7)
