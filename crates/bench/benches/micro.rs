@@ -1,15 +1,17 @@
 //! Criterion microbenchmarks of the hardware-modelled components: BDI
 //! compression/decompression, SECDED encode/decode/correct, the block
 //! rearrangement circuitry, raw hybrid-LLC operations, the private L1/L2
-//! hierarchy under a real reference stream, and the per-job set-up work:
-//! block sizing by the workload data model and the NVM array build.
+//! hierarchy under a real reference stream, the per-job set-up work
+//! (block sizing by the workload data model, the NVM array build and its
+//! degradation) and the forecast's choice of a prediction step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor, CompressorKind};
 use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc, Policy};
 use hllc_ecc::{BitVec, FrameCodec};
-use hllc_nvm::{rearrange, FaultMap, NvmArray};
+use hllc_forecast::{advance_wear, choose_step, run_phase, ForecastConfig, PhaseSetup};
+use hllc_nvm::{rearrange, DisableGranularity, FaultMap, NvmArray};
 use hllc_sim::{Access, ConstSizeData, DataModel, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
 use hllc_trace::{mixes, APP_SLOT_SHIFT};
 use rand::rngs::StdRng;
@@ -213,6 +215,68 @@ fn bench_nvm_array(c: &mut Criterion) {
     });
 }
 
+/// `degrade_to(0.5)` on the scaled NVM array under byte disabling (a
+/// sweep job at capacity 0.5), a fresh array per iteration built outside
+/// the timed routine.
+fn bench_nvm_degrade(c: &mut Criterion) {
+    let cfg = ExperimentSpec::preset("scaled")
+        .expect("the scaled preset exists")
+        .llc_config();
+    let array = || {
+        NvmArray::sampled(
+            cfg.sets,
+            cfg.nvm_ways,
+            &cfg.endurance,
+            DisableGranularity::Byte,
+            cfg.seed,
+        )
+    };
+    let mut seed = 0u64;
+    c.bench_function("nvm/degrade_to_half", |b| {
+        b.iter_batched(
+            || {
+                seed += 1;
+                (array(), StdRng::seed_from_u64(seed))
+            },
+            |(mut a, mut rng)| {
+                a.degrade_to(0.5, &mut rng);
+                a
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
+/// One `choose_step` of the scaled CP_SD forecast: the array after four
+/// prediction steps at the per-frame write rates of one mix-1 phase, with
+/// the same rates.
+fn bench_choose_step(c: &mut Criterion) {
+    let cfg = ForecastConfig::scaled(Policy::cp_sd());
+    let setup = PhaseSetup {
+        system: cfg.system.clone(),
+        llc: cfg.llc.clone(),
+        warmup_cycles: cfg.warmup_cycles,
+        measure_cycles: cfg.measure_cycles,
+        scale: PhaseSetup::scale_for_sets(cfg.llc.sets),
+        compressor: cfg.compressor,
+    };
+    let (metrics, array) = run_phase(&setup, &mixes()[0], None, 1);
+    let mut array = array.expect("the scaled LLC has NVM ways");
+    let freq_hz = cfg.system.timing.freq_ghz * 1e9;
+    let rates: Vec<f64> = metrics
+        .frame_bytes_written
+        .iter()
+        .map(|&b| b as f64 / metrics.measured_cycles * freq_hz)
+        .collect();
+    for _ in 0..4 {
+        let dt = choose_step(&array, &rates, cfg.capacity_step, cfg.max_step_seconds);
+        advance_wear(&mut array, &rates, dt);
+    }
+    c.bench_function("forecast/choose_step", |b| {
+        b.iter(|| choose_step(&array, &rates, cfg.capacity_step, cfg.max_step_seconds))
+    });
+}
+
 criterion_group!(
     benches,
     bench_bdi,
@@ -221,6 +285,8 @@ criterion_group!(
     bench_llc,
     bench_hierarchy,
     bench_data,
-    bench_nvm_array
+    bench_nvm_array,
+    bench_nvm_degrade,
+    bench_choose_step
 );
 criterion_main!(benches);

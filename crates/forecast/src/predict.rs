@@ -9,88 +9,194 @@
 
 use hllc_nvm::{DisableGranularity, NvmArray, FRAME_BYTES};
 
-/// The survival table of one prediction step: for each live frame, its
-/// write rate, its live-byte count and a run of remaining-write counts in
-/// descending order — every live byte's under byte disabling, the weakest
-/// byte's alone under frame disabling (a frame survives iff its weakest
-/// byte does). A probe then counts each frame's survivors by binary
-/// search, O(frames · log 66), instead of rescanning every live byte.
-struct Survivors {
-    total_units: usize,
-    /// `(rate, live bytes, end of the frame's run in remaining)`.
-    frames: Vec<(f64, usize, usize)>,
-    remaining: Vec<f64>,
+/// Units (bytes under byte disabling, frames under frame disabling) of the
+/// whole array, live or not: the denominator of every capacity fraction.
+fn total_units(array: &NvmArray) -> usize {
+    let frames = array.sets() * array.ways();
+    match array.granularity() {
+        DisableGranularity::Byte => frames * FRAME_BYTES,
+        DisableGranularity::Frame => frames,
+    }
 }
 
-impl Survivors {
-    fn new(array: &NvmArray, bytes_per_second: &[f64]) -> Self {
-        let (sets, ways) = (array.sets(), array.ways());
-        let granularity = array.granularity();
-        let total_units = match granularity {
-            DisableGranularity::Byte => sets * ways * FRAME_BYTES,
-            DisableGranularity::Frame => sets * ways,
-        };
-        let mut frames = Vec::with_capacity(sets * ways);
-        // At most one entry per unit, reserved up front: growing the table
-        // by doubling costs peak memory on every forecast step.
-        let mut remaining = Vec::with_capacity(total_units);
-        for set in 0..sets {
-            for way in 0..ways {
-                let frame = array.frame(set, way);
-                let live = frame.live_bytes();
-                if array.is_disabled(set, way) || live == 0 {
-                    continue;
-                }
-                let run_start = remaining.len();
-                let bytes = frame.fault_map().live_indices();
-                match granularity {
-                    DisableGranularity::Byte => {
-                        remaining.extend(bytes.map(|b| frame.remaining_writes(b)));
-                    }
-                    DisableGranularity::Frame => {
-                        let weakest = bytes
-                            .map(|b| frame.remaining_writes(b))
-                            .fold(f64::INFINITY, f64::min);
-                        remaining.push(weakest);
-                    }
-                }
-                remaining[run_start..].sort_unstable_by(|a, b| b.total_cmp(a));
-                frames.push((bytes_per_second[set * ways + way], live, remaining.len()));
+/// Calls `visit(frame index, live bytes, units)` for every live frame, in
+/// frame order. `units` holds the remaining writes of each unit — every
+/// live byte's under byte disabling, the weakest byte's alone under frame
+/// disabling (a frame survives iff its weakest byte does) — read straight
+/// from the frame's lanes, unsorted.
+fn for_each_live_frame(array: &NvmArray, mut visit: impl FnMut(usize, usize, &[f64])) {
+    let (sets, ways) = (array.sets(), array.ways());
+    let granularity = array.granularity();
+    let mut remaining = [0.0; FRAME_BYTES];
+    for set in 0..sets {
+        for way in 0..ways {
+            if array.is_disabled(set, way) {
+                continue;
             }
-        }
-        Survivors {
-            total_units,
-            frames,
-            remaining,
+            let live = array.frame(set, way).live_remaining(&mut remaining);
+            if live == 0 {
+                continue;
+            }
+            // live <= FRAME_BYTES, the buffer's length.
+            let units = match granularity {
+                DisableGranularity::Byte => &remaining[..live],
+                DisableGranularity::Frame => {
+                    remaining[0] = remaining[..live]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min);
+                    &remaining[..1]
+                }
+            };
+            visit(set * ways + way, live, units);
         }
     }
+}
 
-    /// Capacity fraction after `dt_seconds`: a unit survives iff its
-    /// remaining writes exceed its frame's per-byte share of the wear.
-    fn capacity_after(&self, dt_seconds: f64) -> f64 {
-        let mut live_units = 0usize;
-        let mut run_start = 0;
-        for &(rate, live, run_end) in &self.frames {
-            let per_byte = rate * dt_seconds / live as f64;
-            let run = &self.remaining[run_start..run_end];
-            live_units += run.partition_point(|&r| r > per_byte);
-            run_start = run_end;
-        }
-        live_units as f64 / self.total_units as f64
-    }
+/// Units that survive a per-byte wear share of `per_byte`: those whose
+/// remaining writes exceed it.
+#[inline]
+fn survivors(units: &[f64], per_byte: f64) -> usize {
+    units.iter().map(|&r| usize::from(r > per_byte)).sum()
 }
 
 /// Read-only estimate of the capacity fraction after `dt_seconds` of wear
 /// at the given per-frame byte rates (`bytes_per_second[f]`, index
 /// `set * ways + way`).
 pub fn capacity_after(array: &NvmArray, bytes_per_second: &[f64], dt_seconds: f64) -> f64 {
-    Survivors::new(array, bytes_per_second).capacity_after(dt_seconds)
+    let mut live_units = 0usize;
+    for_each_live_frame(array, |f, live, units| {
+        live_units += survivors(units, bytes_per_second[f] * dt_seconds / live as f64);
+    });
+    live_units as f64 / total_units(array) as f64
+}
+
+/// A live frame whose survivor count may still change inside the
+/// bisection's bracket. Counts and lengths are at most [`FRAME_BYTES`], so
+/// each fits a byte and an entry takes 24 bytes.
+struct Open {
+    rate: f64,
+    /// Its units are `units[start..start + len]` of [`Bracket`].
+    start: usize,
+    len: u8,
+    live: u8,
+    /// Survivors at the bracket's ends and at the latest probe.
+    at_lo: u8,
+    at_hi: u8,
+    at_mid: u8,
+}
+
+/// The survival table of one prediction step, split at a bisection
+/// bracket `[lo, hi]` (starting at `[0, max_step]`) into settled and open
+/// frames.
+///
+/// Within one bisection a frame's survivor count is monotone in `dt`,
+/// whatever its rate. For a finite rate the share `rate · dt / live` is
+/// monotone (IEEE multiplication and division round monotonically). A NaN
+/// rate makes every count 0. An infinite rate makes the share NaN at
+/// `dt = 0` and infinite elsewhere, so the count is 0 at 0 and on one side
+/// of it and every live unit (all finite) on the other. A probe
+/// `0.5 · (lo + hi)` rounds into the bracket, so a frame with the same
+/// count at both ends has that count at every later probe: it is
+/// *settled*, its count is added to one constant and no probe reads it
+/// again. Totals, and hence every bisection decision, equal a full rescan
+/// of every frame.
+///
+/// The one probe outside the bracket is ±∞, when `lo + hi` overflows. No
+/// frame has more survivors there than at `hi`, so the settled total and
+/// a rescan both fall below the floor that `hi` already failed, and the
+/// decision is the same.
+struct Bracket {
+    settled: usize,
+    open: Vec<Open>,
+    units: Vec<f64>,
+}
+
+impl Bracket {
+    fn new(array: &NvmArray, bytes_per_second: &[f64], max_step_seconds: f64) -> Self {
+        let mut settled = 0;
+        // At most one entry per frame and one per unit, reserved up front:
+        // growing them by doubling costs peak memory on every forecast
+        // step.
+        let mut open = Vec::with_capacity(array.sets() * array.ways());
+        let mut table = Vec::with_capacity(total_units(array));
+        for_each_live_frame(array, |f, live, units| {
+            let rate = bytes_per_second[f];
+            // Survivor counts are at most live <= FRAME_BYTES.
+            let at = |dt: f64| survivors(units, rate * dt / live as f64) as u8;
+            let (at_lo, at_hi) = (at(0.0), at(max_step_seconds));
+            if at_lo == at_hi {
+                settled += usize::from(at_hi);
+                return;
+            }
+            open.push(Open {
+                rate,
+                start: table.len(),
+                len: units.len() as u8,
+                live: live as u8,
+                at_lo,
+                at_hi,
+                at_mid: at_hi,
+            });
+            table.extend_from_slice(units);
+        });
+        Bracket {
+            settled,
+            open,
+            units: table,
+        }
+    }
+
+    /// Live units at the bracket's upper end.
+    fn at_hi(&self) -> usize {
+        self.settled
+            + self
+                .open
+                .iter()
+                .map(|o| usize::from(o.at_hi))
+                .sum::<usize>()
+    }
+
+    /// Live units after `dt_seconds`, which must lie inside the bracket.
+    fn probe(&mut self, dt_seconds: f64) -> usize {
+        let units = &self.units;
+        let open: usize = self
+            .open
+            .iter_mut()
+            .map(|o| {
+                // The range was carved out of units when o was pushed.
+                let run = &units[o.start..o.start + usize::from(o.len)];
+                o.at_mid = survivors(run, o.rate * dt_seconds / f64::from(o.live)) as u8;
+                usize::from(o.at_mid)
+            })
+            .sum();
+        self.settled + open
+    }
+
+    /// Moves the bracket's lower (`raise_lo`) or upper end to the latest
+    /// probe and settles the frames that now agree at both ends.
+    fn narrow(&mut self, raise_lo: bool) {
+        let settled = &mut self.settled;
+        self.open.retain_mut(|o| {
+            if raise_lo {
+                o.at_lo = o.at_mid;
+            } else {
+                o.at_hi = o.at_mid;
+            }
+            let done = o.at_lo == o.at_hi;
+            if done {
+                *settled += usize::from(o.at_lo);
+            }
+            !done
+        });
+    }
 }
 
 /// Chooses a prediction step: the largest `dt <= max_step_seconds` whose
 /// capacity drop does not exceed `max_capacity_drop` (bisection over one
-/// survival table built for the step). Returns `max_step_seconds` if even
-/// that loses less than the allowed drop.
+/// survival table built for the step, probing only the frames not yet
+/// settled). Returns `max_step_seconds` if even that loses less than the
+/// allowed drop.
 ///
 /// Failures are discrete, so the chosen step may overshoot the drop target
 /// by up to one disabling unit (one byte, or one frame under
@@ -102,19 +208,23 @@ pub fn choose_step(
     max_capacity_drop: f64,
     max_step_seconds: f64,
 ) -> f64 {
-    let survivors = Survivors::new(array, bytes_per_second);
     let floor = array.capacity_fraction() - max_capacity_drop;
-    if survivors.capacity_after(max_step_seconds) >= floor {
+    let total_units = total_units(array) as f64;
+    let holds = |live_units: usize| live_units as f64 / total_units >= floor;
+    let mut bracket = Bracket::new(array, bytes_per_second, max_step_seconds);
+    if holds(bracket.at_hi()) {
         return max_step_seconds;
     }
     let (mut lo, mut hi) = (0.0f64, max_step_seconds);
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        if survivors.capacity_after(mid) >= floor {
+        let raise_lo = holds(bracket.probe(mid));
+        if raise_lo {
             lo = mid;
         } else {
             hi = mid;
         }
+        bracket.narrow(raise_lo);
     }
     // Guarantee forward progress even when a single failure exceeds the
     // allowed drop (e.g. frame-granularity disabling of a hot frame).
@@ -142,6 +252,7 @@ pub fn advance_wear(array: &mut NvmArray, bytes_per_second: &[f64], dt_seconds: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hllc_config::ExperimentSpec;
     use hllc_nvm::EnduranceModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -228,26 +339,91 @@ mod tests {
         (a, rates)
     }
 
+    /// An array worn by selective writes: random byte masks through
+    /// `Frame::record_write`, so the live bytes of a frame carry different
+    /// wear, and some die of it. A third of the rates are zero.
+    fn written(granularity: DisableGranularity, seed: u64) -> (NvmArray, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = NvmArray::new(
+            16,
+            6,
+            &EnduranceModel::new(300.0, 0.3),
+            granularity,
+            &mut rng,
+        );
+        let n = 16 * 6;
+        for f in 0..n {
+            for _ in 0..rng.gen_range(0..400) {
+                let word = |rng: &mut StdRng| rng.gen::<u64>() & rng.gen::<u64>();
+                let mask = u128::from(word(&mut rng)) | u128::from(word(&mut rng)) << 64;
+                let _ = a.frame_mut(f / 6, f % 6).record_write(mask);
+            }
+        }
+        let rates = (0..n)
+            .map(|f| {
+                if f % 3 == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..50.0)
+                }
+            })
+            .collect();
+        (a, rates)
+    }
+
+    /// Asserts that `choose_step` and `capacity_after` equal the full scan
+    /// bit for bit, at drops and step caps from tight to far above the
+    /// chosen step (the `scaled` forecast's 3 % against two days).
+    fn assert_matches_scan(a: &NvmArray, rates: &[f64], what: &str) {
+        let scaled = ExperimentSpec::preset("scaled")
+            .expect("builtin preset")
+            .forecast;
+        for (drop, max_step) in [
+            (0.03, 1e9),
+            (0.2, 1e9),
+            (0.5, 1e3),
+            (1e-4, 1e12),
+            (scaled.capacity_step, scaled.max_step_seconds),
+        ] {
+            let fast = choose_step(a, rates, drop, max_step);
+            let scan = choose_step_by_scan(a, rates, drop, max_step);
+            assert_eq!(
+                fast.to_bits(),
+                scan.to_bits(),
+                "{what}: drop {drop}, max step {max_step}"
+            );
+        }
+        for dt in [0.0, 1.0, 1e3, 1e5, 1e7, 1e12] {
+            let fast = capacity_after(a, rates, dt);
+            let scan = capacity_by_scan(a, rates, dt);
+            assert_eq!(fast.to_bits(), scan.to_bits(), "{what}: dt {dt}");
+        }
+    }
+
     #[test]
     fn survival_table_matches_the_full_scan_bit_for_bit() {
         for g in [DisableGranularity::Byte, DisableGranularity::Frame] {
             for seed in 0..8 {
-                let (a, rates) = aged(g, seed);
-                for (drop, max_step) in [(0.03, 1e9), (0.2, 1e9), (0.5, 1e3), (1e-4, 1e12)] {
-                    let fast = choose_step(&a, &rates, drop, max_step);
-                    let scan = choose_step_by_scan(&a, &rates, drop, max_step);
-                    assert_eq!(fast.to_bits(), scan.to_bits(), "{g:?} seed {seed}");
+                for (kind, (a, rates)) in [("aged", aged(g, seed)), ("written", written(g, seed))] {
+                    let what = format!("{kind} {g:?} seed {seed}");
+                    assert_matches_scan(&a, &rates, &what);
+                    assert_matches_scan(
+                        &a,
+                        &vec![0.0; rates.len()],
+                        &format!("{what}, zero rates"),
+                    );
                 }
-                for dt in [0.0, 1.0, 1e3, 1e5, 1e7, 1e12] {
-                    let fast = capacity_after(&a, &rates, dt);
-                    assert_eq!(fast.to_bits(), capacity_by_scan(&a, &rates, dt).to_bits());
-                }
-                let zero = vec![0.0; rates.len()];
-                assert_eq!(
-                    choose_step(&a, &zero, 0.03, 1e9).to_bits(),
-                    choose_step_by_scan(&a, &zero, 0.03, 1e9).to_bits()
-                );
             }
+            // The selective writes leave live bytes of one frame at
+            // different wear: the table may not assume a shared value.
+            let (a, _) = written(g, 0);
+            let frame = a.frame(0, 1);
+            let wear: Vec<f64> = frame
+                .fault_map()
+                .live_indices()
+                .map(|b| frame.endurance()[b] - frame.remaining_writes(b))
+                .collect();
+            assert!(wear.iter().any(|&w| w != wear[0]), "{wear:?}");
             // Exact ties: with uniform endurance 100 and 66 B/s over 66 live
             // bytes, every byte's share reaches its limit at dt = 100 and
             // must die there, as in the full scan.
@@ -262,6 +438,52 @@ mod tests {
                     capacity_by_scan(&flat, &rates, dt).to_bits()
                 );
             }
+        }
+    }
+
+    /// NaN, infinite and negative rates, and infinite, huge and negative
+    /// step caps: settling stays exact on all of them.
+    #[test]
+    fn survival_table_matches_the_full_scan_on_non_finite_inputs() {
+        for g in [DisableGranularity::Byte, DisableGranularity::Frame] {
+            let (a, mut rates) = aged(g, 3);
+            rates[1] = f64::NAN;
+            rates[2] = f64::INFINITY;
+            rates[3] = -40.0;
+            rates[4] = f64::NEG_INFINITY;
+            for max_step in [f64::INFINITY, f64::MAX, f64::MAX / 2.0, -1e6, 1e9, f64::NAN] {
+                let fast = choose_step(&a, &rates, 0.03, max_step);
+                let scan = choose_step_by_scan(&a, &rates, 0.03, max_step);
+                assert_eq!(fast.to_bits(), scan.to_bits(), "{g:?}, max step {max_step}");
+            }
+        }
+    }
+
+    /// A step cap above half the largest float lets `lo + hi` overflow, so
+    /// a probe lands at +∞, outside the bracket, where settled zero-rate
+    /// frames lose every unit (`0 · ∞` is NaN): the decision must still
+    /// match the scan's.
+    #[test]
+    fn survival_table_matches_the_full_scan_when_a_probe_overflows() {
+        for g in [DisableGranularity::Byte, DisableGranularity::Frame] {
+            let (a, _) = aged(g, 3);
+            let (set, way) = (0..16 * 6)
+                .map(|f| (f / 6, f % 6))
+                .find(|&(s, w)| !a.is_disabled(s, w) && a.frame(s, w).live_bytes() > 0)
+                .expect("a live frame");
+            let frame = a.frame(set, way);
+            let weakest = (0..FRAME_BYTES)
+                .filter(|&b| !frame.fault_map().is_faulty(b))
+                .map(|b| frame.remaining_writes(b))
+                .fold(f64::INFINITY, f64::min);
+            // The one written frame loses its weakest unit at 3/4 of the
+            // largest float: the bisection raises lo past half of it.
+            let mut rates = vec![0.0; 16 * 6];
+            rates[set * 6 + way] = weakest * frame.live_bytes() as f64 / (0.75 * f64::MAX);
+            let fast = choose_step(&a, &rates, 1e-9, f64::MAX);
+            let scan = choose_step_by_scan(&a, &rates, 1e-9, f64::MAX);
+            assert_eq!(scan, f64::INFINITY, "{g:?}: the scan probed +inf");
+            assert_eq!(fast.to_bits(), scan.to_bits(), "{g:?}");
         }
     }
 

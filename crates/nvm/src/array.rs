@@ -32,6 +32,54 @@ fn sample_map<R: Rng + ?Sized>(frames: usize, model: &EnduranceModel, rng: &mut 
     (0..frames).map(|_| sample_endurance(model, rng)).collect()
 }
 
+/// `x % d` for a fixed divisor `d`, by multiplication instead of a
+/// hardware divide (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019, Theorem 1 with N = 64 and L = 64). With
+/// `c = ceil(2^128 / d)`, `c·d` lies in `[2^128, 2^128 + d)` and
+/// `d <= 2^64`, so for every 64-bit `x`
+/// `x % d == (((c·x) mod 2^128) · d) >> 128` exactly. For `d = 1`, `c` is
+/// `2^128 ≡ 0` and the formula gives 0. `gen_range(0..d)` is
+/// `next_u64() % d`, so drawing through this returns the same values from
+/// the same RNG stream.
+#[derive(Clone, Copy)]
+struct FastMod {
+    c: u128,
+    d: u64,
+}
+
+impl FastMod {
+    const fn new(d: u64) -> Self {
+        assert!(d > 0, "remainder by zero");
+        FastMod {
+            c: (u128::MAX / d as u128).wrapping_add(1),
+            d,
+        }
+    }
+
+    /// `x % self.d`.
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        let low = self.c.wrapping_mul(u128::from(x));
+        let d = u128::from(self.d);
+        // The top 64 bits of the 192-bit `low · d`: (hi·d + (lo·d >> 64))
+        // >> 64, which cannot overflow since hi·d < 2^128 - 2^64.
+        let carry = (low as u64 as u128 * d) >> 64;
+        ((((low >> 64) * d) + carry) >> 64) as u64
+    }
+}
+
+/// One [`FastMod`] per possible live-byte count of a frame (index 0 unused).
+const LIVE_MODS: [FastMod; FRAME_BYTES + 1] = {
+    let mut mods = [FastMod::new(1); FRAME_BYTES + 1];
+    let mut d = 1;
+    while d <= FRAME_BYTES {
+        // d <= FRAME_BYTES < mods.len().
+        mods[d] = FastMod::new(d as u64);
+        d += 1;
+    }
+    mods
+};
+
 /// Hard-fault disabling granularity (Table III).
 ///
 /// * `Frame`: the first hard fault disables the whole frame (BH, LHybrid,
@@ -353,8 +401,17 @@ impl NvmArray {
     /// `target` by disabling the weakest bytes uniformly at random — used by
     /// the sensitivity harnesses (Figures 8a and 9) that study caches at
     /// 100/90/80/…% NVM capacity.
+    ///
+    /// Each step draws a frame, then (under byte disabling) the index of
+    /// one of its live bytes, as `gen_range` would: both remainders are
+    /// taken by multiplication ([`FastMod`]) and the byte is found by a
+    /// constant-time select, so a step costs the same for any frame. The
+    /// frame's live count is read once per step from the capacity lane
+    /// (a popcount only if the entry is stale), and each step leaves the
+    /// entry exact rather than stale.
     pub fn degrade_to<R: Rng + ?Sized>(&mut self, target: f64, rng: &mut R) {
         assert!((0.0..=1.0).contains(&target), "target must be a fraction");
+        let frames = FastMod::new(self.frames.len() as u64);
         match self.granularity {
             DisableGranularity::Byte => {
                 let total = self.frames.len() * FRAME_BYTES;
@@ -366,20 +423,29 @@ impl NvmArray {
                     .sum();
                 let target_live = (target * total as f64).floor() as usize;
                 while live > target_live {
-                    let i = rng.gen_range(0..self.frames.len());
-                    if self.disabled[i] || self.frames[i].is_dead() {
+                    // rem < frames.len(), the length of every lane.
+                    let i = frames.rem(rng.next_u64()) as usize;
+                    if self.disabled[i] {
                         continue;
                     }
-                    // The same draw as indexing the ascending live-byte
-                    // list, selected in place on the packed fault words.
-                    let k = rng.gen_range(0..self.frames[i].live_bytes());
+                    // A live frame's capacity entry is its live-byte count
+                    // under byte disabling, or stale.
+                    let in_frame = match self.capacity[i].get() {
+                        CAP_DIRTY => self.frames[i].live_bytes(),
+                        cached => usize::from(cached),
+                    };
+                    if in_frame == 0 {
+                        continue;
+                    }
+                    // in_frame <= FRAME_BYTES; k < in_frame.
+                    let k = LIVE_MODS[in_frame].rem(rng.next_u64()) as usize;
                     let Some(b) = self.frames[i].fault_map().nth_live(k) else {
                         continue;
                     };
                     self.frames[i].disable_byte(b);
-                    self.capacity[i].set(CAP_DIRTY);
+                    self.capacity[i].set((in_frame - 1) as u8);
                     live -= 1;
-                    if self.frames[i].is_dead() {
+                    if in_frame == 1 {
                         self.disabled[i] = true;
                     }
                 }
@@ -389,7 +455,8 @@ impl NvmArray {
                 let mut live = self.disabled.iter().filter(|&&d| !d).count();
                 let target_live = (target * total as f64).floor() as usize;
                 while live > target_live {
-                    let i = rng.gen_range(0..total);
+                    // rem < total, the length of every lane.
+                    let i = frames.rem(rng.next_u64()) as usize;
                     if !self.disabled[i] {
                         self.disabled[i] = true;
                         self.capacity[i].set(0);
@@ -508,6 +575,31 @@ mod tests {
                 "overshot: {}",
                 a.capacity_fraction()
             );
+        }
+    }
+
+    #[test]
+    fn fast_mod_matches_the_hardware_remainder() {
+        let mut rng = StdRng::seed_from_u64(0xFA57);
+        let divisors = (1..=2 * FRAME_BYTES as u64).chain([
+            6144,
+            49_152,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX / 3,
+            1 << 63,
+            u64::MAX,
+        ]);
+        for d in divisors {
+            let m = FastMod::new(d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            let draws = (0..2000).map(|_| rng.gen::<u64>()).collect::<Vec<_>>();
+            for x in edges.into_iter().chain(draws) {
+                assert_eq!(m.rem(x), x % d, "{x} % {d}");
+            }
+        }
+        for (d, m) in LIVE_MODS.iter().enumerate().skip(1) {
+            assert_eq!(m.d, d as u64);
         }
     }
 

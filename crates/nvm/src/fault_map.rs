@@ -13,6 +13,59 @@ pub const FAULT_WORDS: usize = FRAME_BYTES.div_ceil(64);
 /// Mask of the in-range bits of each backing word.
 const WORD_MASKS: [u64; FAULT_WORDS] = [u64::MAX, (1u64 << (FRAME_BYTES - 64)) - 1];
 
+/// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit (0-based) of
+/// byte `b`, for `r` below its popcount.
+const SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut r) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                // b < 256 and r <= bit < 8.
+                table[b][r] = bit as u8;
+                r += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The position of the `k`-th set bit (0-based) of `x`, or `Err` with the
+/// popcount of `x` if it has at most `k` set bits — in constant time, by
+/// broadword select (Vigna, "Broadword Implementation of Rank/Select
+/// Queries", 2008). One multiply turns the per-byte popcounts into prefix
+/// sums, a borrow-free byte-wise subtraction counts the bytes whose prefix
+/// is at most `k` (which names the byte holding the bit), and a table
+/// finishes inside that byte.
+#[inline]
+fn select64(x: u64, k: usize) -> Result<usize, usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut s = x - ((x >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte i of `prefix` counts the set bits of bytes 0..=i (at most 64).
+    let prefix = s.wrapping_mul(ONES);
+    let ones = (prefix >> 56) as usize;
+    if k >= ones {
+        return Err(ones);
+    }
+    // Byte i of `(k | 0x80) - prefix_i` keeps its high bit iff
+    // prefix_i <= k; as k < 64 every byte stays positive and none
+    // borrows. Since k < prefix_7, at most seven bytes qualify and `byte`
+    // is at most 56.
+    let k = k as u64;
+    let byte = ((((k * ONES) | HIGHS) - prefix) & HIGHS).count_ones() * 8;
+    let before = ((prefix << 8) >> byte) & 0xFF;
+    let in_byte = (x >> byte) & 0xFF;
+    // in_byte < 256 and k - before < popcount(in_byte) <= 8.
+    let bit = SELECT_IN_BYTE[in_byte as usize][(k - before) as usize];
+    Ok(byte as usize + usize::from(bit))
+}
+
 /// A 66-bit fault map for one NVM frame: bit `i` set means byte `i` has a
 /// hard fault and is disabled.
 ///
@@ -122,20 +175,16 @@ impl FaultMap {
     }
 
     /// The `k`-th live byte in ascending order (0-based), as
-    /// `live_indices().nth(k)` would yield it, found by a select on the
-    /// packed live words. `None` if at most `k` bytes are live.
+    /// `live_indices().nth(k)` would yield it, found by a constant-time
+    /// select on the packed live words. `None` if at most `k` bytes are
+    /// live.
     pub(crate) fn nth_live(&self, k: usize) -> Option<usize> {
         let mut k = k;
         for (w, &word) in self.live_words().iter().enumerate() {
-            let ones = word.count_ones() as usize;
-            if k < ones {
-                let mut bits = word;
-                for _ in 0..k {
-                    bits &= bits - 1;
-                }
-                return Some(w * 64 + bits.trailing_zeros() as usize);
+            match select64(word, k) {
+                Ok(bit) => return Some(w * 64 + bit),
+                Err(ones) => k -= ones,
             }
-            k -= ones;
         }
         None
     }
@@ -304,14 +353,42 @@ mod tests {
         assert_eq!(fm.live_indices_from(65).next(), Some(65));
     }
 
+    /// The select against `live_indices().nth(k)` for every `k`, on a fixed
+    /// map and on random maps whose words are each empty, full, or random
+    /// at a random density — the top word holds only bytes 64 and 65.
     #[test]
     fn nth_live_selects_like_live_indices() {
-        let fm = FaultMap::from_faulty([0, 2, 5, 63, 64]);
-        let live: Vec<usize> = fm.live_indices().collect();
-        for (k, &b) in live.iter().enumerate() {
-            assert_eq!(fm.nth_live(k), Some(b), "k = {k}");
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let fixed = FaultMap::from_faulty([0, 2, 5, 63, 64]);
+        let mut rng = StdRng::seed_from_u64(0x5E1E_C7ED);
+        let random = (0..20_000).map(|_| {
+            let mut word = |mask: u64| -> u64 {
+                match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => mask,
+                    2 => rng.gen::<u64>() & mask,
+                    // Sparse or dense: AND or OR of several draws.
+                    _ => {
+                        let (a, b, c): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+                        if rng.gen() {
+                            a & b & c & mask
+                        } else {
+                            (a | b | c) & mask
+                        }
+                    }
+                }
+            };
+            FaultMap {
+                words: [word(WORD_MASKS[0]), word(WORD_MASKS[1])],
+            }
+        });
+        for fm in std::iter::once(fixed).chain(random) {
+            let live: Vec<usize> = fm.live_indices().collect();
+            for k in 0..=FRAME_BYTES {
+                assert_eq!(fm.nth_live(k), live.get(k).copied(), "{fm:?} k = {k}");
+            }
         }
-        assert_eq!(fm.nth_live(live.len()), None);
         assert_eq!(FaultMap::from_faulty(0..FRAME_BYTES).nth_live(0), None);
     }
 

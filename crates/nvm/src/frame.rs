@@ -145,6 +145,27 @@ impl Frame {
         }
     }
 
+    /// Writes the remaining writes of each live byte, in ascending byte
+    /// order, to the front of `out` and returns their count (the live-byte
+    /// count): the values [`remaining_writes`](Self::remaining_writes)
+    /// gives for `fault_map().live_indices()`, read straight from the
+    /// endurance and wear lanes.
+    pub fn live_remaining(&self, out: &mut [f64; FRAME_BYTES]) -> usize {
+        let wear = self.wear();
+        let mut n = 0;
+        for (w, &word) in self.fault_map.live_words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // i < FRAME_BYTES (a live bit) and n < the live count.
+                out[n] = (self.endurance[i] - wear[i]).max(0.0);
+                n += 1;
+            }
+        }
+        n
+    }
+
     /// Records one selective write with the given byte mask (bit `i` set =
     /// byte `i` written), as produced by the rearrangement circuitry.
     /// Returns the bytes that failed as a result.

@@ -240,7 +240,8 @@ proptest! {
 
     /// A frame whose wear lane is allocated on first write behaves exactly
     /// like an eagerly allocated one: same events, fault maps, remaining
-    /// writes and total wear (compared bit for bit) after every operation.
+    /// writes (per byte and as `live_remaining`'s run) and total wear
+    /// (compared bit for bit) after every operation.
     #[test]
     fn lazy_wear_matches_an_eager_frame(
         seed in any::<u64>(),
@@ -271,6 +272,13 @@ proptest! {
                 prop_assert_eq!(frame.fault_map().is_faulty(i), eager.faulty[i]);
                 prop_assert_eq!(frame.remaining_writes(i).to_bits(), eager.remaining_writes(i).to_bits());
             }
+            let mut remaining = [0.0; FRAME_BYTES];
+            let live = frame.live_remaining(&mut remaining);
+            let expected: Vec<u64> = (0..FRAME_BYTES)
+                .filter(|&i| !eager.faulty[i])
+                .map(|i| eager.remaining_writes(i).to_bits())
+                .collect();
+            prop_assert_eq!(remaining[..live].iter().map(|r| r.to_bits()).collect::<Vec<_>>(), expected);
             let eager_total: f64 = eager.wear.iter().sum();
             prop_assert_eq!(frame.total_wear().to_bits(), eager_total.to_bits());
         }
