@@ -1,9 +1,12 @@
 //! Criterion microbenchmarks of the hardware-modelled components: BDI
 //! compression/decompression, SECDED encode/decode/correct, the block
 //! rearrangement circuitry, raw hybrid-LLC operations, the private L1/L2
-//! hierarchy under a real reference stream, the per-job set-up work
-//! (block sizing by the workload data model, the NVM array build and its
-//! degradation) and the forecast's choice of a prediction step.
+//! hierarchy under a real reference stream, the reference pulls left on
+//! the simulation thread, the per-job set-up work (block sizing by the
+//! workload data model, the NVM array build and its degradation) and the
+//! forecast's choice of a prediction step.
+
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor, CompressorKind};
@@ -146,6 +149,44 @@ fn bench_hierarchy(c: &mut Criterion) {
     }
 }
 
+/// References pulled per `trace/pull_mix1` iteration.
+const PULLS: usize = 64;
+
+/// Stand-in for the host time simulating one reference takes, spent
+/// spinning between pulls. It errs fast: scaled mix-1 forecast phases run
+/// at about 210–260 ns per reference on a 2-vCPU VM, pulls included.
+const SIMULATED_REF: Duration = Duration::from_nanos(160);
+
+/// `Mix::instantiate`'s scaled mix-1 streams pulled round-robin, as the
+/// driver pulls them: `PULLS` references per iteration, so ns/iter ÷ 64 is
+/// the generation cost per reference left on the simulation thread. An
+/// untimed spin of `SIMULATED_REF` per reference between iterations stands
+/// in for the simulation, so a helper thread, when a hardware thread is
+/// free for one, fills batches at its real pace.
+fn bench_pull(c: &mut Criterion) {
+    let spec = ExperimentSpec::preset("scaled").expect("the scaled preset exists");
+    let mut streams = mixes()[0].instantiate(spec.footprint_scale(), spec.workload.seed);
+    let cores = streams.len();
+    let mut core = 0;
+    c.bench_function("trace/pull_mix1", |b| {
+        b.iter_batched(
+            || {
+                let until = Instant::now() + SIMULATED_REF * PULLS as u32;
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            },
+            |()| {
+                for _ in 0..PULLS {
+                    std::hint::black_box(streams[core].next_access(core as u8));
+                    core = (core + 1) % cores;
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 /// Block `i` of a sizing sequence that cycles over the four app slots of
 /// a mix (slot bits at block bit `APP_SLOT_SHIFT - 6`).
 fn slot_block(i: u64) -> u64 {
@@ -284,6 +325,7 @@ criterion_group!(
     bench_rearrange,
     bench_llc,
     bench_hierarchy,
+    bench_pull,
     bench_data,
     bench_nvm_array,
     bench_nvm_degrade,

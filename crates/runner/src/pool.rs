@@ -18,7 +18,10 @@ pub fn default_threads() -> usize {
 /// reference execution. With more, scoped workers pull indices from a shared
 /// atomic cursor (so long jobs do not convoy short ones) and send
 /// `(index, result)` pairs back over a channel; the merge step then places
-/// each result at its index. Because every job derives all of its randomness
+/// each result at its index. While they run, the workers beyond the first
+/// are claimed ([`hllc_trace::claim_threads`]), so a job's reference
+/// streams start a helper thread only on a hardware thread the workers
+/// leave free. Because every job derives all of its randomness
 /// from its index (see [`crate::job_seed`]) and shares no state with its
 /// neighbours, the returned vector is identical for every thread count.
 ///
@@ -43,9 +46,11 @@ where
     let slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let workers = threads.min(n);
+    let busy = hllc_trace::claim_threads(workers - 1);
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
+        for _ in 0..workers {
             let tx = tx.clone();
             let (slots, cursor, run) = (&slots, &cursor, &run);
             scope.spawn(move || loop {
@@ -64,7 +69,7 @@ where
             });
         }
     });
-    drop(tx);
+    drop((tx, busy));
 
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (i, r) in rx {

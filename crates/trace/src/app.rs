@@ -43,18 +43,18 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    /// Creates the runnable stream for this app in address slot `slot`,
+    /// Creates the reference generator for this app in address slot `slot`,
     /// with footprints multiplied by `scale` (use `sets/4096` when running
-    /// a scaled-down LLC).
+    /// a scaled-down LLC). [`Mix::instantiate`](crate::Mix::instantiate)
+    /// wraps one per core in a batched [`AppStream`](crate::AppStream).
     ///
     /// # Panics
     ///
     /// Panics if `scale` is not positive.
-    pub fn instantiate(&self, slot: usize, scale: f64, seed: u64) -> AppStream {
+    pub fn instantiate(&self, slot: usize, scale: f64, seed: u64) -> AppGen {
         assert!(scale > 0.0, "scale must be positive");
         let footprint = ((self.footprint_blocks as f64 * scale) as u64).max(64);
-        AppStream {
-            name: self.name,
+        AppGen {
             base: (slot as u64) << APP_SLOT_SHIFT,
             footprint,
             pattern: self.pattern.clone(),
@@ -68,10 +68,11 @@ impl AppSpec {
     }
 }
 
-/// An infinite stream of memory references for one application instance.
+/// An infinite sequence of memory references for one application
+/// instance, generated one reference at a time. Its sequence depends only
+/// on its own pattern state and RNG, never on the simulated hierarchy.
 #[derive(Clone, Debug)]
-pub struct AppStream {
-    name: &'static str,
+pub struct AppGen {
     base: u64,
     footprint: u64,
     pattern: Pattern,
@@ -83,12 +84,7 @@ pub struct AppStream {
     rng: StdRng,
 }
 
-impl AppStream {
-    /// The application's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
+impl AppGen {
     /// The instantiated footprint in blocks.
     pub fn footprint(&self) -> u64 {
         self.footprint

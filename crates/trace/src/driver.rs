@@ -4,12 +4,12 @@
 //! from its reference source — approximating the concurrent execution of
 //! the four programs of a mix on the shared LLC. The drivers are generic
 //! over [`RefSource`], so the same interleaving logic runs synthetic
-//! generators ([`AppStream`]) and recorded traces (`hllc-traceio`'s
+//! streams ([`AppStream`]) and recorded traces (`hllc-traceio`'s
 //! `ReplayStream`) identically.
 
 use hllc_sim::{Access, DataModel, Hierarchy, LlcPort};
 
-use crate::app::AppStream;
+use crate::stream::AppStream;
 
 /// A per-core supplier of memory references.
 ///
@@ -22,6 +22,7 @@ pub trait RefSource {
 }
 
 impl RefSource for AppStream {
+    #[inline]
     fn next_access(&mut self, core: u8) -> Option<Access> {
         Some(AppStream::next_access(self, core))
     }
@@ -87,6 +88,7 @@ mod tests {
 
     #[test]
     fn drive_cycles_advances_all_cores() {
+        let _serial = crate::serial_helpers();
         let mix = &mixes()[0];
         let cfg = SystemConfig::default();
         let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(1));
@@ -100,6 +102,7 @@ mod tests {
 
     #[test]
     fn drive_accesses_balances_clocks() {
+        let _serial = crate::serial_helpers();
         let mix = &mixes()[1];
         let cfg = SystemConfig::default();
         let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(2));

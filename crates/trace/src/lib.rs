@@ -13,6 +13,10 @@
 //!   compress to one BDI size, so the data model reads a block's size from
 //!   its class ([`WorkloadData`]).
 //!
+//! A mix's per-core streams generate their references in batches, on a
+//! helper thread when a hardware thread is free ([`AppStream`]); the
+//! sequences are those of the one-at-a-time generators ([`AppGen`]).
+//!
 //! # Example
 //!
 //! ```
@@ -32,11 +36,24 @@ mod mix;
 mod pattern;
 mod profile;
 mod spec;
+mod stream;
+mod threads;
 
-pub use app::{AppSpec, AppStream, APP_SLOT_SHIFT};
+pub use app::{AppGen, AppSpec, APP_SLOT_SHIFT};
 pub use data::WorkloadData;
 pub use driver::{drive_accesses, drive_cycles, RefSource};
 pub use mix::{mixes, Mix};
 pub use pattern::Pattern;
 pub use profile::{BuildSplitmix, Profile, SplitmixHasher, SynthClass};
 pub use spec::{app_by_name, spec_apps};
+pub use stream::AppStream;
+pub use threads::{claim_threads, live_helpers, ThreadClaim};
+
+/// Serializes the unit tests that can start a helper thread or that count
+/// live helpers, which are process-wide.
+#[cfg(test)]
+fn serial_helpers() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

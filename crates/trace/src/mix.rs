@@ -1,8 +1,9 @@
 //! The multi-programmed mixes of Table V.
 
-use crate::app::{AppSpec, AppStream};
+use crate::app::AppSpec;
 use crate::data::WorkloadData;
 use crate::spec::app_by_name;
+use crate::stream::{AppStream, Fill};
 
 /// A four-application multi-programmed workload.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,13 +24,22 @@ impl Mix {
     }
 
     /// Creates one reference stream per core, with footprints scaled by
-    /// `scale` (1.0 for the paper's 4 MB LLC).
+    /// `scale` (1.0 for the paper's 4 MB LLC). The streams generate in
+    /// batches, on a helper thread when a hardware thread is free at their
+    /// first pull (see [`AppStream`]).
     pub fn instantiate(&self, scale: f64, seed: u64) -> Vec<AppStream> {
-        self.apps
+        self.instantiate_with(scale, seed, Fill::Auto)
+    }
+
+    /// [`Mix::instantiate`] with the batch-filling mode fixed.
+    pub(crate) fn instantiate_with(&self, scale: f64, seed: u64, fill: Fill) -> Vec<AppStream> {
+        let gens = self
+            .apps
             .iter()
             .enumerate()
             .map(|(slot, app)| app.instantiate(slot, scale, seed.wrapping_add(slot as u64 * 7919)))
-            .collect()
+            .collect();
+        AppStream::for_mix(gens, fill)
     }
 
     /// Builds the matching data model (one compressibility profile per app
@@ -92,6 +102,7 @@ mod tests {
 
     #[test]
     fn instantiation_slots_are_disjoint() {
+        let _serial = crate::serial_helpers();
         let mix = &mixes()[0];
         let mut streams = mix.instantiate(0.1, 1);
         let mut slots = std::collections::HashSet::new();

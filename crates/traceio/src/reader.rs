@@ -258,9 +258,14 @@ pub struct TraceContent {
 
 impl TraceContent {
     /// Splits the global access order into per-core streams, preserving
-    /// each core's program order.
+    /// each core's program order. Each stream is allocated once, at its
+    /// exact length, so a replay op does not grow vectors by doubling.
     pub fn per_core(&self) -> Vec<Vec<Access>> {
-        let mut streams = vec![Vec::new(); usize::from(self.header.cores)];
+        let mut counts = vec![0usize; usize::from(self.header.cores)];
+        for a in &self.accesses {
+            counts[usize::from(a.core)] += 1;
+        }
+        let mut streams: Vec<Vec<Access>> = counts.into_iter().map(Vec::with_capacity).collect();
         for a in &self.accesses {
             streams[usize::from(a.core)].push(*a);
         }
@@ -342,6 +347,7 @@ mod tests {
         );
         for (c, s) in streams.iter().enumerate() {
             assert!(s.iter().all(|a| usize::from(a.core) == c));
+            assert_eq!(s.capacity(), s.len(), "core {c} stream over-allocated");
         }
     }
 

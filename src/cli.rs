@@ -223,7 +223,9 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                             .parse::<f64>()
                             .ok()
                             .filter(|&f| f > 0.0 && f <= 1.0)
-                            .ok_or_else(|| format!("bad capacity '{c}' (expects 0..=1)"))
+                            .ok_or_else(|| {
+                                format!("bad capacity '{c}' (expects a fraction in (0, 1])")
+                            })
                     })
                     .collect::<Result<_, _>>()?;
             }
@@ -656,7 +658,8 @@ mod tests {
         assert!(parse_sweep_args(&argv("--policies nope")).is_err());
         assert!(parse_sweep_args(&argv("--seeds 0")).is_err());
         assert!(parse_sweep_args(&argv("--capacities 1.5")).is_err());
-        assert!(parse_sweep_args(&argv("--capacities 0")).is_err());
+        let e = parse_sweep_args(&argv("--capacities 0")).unwrap_err();
+        assert_eq!(e, "bad capacity '0' (expects a fraction in (0, 1])");
         assert!(parse_sweep_args(&argv("--way-splits 9/9")).is_err());
         assert!(parse_sweep_args(&argv("--way-splits 4-12")).is_err());
         assert!(parse_sweep_args(&argv("--nvm-latency 0")).is_err());
