@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks of the hardware-modelled components: BDI
-//! compression/decompression, SECDED encode/decode/correct, the block
-//! rearrangement circuitry, raw hybrid-LLC operations, the private L1/L2
-//! hierarchy under a real reference stream, the reference pulls left on
-//! the simulation thread, the per-job set-up work (block sizing by the
-//! workload data model, the NVM array build and its degradation) and the
-//! forecast's choice of a prediction step.
+//! compression/decompression, the block rearrangement circuitry, raw
+//! hybrid-LLC operations, the private L1/L2 hierarchy under a real
+//! reference stream, the reference pulls left on the simulation thread,
+//! the per-job set-up work (block sizing by the workload data model, the
+//! NVM array build and its degradation) and the forecast's choice of a
+//! prediction step.
 
 use std::time::{Duration, Instant};
 
@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor, CompressorKind};
 use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc, Policy};
-use hllc_ecc::{BitVec, FrameCodec};
 use hllc_forecast::{advance_wear, choose_step, run_phase, ForecastConfig, PhaseSetup};
 use hllc_nvm::{rearrange, DisableGranularity, FaultMap, NvmArray};
 use hllc_sim::{Access, ConstSizeData, DataModel, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
@@ -59,23 +58,6 @@ fn bench_bdi(c: &mut Criterion) {
             i = (i + 1) % blocks.len();
             std::hint::black_box(compressor.compressed_size(&blocks[i]))
         })
-    });
-}
-
-fn bench_secded(c: &mut Criterion) {
-    let codec = FrameCodec::new();
-    let data = [0xA5u8; 64];
-    c.bench_function("secded/encode_527_516", |b| {
-        b.iter(|| std::hint::black_box(codec.encode(0x3, &data)))
-    });
-    let word = codec.encode(0x3, &data);
-    c.bench_function("secded/decode_clean", |b| {
-        b.iter(|| std::hint::black_box(codec.decode(&word)))
-    });
-    let mut corrupted: BitVec = word.clone();
-    corrupted.flip(123);
-    c.bench_function("secded/decode_correct_one", |b| {
-        b.iter(|| std::hint::black_box(codec.decode(&corrupted)))
     });
 }
 
@@ -321,7 +303,6 @@ fn bench_choose_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bdi,
-    bench_secded,
     bench_rearrange,
     bench_llc,
     bench_hierarchy,

@@ -67,11 +67,6 @@ impl ClassCounts {
         n as f64 / t as f64
     }
 
-    /// Fraction of blocks compressible at all (HCR + LCR).
-    pub fn compressible_fraction(&self) -> f64 {
-        self.fraction(BlockClass::Hcr) + self.fraction(BlockClass::Lcr)
-    }
-
     /// Records one block of the given class.
     pub fn record(&mut self, class: BlockClass) {
         match class {
@@ -183,7 +178,7 @@ mod tests {
         }
         // The paper's average population: 49% HCR, 29% LCR, 78% compressible.
         assert!((c.fraction(BlockClass::Hcr) - 0.49).abs() < 1e-9);
-        assert!((c.compressible_fraction() - 0.78).abs() < 1e-9);
+        assert!((c.fraction(BlockClass::Incompressible) - 0.22).abs() < 1e-9);
     }
 
     #[test]

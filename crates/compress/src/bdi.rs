@@ -151,11 +151,6 @@ impl Compressor {
         self.probe(block.bytes()).compressed_size()
     }
 
-    /// Chooses the minimum-size encoding that can represent `block`.
-    pub fn best_encoding(&self, block: &Block) -> Encoding {
-        self.probe(block.bytes())
-    }
-
     /// The one-pass size probe: determines the best encoding from the raw
     /// bytes alone, without materializing a payload.
     ///

@@ -37,6 +37,14 @@ pub const MAX_CORES: usize = 16;
 /// `sram_ways + nvm_ways`.
 pub const MAX_WAYS: usize = 16;
 
+/// Ceiling on `l1_sets`, `l2_sets` and `llc_sets`: 4× the paper's LLC.
+/// Every cache allocates its sets up front, so this bounds what a spec can
+/// make the simulator allocate.
+pub const MAX_SETS: usize = 1 << 14;
+
+/// Ceiling on `l1_ways` and `l2_ways`: 2× the paper's L2.
+pub const MAX_PRIVATE_WAYS: usize = 32;
+
 /// Footprint scale implied by an LLC set count ([`PAPER_SETS`] = 1.0).
 /// The single home of the sets-relative-to-4096 derivation.
 pub fn footprint_scale(sets: usize) -> f64 {
@@ -370,8 +378,11 @@ impl ExperimentSpec {
             ));
         }
         for (field, v) in [("system.l1_ways", s.l1_ways), ("system.l2_ways", s.l2_ways)] {
-            if v == 0 {
-                return Err(invalid(field, "must be at least 1"));
+            if v == 0 || v > MAX_PRIVATE_WAYS {
+                return Err(invalid(
+                    field,
+                    format!("must be 1..={MAX_PRIVATE_WAYS}, got {v}"),
+                ));
             }
         }
         for (field, v) in [
@@ -381,6 +392,9 @@ impl ExperimentSpec {
         ] {
             if !v.is_power_of_two() {
                 return Err(invalid(field, format!("must be a power of two, got {v}")));
+            }
+            if v > MAX_SETS {
+                return Err(invalid(field, format!("must be <= {MAX_SETS}, got {v}")));
             }
         }
         if s.sram_ways + s.nvm_ways == 0 {
@@ -1035,6 +1049,35 @@ mod tests {
         spec.workload.mix = 11;
         let e = spec.validate().unwrap_err();
         assert!(matches!(e, SpecError::Invalid { ref field, .. } if field == "workload.mix"));
+    }
+
+    #[test]
+    fn oversized_geometry_is_rejected_per_field() {
+        type Field = fn(&mut SystemSpec) -> &mut usize;
+        let fields: [(&str, Field, usize); 5] = [
+            ("system.l1_sets", |s| &mut s.l1_sets, MAX_SETS),
+            ("system.l2_sets", |s| &mut s.l2_sets, MAX_SETS),
+            ("system.llc_sets", |s| &mut s.llc_sets, MAX_SETS),
+            ("system.l1_ways", |s| &mut s.l1_ways, MAX_PRIVATE_WAYS),
+            ("system.l2_ways", |s| &mut s.l2_ways, MAX_PRIVATE_WAYS),
+        ];
+        for (name, field, cap) in fields {
+            let mut spec = ExperimentSpec::preset("scaled").unwrap();
+            *field(&mut spec.system) = cap;
+            spec.validate().unwrap();
+            for v in [2 * cap, 1 << 40] {
+                *field(&mut spec.system) = v;
+                let e = spec.validate().unwrap_err();
+                assert!(
+                    matches!(e, SpecError::Invalid { ref field, .. } if field == name),
+                    "{e}"
+                );
+                assert!(e.to_string().contains(&format!("got {v}")), "{e}");
+            }
+        }
+        let paper = ExperimentSpec::preset("paper").unwrap().system;
+        assert!(2 * paper.l2_sets <= MAX_SETS && paper.llc_sets <= MAX_SETS);
+        assert!(paper.l2_ways <= MAX_PRIVATE_WAYS);
     }
 
     #[test]

@@ -249,12 +249,6 @@ impl SetDueling {
     pub fn epochs_total(&self) -> u64 {
         self.epochs_total
     }
-
-    /// Drops the recorded history (the lifetime epoch count is kept).
-    pub fn clear_history(&mut self) {
-        self.history.clear();
-        self.history_head = 0;
-    }
 }
 
 #[cfg(test)]
@@ -378,9 +372,6 @@ mod tests {
         // is the final epoch.
         assert_eq!(history[0].hits[1], 10 % 7 + 1);
         assert_eq!(history[HISTORY_EPOCHS - 1].hits[1], (total - 1) % 7 + 1);
-        sd.clear_history();
-        assert_eq!(sd.epochs_retained(), 0);
-        assert_eq!(sd.epochs_total(), total);
     }
 
     #[test]

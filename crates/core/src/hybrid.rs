@@ -171,19 +171,6 @@ impl HybridLlc {
         self.dueling.as_ref()
     }
 
-    /// Mutable Set Dueling controller.
-    pub fn dueling_mut(&mut self) -> Option<&mut SetDueling> {
-        self.dueling.as_mut()
-    }
-
-    /// Invalidates every line (used between forecast phases; wear state is
-    /// kept). Dirty contents are dropped — callers model the writeback
-    /// traffic themselves if they need it.
-    pub fn clear_contents(&mut self) {
-        self.sram.clear();
-        self.nvm.clear();
-    }
-
     fn next_stamp(&mut self) -> u64 {
         self.stamp += 1;
         self.stamp

@@ -202,12 +202,6 @@ impl WayArray {
         self.valid[set] &= !(1u64 << way);
         Some(line)
     }
-
-    /// Invalidates every line (the lanes keep their bytes; only the
-    /// occupancy words are cleared).
-    pub(crate) fn clear(&mut self) {
-        self.valid.iter_mut().for_each(|m| *m = 0);
-    }
 }
 
 #[cfg(test)]
@@ -268,19 +262,6 @@ mod tests {
         assert_eq!(l.reuse, ReuseClass::Read);
         assert_eq!(l.hits, 2);
         assert!(l.dirty, "touch/set_reuse must not clobber the dirty bit");
-    }
-
-    #[test]
-    fn clear_empties_every_set() {
-        let mut a = WayArray::new(3, 2);
-        a.put(0, 0, line(1, 1));
-        a.put(2, 1, line(2, 2));
-        a.clear();
-        for set in 0..3 {
-            for way in 0..2 {
-                assert!(!a.is_valid(set, way));
-            }
-        }
     }
 
     #[test]

@@ -52,13 +52,6 @@ impl ForecastConfig {
         }
     }
 
-    /// Full-scale configuration: the `paper` preset's Table IV system,
-    /// μ = 10¹⁰. One phase simulates 8 M cycles after 2 M of warm-up.
-    pub fn paper(policy: Policy) -> Self {
-        Self::from_spec(&ExperimentSpec::preset("paper").expect("builtin preset"))
-            .with_policy(policy)
-    }
-
     /// Scaled-down configuration for fast experimentation: the `scaled`
     /// preset's 512-set LLC, μ = 10⁸ endurance. Lifetime *ratios* between
     /// policies are preserved because failure times are linear in μ

@@ -26,8 +26,6 @@ pub struct ForecastSeries {
 }
 
 const SECONDS_PER_DAY: f64 = 86_400.0;
-/// Average Gregorian month, used for the paper's "months" axes.
-pub(crate) const SECONDS_PER_MONTH: f64 = 30.44 * SECONDS_PER_DAY;
 
 impl ForecastSeries {
     /// Creates an empty series with a label.
@@ -60,11 +58,6 @@ impl ForecastSeries {
     /// Lifetime to `target` capacity in days.
     pub fn lifetime_days(&self, target: f64) -> Option<f64> {
         self.lifetime_seconds(target).map(|s| s / SECONDS_PER_DAY)
-    }
-
-    /// Lifetime to `target` capacity in (average) months.
-    pub fn lifetime_months(&self, target: f64) -> Option<f64> {
-        self.lifetime_seconds(target).map(|s| s / SECONDS_PER_MONTH)
     }
 
     /// IPC of the first sample (the "beginning of life" performance the
@@ -212,7 +205,6 @@ mod tests {
             points: vec![p(0.0, 1.0, 2.0), p(86_400.0, 0.5, 1.0)],
         };
         assert!((s.lifetime_days(0.5).unwrap() - 1.0).abs() < 1e-12);
-        assert!((s.lifetime_months(0.5).unwrap() - 1.0 / 30.44).abs() < 1e-9);
     }
 
     #[test]

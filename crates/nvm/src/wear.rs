@@ -57,12 +57,6 @@ impl WearLevelCounter {
             self.offset = (self.offset + steps as usize) % FRAME_BYTES;
         }
     }
-
-    /// Forces the offset (used by tests and by the forecast when restoring
-    /// state between phases).
-    pub fn set_offset(&mut self, offset: usize) {
-        self.offset = offset % FRAME_BYTES;
-    }
 }
 
 #[cfg(test)]

@@ -152,11 +152,6 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         self.llc
     }
 
-    /// The data model.
-    pub fn data_mut(&mut self) -> &mut D {
-        &mut self.data
-    }
-
     /// Hierarchy statistics.
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats

@@ -41,11 +41,6 @@ impl HierarchyStats {
         }
     }
 
-    /// Accesses that reached main memory.
-    pub fn memory_accesses(&self) -> u64 {
-        self.services[5]
-    }
-
     /// Total memory references.
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores

@@ -116,16 +116,6 @@ impl TimingModel {
             Op::Store => raw_latency * self.store_mlp,
         }
     }
-
-    /// Converts a cycle count to seconds at the configured frequency.
-    pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
-        cycles / (self.freq_ghz * 1e9)
-    }
-
-    /// Converts seconds to cycles at the configured frequency.
-    pub fn seconds_to_cycles(&self, seconds: f64) -> f64 {
-        seconds * self.freq_ghz * 1e9
-    }
 }
 
 impl Default for TimingModel {
@@ -166,15 +156,5 @@ mod tests {
     fn stores_stall_less_than_loads() {
         let t = TimingModel::paper_default();
         assert!(t.stall(Op::Store, ServiceLevel::Memory) < t.stall(Op::Load, ServiceLevel::Memory));
-    }
-
-    #[test]
-    fn time_conversion_round_trip() {
-        let t = TimingModel::paper_default();
-        let cycles = 7e9;
-        let s = t.cycles_to_seconds(cycles);
-        assert!((t.seconds_to_cycles(s) - cycles).abs() < 1.0);
-        // 3.5e9 cycles is one second.
-        assert!((t.cycles_to_seconds(3.5e9) - 1.0).abs() < 1e-12);
     }
 }

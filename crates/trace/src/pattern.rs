@@ -59,11 +59,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// A dense sequential loop.
-    pub fn dense_loop() -> Self {
-        Pattern::Loop { stride: 1 }
-    }
-
     /// Creates the mutable walker state for this pattern.
     pub fn start(&self) -> PatternState {
         PatternState {
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn loop_revisits_with_period_footprint() {
-        let seq = walk(&Pattern::dense_loop(), 20, 8);
+        let seq = walk(&Pattern::Loop { stride: 1 }, 20, 8);
         assert_eq!(&seq[..8], &[1, 2, 3, 4, 5, 6, 7, 0]);
         assert_eq!(seq[0], seq[8]);
     }
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn phased_switches_behaviour() {
         let p = Pattern::Phased {
-            a: Box::new(Pattern::dense_loop()),
+            a: Box::new(Pattern::Loop { stride: 1 }),
             b: Box::new(Pattern::Random),
             period: 100,
         };

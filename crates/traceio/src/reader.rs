@@ -77,11 +77,6 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Complete chunks decoded so far.
-    pub fn chunks_read(&self) -> u64 {
-        self.chunk
-    }
-
     /// Decodes the next chunk. `Ok(None)` after the end marker; a bare EOF
     /// without one reports truncation.
     pub fn next_chunk(&mut self) -> Result<Option<Chunk>, TraceError> {

@@ -6,8 +6,9 @@
 //!   (std-only tokenizer, no external parser) over the workspace with the
 //!   per-rule allowlists in `xtask/lint.toml`, prints `file:line`
 //!   diagnostics, and writes the machine-readable `lint_report.json`.
-//!   A finding outside the allowlist and a stale allowlist entry (one
-//!   that matches nothing) both fail the run.
+//!   A finding outside the allowlist, a stale allowlist entry (one that
+//!   matches nothing) and a rule path prefix that matches no `.rs` file
+//!   all fail the run.
 //! * `cargo run -p hllc-xtask -- check-protocol` — exhaustively
 //!   enumerates the coherence protocol's reachable state space (up to 16
 //!   cores' worth of sharer-mask symmetry classes) and proves SWMR,
@@ -88,6 +89,9 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
             e.line, e.rule, e.path, e.contains
         );
     }
+    for (rule, prefix) in &outcome.stale_paths {
+        println!("xtask/lint.toml: error: stale path prefix ([rules.{rule}] {prefix:?} matches no .rs file)");
+    }
 
     let doc = report::build(&outcome, &config);
     let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize: {e:?}"))?;
@@ -98,11 +102,12 @@ fn cmd_lint(mut args: Vec<String>) -> Result<ExitCode, String> {
     let allowed = outcome.findings.len() - violations;
     println!(
         "lint: {} files scanned, {} violation(s), {} allowed finding(s), \
-         {} stale allowlist entr(ies), report: {}",
+         {} stale allowlist entr(ies), {} stale path prefix(es), report: {}",
         outcome.files_scanned,
         violations,
         allowed,
         outcome.stale_allows.len(),
+        outcome.stale_paths.len(),
         report_path.display()
     );
     Ok(if outcome.passes() {

@@ -84,6 +84,21 @@ pub(crate) fn build(outcome: &LintOutcome, config: &LintConfig) -> Value {
         ("rules", Value::Array(per_rule)),
         ("findings", Value::Array(findings)),
         ("stale_allow_entries", Value::Array(stale)),
+        (
+            "stale_path_prefixes",
+            Value::Array(
+                outcome
+                    .stale_paths
+                    .iter()
+                    .map(|(rule, prefix)| {
+                        obj(vec![
+                            ("rule", Value::String(rule.clone())),
+                            ("prefix", Value::String(prefix.clone())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ])
 }
 
@@ -114,6 +129,7 @@ mod tests {
             ],
             files_scanned: 2,
             stale_allows: vec![],
+            stale_paths: vec![],
         };
         let mut config = LintConfig::default();
         config.allow.push(crate::config::AllowEntry {

@@ -45,6 +45,9 @@ pub(crate) struct LintOutcome {
     pub(crate) files_scanned: usize,
     /// Indices into `config.allow` that matched nothing (stale entries).
     pub(crate) stale_allows: Vec<usize>,
+    /// `(rule id, prefix)` for each `paths`/`exclude` prefix of a rule that
+    /// matches no `.rs` file (stale prefixes).
+    pub(crate) stale_paths: Vec<(String, String)>,
 }
 
 impl LintOutcome {
@@ -53,10 +56,13 @@ impl LintOutcome {
         self.findings.iter().filter(|f| f.allowed_by.is_none())
     }
 
-    /// True when the run is clean: no finding outside the allowlist and no
-    /// stale allowlist entry, so the list cannot rot.
+    /// True when the run is clean: no finding outside the allowlist, no
+    /// stale allowlist entry and no stale path prefix, so the configuration
+    /// cannot rot.
     pub(crate) fn passes(&self) -> bool {
-        self.violations().next().is_none() && self.stale_allows.is_empty()
+        self.violations().next().is_none()
+            && self.stale_allows.is_empty()
+            && self.stale_paths.is_empty()
     }
 }
 
@@ -545,11 +551,20 @@ pub(crate) fn run(root: &Path, config: &LintConfig) -> LintOutcome {
         .filter(|(_, u)| !**u)
         .map(|(i, _)| i)
         .collect();
+    let rel_paths: Vec<String> = files.iter().map(|f| rel(root, f)).collect();
+    let stale_paths = config
+        .rules
+        .iter()
+        .flat_map(|(id, rule)| rule.paths.iter().chain(&rule.exclude).map(move |p| (id, p)))
+        .filter(|(_, p)| !rel_paths.iter().any(|f| f.starts_with(p.as_str())))
+        .map(|(id, p)| (id.clone(), p.clone()))
+        .collect();
 
     LintOutcome {
         findings,
         files_scanned,
         stale_allows,
+        stale_paths,
     }
 }
 
@@ -694,6 +709,34 @@ mod tests {
         assert!(clean.stale_allows.is_empty() && clean.passes());
         assert_eq!(rotted.violations().count(), 0);
         assert_eq!(rotted.stale_allows, [1]);
+        assert!(!rotted.passes());
+    }
+
+    #[test]
+    fn a_path_prefix_matching_no_file_fails_the_run() {
+        let root = std::env::temp_dir().join(format!("hllc-xtask-paths-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("src")).expect("temp workspace");
+        std::fs::write(root.join("src/lib.rs"), "fn f() {}\n").expect("temp source");
+        let config = |paths: &str| {
+            crate::config::parse(&format!(
+                "[rules.no-panic-paths]\npaths = [{paths}]\nexclude = [\"src/lib.rs\"]\n"
+            ))
+            .expect("parses")
+        };
+
+        let clean = run(&root, &config("\"src\""));
+        let rotted = run(
+            &root,
+            &config("\"src\", \"crates/gone/src\", \"src/gone.rs\""),
+        );
+        std::fs::remove_dir_all(&root).expect("remove temp workspace");
+
+        assert!(clean.stale_paths.is_empty() && clean.passes());
+        let stale = |p: &str| ("no-panic-paths".to_string(), p.to_string());
+        assert_eq!(
+            rotted.stale_paths,
+            [stale("crates/gone/src"), stale("src/gone.rs")]
+        );
         assert!(!rotted.passes());
     }
 

@@ -1,14 +1,13 @@
 //! Compression explorer: walk a 64-byte block through the complete NVM
-//! write/read datapath of §III-B — BDI compression, SECDED protection,
+//! write/read datapath of §III-B — BDI compression, ECB packing,
 //! scattering over a partially faulty frame with the rearrangement
-//! circuitry, a bit-error on the way back, and recovery.
+//! circuitry, and recovery.
 //!
 //! ```sh
 //! cargo run --release --example compression_explorer
 //! ```
 
-use hybrid_llc::compress::{Block, Compressor};
-use hybrid_llc::ecc::{Decoded, FrameCodec};
+use hybrid_llc::compress::{Block, CompressedBlock, Compressor, Encoding};
 use hybrid_llc::nvm::{rearrange, FaultMap};
 
 fn main() {
@@ -71,43 +70,24 @@ fn main() {
         "block must fit"
     );
 
-    // SECDED-protect CE + zero-padded block data (516 bits -> 527), then
-    // pack only the stored bits: check bits + CE + compressed payload.
-    let codec = FrameCodec::new();
-    let mut padded = [0u8; 64];
-    padded[..cb.payload().len()].copy_from_slice(cb.payload());
-    let word = codec.encode(cb.encoding().ce(), &padded);
-    let ecb = codec.pack_ecb(&word, cb.size());
-    println!(
-        "code word: {} bits, packed ECB: {} bytes (CB {} + 2)",
-        word.len(),
-        ecb.len(),
-        cb.size()
-    );
+    // The ECB: two header bytes (the 4-bit CE, plus the room the 11 SECDED
+    // check bits take; hard-fault detection is assumed perfect) + payload.
+    let mut ecb = vec![cb.encoding().ce(), 0];
+    ecb.extend_from_slice(cb.payload());
+    println!("packed ECB: {} bytes (CB {} + 2)", ecb.len(), cb.size());
 
     // Scatter over the live bytes starting at the wear-leveling offset.
     let offset = 17;
     let (recb, mask) = rearrange::scatter(&ecb, &fault_map, offset);
     println!("scattered with write mask of {} bytes", mask.count_ones());
 
-    // ... time passes; read it back and flip one stored bit (a soft error
-    // or a byte going weak) ...
-    let mut gathered = rearrange::gather(&recb, &fault_map, offset, ecb.len());
-    gathered[9] ^= 0x04;
-    let word_back = codec.unpack_ecb(&gathered, cb.size());
-
-    match codec.decode(&word_back) {
-        Decoded::Corrected { position, data } => {
-            println!("SECDED corrected a single-bit error at code-word bit {position}");
-            let (ce, bytes) = FrameCodec::split_payload(&data);
-            let recovered = hybrid_llc::compress::CompressedBlock::from_parts(
-                hybrid_llc::compress::Encoding::from_ce(ce).expect("valid CE"),
-                &bytes[..cb.size() as usize],
-            )
-            .expect("payload length matches encoding");
-            assert_eq!(recovered.decompress(), *block);
-            println!("decompressed block matches the original exactly ✓");
-        }
-        other => panic!("unexpected decode outcome: {other:?}"),
-    }
+    // ... time passes; gather the live bytes back and decompress ...
+    let gathered = rearrange::gather(&recb, &fault_map, offset, ecb.len());
+    let recovered = CompressedBlock::from_parts(
+        Encoding::from_ce(gathered[0]).expect("valid CE"),
+        &gathered[2..],
+    )
+    .expect("payload length matches encoding");
+    assert_eq!(recovered.decompress(), *block);
+    println!("decompressed block matches the original exactly ✓");
 }

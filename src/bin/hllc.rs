@@ -498,8 +498,8 @@ fn cmd_figures() {
     }
 }
 
-fn usage() {
-    println!(
+fn usage() -> String {
+    format!(
         "usage: hllc <policies|mixes|figures|spec|run|forecast|compare|sweep|record|replay|trace-info> \
         [--spec file|preset] [--policy P] [--mix 1..10] [--cycles N] [--seed S] [--jobs N] [--trace f.trc] [--json]\n\
         \x20      hllc spec [--preset name] [--dump out.json]           (presets: {})\n\
@@ -509,13 +509,13 @@ fn usage() {
         \x20      hllc replay --trace f.trc [--policy P] [--cycles N] [--spec file|preset] [--json stats.json]\n\
         \x20      hllc trace-info f.trc",
         ExperimentSpec::preset_names().join(", ")
-    );
+    )
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
-        usage();
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let outcome = match cmd.as_str() {
@@ -544,14 +544,13 @@ fn main() -> ExitCode {
         "replay" => parse_replay_args(&argv[1..]).and_then(|args| cmd_replay(&args)),
         "trace-info" => parse_trace_info_args(&argv[1..]).and_then(|path| cmd_trace_info(&path)),
         "-h" | "--help" | "help" => {
-            usage();
+            println!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
     };
     if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        usage();
+        eprintln!("error: {e}\n{}", usage());
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -15,7 +15,6 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`compress`] | `hllc-compress` | modified BDI compressor (Table I) |
-//! | [`ecc`] | `hllc-ecc` | Hamming SECDED, incl. the (527,516) frame code |
 //! | [`nvm`] | `hllc-nvm` | endurance model, fault maps, wear leveling, rearrangement circuitry |
 //! | [`sim`] | `hllc-sim` | private L1/L2 hierarchy, coherence, timing |
 //! | [`llc`] | `hllc-core` | the hybrid LLC and every insertion policy |
@@ -59,7 +58,6 @@ pub use hllc_bench as bench;
 pub use hllc_compress as compress;
 pub use hllc_config as config;
 pub use hllc_core as llc;
-pub use hllc_ecc as ecc;
 pub use hllc_forecast as forecast;
 pub use hllc_nvm as nvm;
 pub use hllc_runner as runner;

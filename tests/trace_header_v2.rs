@@ -44,6 +44,20 @@ fn v1_fixture_replays_bit_identically() {
     );
 }
 
+/// A crafted v1 header with an absurd set count is refused by validation
+/// instead of reaching the LLC constructor's allocation.
+#[test]
+fn v1_header_with_oversized_sets_is_an_error() {
+    let bytes = std::fs::read(fixture("v1_mix1.trc")).expect("v1 fixture");
+    let mut content = read(&bytes);
+    content.header.sets = 1 << 31;
+    let e = trace_spec(&content).unwrap_err();
+    assert!(
+        e.contains("system.llc_sets") && e.contains("2147483648"),
+        "{e}"
+    );
+}
+
 #[test]
 fn v2_recordings_embed_the_resolved_spec() {
     let a = Args::scaled(Policy::cp_sd(), 0, 30_000.0, 3);
