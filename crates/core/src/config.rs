@@ -1,6 +1,6 @@
 //! Hybrid LLC configuration.
 
-use hllc_nvm::EnduranceModel;
+use hllc_nvm::{EnduranceModel, NvmArray};
 
 use crate::dueling::DEFAULT_EPOCH_CYCLES;
 use crate::policy::Policy;
@@ -37,8 +37,8 @@ pub struct HybridConfig {
     pub dueling_smoothing: f64,
     /// RNG seed for the endurance sampling. Every LLC with the same
     /// geometry, endurance model and seed shares one endurance map (see
-    /// `HybridLlc::new`), so sweep replicates differ in their workload and
-    /// degrade draws, not in endurance.
+    /// [`sample_array`](Self::sample_array)), so sweep replicates differ
+    /// in their workload and degrade draws, not in endurance.
     pub seed: u64,
     /// NVM data-array write latency in cycles (Table IV: 20). A read that
     /// arrives at a bank while a write is in flight waits out the
@@ -100,6 +100,22 @@ impl HybridConfig {
     pub fn with_dueling_smoothing(mut self, smoothing: f64) -> Self {
         self.dueling_smoothing = smoothing;
         self
+    }
+
+    /// The pristine NVM array of this configuration, or `None` without NVM
+    /// ways: endurances drawn from `seed` ([`NvmArray::sampled`], which
+    /// shares one endurance map per geometry, model and seed, whatever the
+    /// policy) under the policy's disabling granularity.
+    pub fn sample_array(&self) -> Option<NvmArray> {
+        (self.nvm_ways > 0).then(|| {
+            NvmArray::sampled(
+                self.sets,
+                self.nvm_ways,
+                &self.endurance,
+                self.policy.granularity(),
+                self.seed,
+            )
+        })
     }
 }
 

@@ -35,7 +35,6 @@ pub enum Part {
 pub struct HybridLlc {
     sets: usize,
     sram_ways: usize,
-    nvm_ways: usize,
     policy: Policy,
     sram: WayArray,
     nvm: WayArray,
@@ -63,23 +62,10 @@ pub struct HybridLlc {
 const TAP_TABLE_ENTRIES: usize = 1 << 16;
 
 impl HybridLlc {
-    /// Builds an LLC from a configuration with a pristine NVM array whose
-    /// endurances are drawn from `cfg.seed` ([`NvmArray::sampled`]).
-    ///
-    /// Every LLC with the same geometry, endurance model and seed shares
-    /// one endurance map, whatever its policy: sweep replicates differ in
-    /// their workload and degrade draws, not in endurance.
+    /// Builds an LLC from a configuration with its pristine NVM array
+    /// ([`HybridConfig::sample_array`]).
     pub fn new(cfg: &HybridConfig) -> Self {
-        let array = (cfg.nvm_ways > 0).then(|| {
-            NvmArray::sampled(
-                cfg.sets,
-                cfg.nvm_ways,
-                &cfg.endurance,
-                cfg.policy.granularity(),
-                cfg.seed,
-            )
-        });
-        Self::with_array(cfg, array)
+        Self::with_array(cfg, cfg.sample_array())
     }
 
     /// Builds an LLC around an existing (possibly aged) NVM array — the
@@ -120,7 +106,6 @@ impl HybridLlc {
         HybridLlc {
             sets: cfg.sets,
             sram_ways: cfg.sram_ways,
-            nvm_ways: cfg.nvm_ways,
             policy: cfg.policy,
             sram: WayArray::new(cfg.sets, cfg.sram_ways),
             nvm: WayArray::new(cfg.sets, cfg.nvm_ways),
@@ -350,8 +335,8 @@ impl HybridLlc {
         if !self.fit_lru {
             let mut lru_way = None;
             let mut lru_stamp = u64::MAX;
-            for (way, cap) in caps.iter().enumerate() {
-                let cap = cap.get() as usize;
+            for (way, &cap) in caps.iter().enumerate() {
+                let cap = usize::from(cap);
                 if cap == 0 {
                     continue; // dead frames are skipped even without Fit-LRU
                 }
@@ -369,12 +354,12 @@ impl HybridLlc {
                 }
             }
             // w was yielded by the enumerate over caps above.
-            return lru_way.filter(|&w| ecb <= caps[w].get() as usize);
+            return lru_way.filter(|&w| ecb <= usize::from(caps[w]));
         }
         let mut lru_way = None;
         let mut lru_stamp = u64::MAX;
-        for (way, cap) in caps.iter().enumerate() {
-            if ecb > cap.get() as usize {
+        for (way, &cap) in caps.iter().enumerate() {
+            if ecb > usize::from(cap) {
                 continue;
             }
             if valid & (1u64 << way) == 0 {
@@ -435,7 +420,8 @@ impl HybridLlc {
             debug_assert!(false, "NVM insert requires an array");
             return;
         };
-        let bytes = array.note_write(set, way, ecb);
+        array.note_write(set, way, ecb);
+        let bytes = ecb as u64;
         self.stats.nvm_inserts += 1;
         self.stats.nvm_bytes_written += bytes;
         if migration {
@@ -574,9 +560,13 @@ impl HybridLlc {
             }
         }
         if empty.is_none() {
-            let array = self.array.as_ref();
-            for way in 0..self.nvm_ways {
-                if !array.is_some_and(|a| a.fits(set, way, ecb)) {
+            // No array means no NVM ways (see `with_array`).
+            let caps = self
+                .array
+                .as_ref()
+                .map_or(&[][..], |a| a.capacity_lane(set));
+            for (way, &cap) in caps.iter().enumerate() {
+                if ecb > usize::from(cap) {
                     continue;
                 }
                 if !self.nvm.is_valid(set, way) {

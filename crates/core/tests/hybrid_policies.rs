@@ -101,7 +101,7 @@ fn bh_cp_uses_partially_faulty_frames_for_compressed_blocks() {
     let mut c = llc(Policy::BhCp);
     // Make every NVM frame in set 0 lose one byte: capacity 65.
     for way in 0..12 {
-        c.array_mut().unwrap().frame_mut(0, way).disable_byte(0);
+        c.array_mut().unwrap().disable_byte(0, way, 0);
     }
     // Fill the 4 SRAM ways with incompressible blocks first.
     let mut d = MapData::default()
@@ -183,10 +183,10 @@ fn ca_ignores_reuse_tags() {
 fn ca_falls_back_to_sram_when_nothing_fits() {
     let mut c = llc(Policy::Ca { cp_th: 64 });
     // Degrade all of set 0's frames to 10 live bytes.
+    let array = c.array_mut().unwrap();
     for way in 0..12 {
-        let f = c.array_mut().unwrap().frame_mut(0, way);
         for b in 0..56 {
-            f.disable_byte(b);
+            array.disable_byte(0, way, b);
         }
     }
     let mut d = ConstSizeData::new(30); // ECB 32 > 10
@@ -260,10 +260,10 @@ fn ca_rwr_migrates_read_reuse_sram_victims_to_nvm() {
 #[test]
 fn ca_rwr_drops_migration_when_nvm_cannot_fit() {
     let mut c = llc(Policy::CaRwr { cp_th: 37 });
+    let array = c.array_mut().unwrap();
     for way in 0..12 {
-        let f = c.array_mut().unwrap().frame_mut(0, way);
         for b in 0..60 {
-            f.disable_byte(b); // 6 live bytes: nothing real fits
+            array.disable_byte(0, way, b); // 6 live bytes: nothing real fits
         }
     }
     let mut big = ConstSizeData::new(64);

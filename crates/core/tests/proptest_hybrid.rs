@@ -187,7 +187,7 @@ proptest! {
             for way in 0..12 {
                 let n = (set * 7 + way * 13 + faulty_bytes) % faulty_bytes.max(1);
                 for b in 0..n {
-                    llc.array_mut().unwrap().frame_mut(set, way).disable_byte(b);
+                    llc.array_mut().unwrap().disable_byte(set, way, b);
                 }
             }
         }

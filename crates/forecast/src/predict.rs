@@ -9,17 +9,7 @@
 
 use hllc_nvm::{DisableGranularity, NvmArray, FRAME_BYTES};
 
-/// Units (bytes under byte disabling, frames under frame disabling) of the
-/// whole array, live or not: the denominator of every capacity fraction.
-fn total_units(array: &NvmArray) -> usize {
-    let frames = array.sets() * array.ways();
-    match array.granularity() {
-        DisableGranularity::Byte => frames * FRAME_BYTES,
-        DisableGranularity::Frame => frames,
-    }
-}
-
-/// Calls `visit(frame index, live bytes, units)` for every live frame, in
+/// Calls `visit(frame index, live bytes, units)` for every usable frame, in
 /// frame order. `units` holds the remaining writes of each unit — every
 /// live byte's under byte disabling, the weakest byte's alone under frame
 /// disabling (a frame survives iff its weakest byte does) — read straight
@@ -34,9 +24,7 @@ fn for_each_live_frame(array: &NvmArray, mut visit: impl FnMut(usize, usize, &[f
                 continue;
             }
             let live = array.frame(set, way).live_remaining(&mut remaining);
-            if live == 0 {
-                continue;
-            }
+            debug_assert!(live > 0, "a usable frame has a live byte");
             // live <= FRAME_BYTES, the buffer's length.
             let units = match granularity {
                 DisableGranularity::Byte => &remaining[..live],
@@ -68,7 +56,7 @@ pub fn capacity_after(array: &NvmArray, bytes_per_second: &[f64], dt_seconds: f6
     for_each_live_frame(array, |f, live, units| {
         live_units += survivors(units, bytes_per_second[f] * dt_seconds / live as f64);
     });
-    live_units as f64 / total_units(array) as f64
+    live_units as f64 / array.total_units() as f64
 }
 
 /// A live frame whose survivor count may still change inside the
@@ -119,7 +107,7 @@ impl Bracket {
         // growing them by doubling costs peak memory on every forecast
         // step.
         let mut open = Vec::with_capacity(array.sets() * array.ways());
-        let mut table = Vec::with_capacity(total_units(array));
+        let mut table = Vec::with_capacity(array.total_units());
         for_each_live_frame(array, |f, live, units| {
             let rate = bytes_per_second[f];
             // Survivor counts are at most live <= FRAME_BYTES.
@@ -209,7 +197,7 @@ pub fn choose_step(
     max_step_seconds: f64,
 ) -> f64 {
     let floor = array.capacity_fraction() - max_capacity_drop;
-    let total_units = total_units(array) as f64;
+    let total_units = array.total_units() as f64;
     let holds = |live_units: usize| live_units as f64 / total_units >= floor;
     let mut bracket = Bracket::new(array, bytes_per_second, max_step_seconds);
     if holds(bracket.at_hi()) {
@@ -242,7 +230,7 @@ pub fn advance_wear(array: &mut NvmArray, bytes_per_second: &[f64], dt_seconds: 
             let f = set * ways + way;
             let wear = bytes_per_second[f] * dt_seconds;
             if wear > 0.0 {
-                failures += array.apply_uniform_wear(set, way, wear).len();
+                failures += array.apply_uniform_wear(set, way, wear);
             }
         }
     }
@@ -340,8 +328,8 @@ mod tests {
     }
 
     /// An array worn by selective writes: random byte masks through
-    /// `Frame::record_write`, so the live bytes of a frame carry different
-    /// wear, and some die of it. A third of the rates are zero.
+    /// `NvmArray::record_write`, so the live bytes of a frame carry
+    /// different wear, and some die of it. A third of the rates are zero.
     fn written(granularity: DisableGranularity, seed: u64) -> (NvmArray, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = NvmArray::new(
@@ -356,7 +344,7 @@ mod tests {
             for _ in 0..rng.gen_range(0..400) {
                 let word = |rng: &mut StdRng| rng.gen::<u64>() & rng.gen::<u64>();
                 let mask = u128::from(word(&mut rng)) | u128::from(word(&mut rng)) << 64;
-                let _ = a.frame_mut(f / 6, f % 6).record_write(mask);
+                let _ = a.record_write(f / 6, f % 6, mask);
             }
         }
         let rates = (0..n)

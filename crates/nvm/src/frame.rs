@@ -7,13 +7,6 @@ use rand::Rng;
 use crate::endurance::EnduranceModel;
 use crate::fault_map::{FaultMap, FRAME_BYTES};
 
-/// A wear event: a byte crossed its endurance limit and became faulty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WearEvent {
-    /// Index of the newly faulty byte within the frame.
-    pub byte: usize,
-}
-
 /// One NVM frame: 66 physical bytes, each with an endurance limit drawn
 /// from the [`EnduranceModel`] and a cumulative write-wear counter.
 ///
@@ -34,11 +27,8 @@ pub struct WearEvent {
 ///
 /// let mut f = Frame::with_uniform_endurance(3);
 /// // Write bytes 0 and 1 three times; both die on the third write.
-/// let mut events = Vec::new();
-/// for _ in 0..3 {
-///     events.extend(f.record_write(0b11));
-/// }
-/// assert_eq!(events.len(), 2);
+/// let failed: usize = (0..3).map(|_| f.record_write(0b11)).sum();
+/// assert_eq!(failed, 2);
 /// assert_eq!(f.live_bytes(), 64);
 /// ```
 #[derive(Clone, Debug)]
@@ -118,12 +108,6 @@ impl Frame {
         self.fault_map.live_bytes()
     }
 
-    /// True if an ECB of `ecb_len` bytes fits in this frame.
-    #[inline]
-    pub fn fits(&self, ecb_len: usize) -> bool {
-        ecb_len <= self.live_bytes()
-    }
-
     /// True if every byte has failed.
     #[inline]
     pub fn is_dead(&self) -> bool {
@@ -168,14 +152,14 @@ impl Frame {
 
     /// Records one selective write with the given byte mask (bit `i` set =
     /// byte `i` written), as produced by the rearrangement circuitry.
-    /// Returns the bytes that failed as a result.
-    pub fn record_write(&mut self, mask: u128) -> Vec<WearEvent> {
+    /// Returns the number of bytes that failed as a result.
+    pub fn record_write(&mut self, mask: u128) -> usize {
         // Faulty bytes absorb no wear: drop them from the mask a whole
         // word at a time, then walk the surviving bits.
         let live = self.fault_map.live_words();
         let mask_words = [mask as u64, (mask >> 64) as u64];
         let wear = self.wear.get_or_insert_with(|| Box::new(NO_WEAR));
-        let mut events = Vec::new();
+        let mut failed = 0;
         for (w, &word) in mask_words.iter().enumerate() {
             // w < 2 == live.len() (both arrays cover FRAME_BYTES bits).
             let mut bits = word & live[w];
@@ -185,24 +169,24 @@ impl Frame {
                 wear[i] += 1.0;
                 if wear[i] >= self.endurance[i] {
                     self.fault_map.mark_faulty(i);
-                    events.push(WearEvent { byte: i });
+                    failed += 1;
                 }
             }
         }
-        events
+        failed
     }
 
     /// Spreads `total_byte_writes` of wear uniformly across the live bytes —
     /// the aggregate effect of the rotating wear-leveling counter over a
-    /// long interval. Returns the bytes that failed.
-    pub fn apply_uniform_wear(&mut self, total_byte_writes: f64) -> Vec<WearEvent> {
+    /// long interval. Returns the number of bytes that failed.
+    pub fn apply_uniform_wear(&mut self, total_byte_writes: f64) -> usize {
         let live = self.live_bytes();
         if live == 0 || total_byte_writes <= 0.0 {
-            return Vec::new();
+            return 0;
         }
         let per_byte = total_byte_writes / live as f64;
         let wear = self.wear.get_or_insert_with(|| Box::new(NO_WEAR));
-        let mut events = Vec::new();
+        let mut failed = 0;
         for (w, &word) in self.fault_map.live_words().iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -211,15 +195,16 @@ impl Frame {
                 wear[i] += per_byte;
                 if wear[i] >= self.endurance[i] {
                     self.fault_map.mark_faulty(i);
-                    events.push(WearEvent { byte: i });
+                    failed += 1;
                 }
             }
         }
-        events
+        failed
     }
 
-    /// Directly disables byte `i` (used for frame-disabling and fault
-    /// injection in tests).
+    /// Directly disables byte `i`. An array's frames go through
+    /// [`NvmArray::disable_byte`](crate::NvmArray::disable_byte), which
+    /// also applies the disabling granularity.
     ///
     /// # Panics
     ///
@@ -252,21 +237,20 @@ mod tests {
     fn record_write_wears_only_masked_bytes() {
         let mut f = Frame::with_uniform_endurance(10);
         for _ in 0..9 {
-            assert!(f.record_write(0b1).is_empty());
+            assert_eq!(f.record_write(0b1), 0);
         }
         assert_eq!(f.remaining_writes(0), 1.0);
         assert_eq!(f.remaining_writes(1), 10.0);
-        let ev = f.record_write(0b1);
-        assert_eq!(ev, vec![WearEvent { byte: 0 }]);
+        assert_eq!(f.record_write(0b1), 1);
         assert!(f.fault_map().is_faulty(0));
     }
 
     #[test]
     fn faulty_bytes_absorb_no_more_wear() {
         let mut f = Frame::with_uniform_endurance(1);
-        assert_eq!(f.record_write(0b1).len(), 1);
-        // Further writes to a dead byte produce no events and no wear change.
-        assert!(f.record_write(0b1).is_empty());
+        assert_eq!(f.record_write(0b1), 1);
+        // Further writes to a dead byte fail nothing and change no wear.
+        assert_eq!(f.record_write(0b1), 0);
         assert_eq!(f.remaining_writes(0), 0.0);
     }
 
@@ -279,8 +263,8 @@ mod tests {
             .min_by(|&a, &b| f.remaining_writes(a).total_cmp(&f.remaining_writes(b)))
             .unwrap();
         let threshold = f.remaining_writes(weakest);
-        let events = f.apply_uniform_wear(threshold * FRAME_BYTES as f64);
-        assert!(events.iter().any(|e| e.byte == weakest));
+        assert!(f.apply_uniform_wear(threshold * FRAME_BYTES as f64) > 0);
+        assert!(f.fault_map().is_faulty(weakest));
     }
 
     #[test]
@@ -290,15 +274,6 @@ mod tests {
             f.disable_byte(i);
         }
         assert!(f.is_dead());
-        assert!(f.apply_uniform_wear(1e9).is_empty());
-    }
-
-    #[test]
-    fn fits_tracks_live_bytes() {
-        let mut f = Frame::with_uniform_endurance(100);
-        assert!(f.fits(66));
-        f.disable_byte(5);
-        assert!(!f.fits(66));
-        assert!(f.fits(65));
+        assert_eq!(f.apply_uniform_wear(1e9), 0);
     }
 }

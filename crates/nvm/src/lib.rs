@@ -39,5 +39,5 @@ mod wear;
 pub use array::{DisableGranularity, FrameId, NvmArray};
 pub use endurance::EnduranceModel;
 pub use fault_map::{FaultMap, LiveIndices, FAULT_WORDS, FRAME_BYTES};
-pub use frame::{Frame, WearEvent};
+pub use frame::Frame;
 pub use wear::WearLevelCounter;

@@ -120,12 +120,10 @@ pub fn degraded_array(llc_cfg: &HybridConfig, capacity: f64, seed: u64) -> Optio
     if capacity >= 1.0 {
         return None;
     }
-    let mut llc = hllc_core::HybridLlc::new(llc_cfg);
+    let mut array = llc_cfg.sample_array()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0DE6_AADE);
-    if let Some(a) = llc.array_mut() {
-        a.degrade_to(capacity, &mut rng);
-    }
-    llc.into_array()
+    array.degrade_to(capacity, &mut rng);
+    Some(array)
 }
 
 /// The deterministic job enumeration: policies outermost, replicates

@@ -15,21 +15,15 @@ use hybrid_llc::LlcPort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Disables `n` random bytes per NVM frame, honouring each policy's
-/// granularity through the normal wear path.
+/// Disables `n` random bytes per NVM frame; the array applies each
+/// policy's granularity (a frame-disabling cache loses the whole frame at
+/// its first fault).
 fn injure(llc: &mut HybridLlc, bytes_per_frame: usize, rng: &mut StdRng) {
     let Some(array) = llc.array_mut() else { return };
     for set in 0..array.sets() {
         for way in 0..array.ways() {
             for _ in 0..bytes_per_frame {
-                let b = rng.gen_range(0..FRAME_BYTES);
-                array.frame_mut(set, way).disable_byte(b);
-            }
-            // Frame-granularity caches react to the first fault.
-            if array.granularity() == hybrid_llc::nvm::DisableGranularity::Frame
-                && array.frame(set, way).fault_map().faulty_bytes() > 0
-            {
-                array.disable_frame(set, way);
+                array.disable_byte(set, way, rng.gen_range(0..FRAME_BYTES));
             }
         }
     }

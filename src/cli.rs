@@ -132,11 +132,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.spec.workload.mix = v;
             }
-            "--cycles" => {
-                args.spec.run.cycles = value()?
-                    .parse()
-                    .map_err(|_| "--cycles expects a number".to_string())?;
-            }
+            "--cycles" => args.spec.run.cycles = parse_cycles(value()?)?,
             "--seed" => {
                 args.spec.workload.seed = value()?
                     .parse()
@@ -181,6 +177,11 @@ pub struct SweepArgs {
     /// Trace file replacing the synthetic mixes.
     pub trace: Option<String>,
 }
+
+/// The most jobs one `hllc sweep` grid may hold: far above any figure's
+/// grid (a few thousand jobs at paper scale), far below a job list that
+/// cannot be allocated.
+pub const MAX_SWEEP_JOBS: usize = 1 << 16;
 
 /// Parses the flags of `hllc sweep`.
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
@@ -244,11 +245,7 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--jobs" => args.jobs = parse_jobs(value()?)?,
-            "--cycles" => {
-                args.cycles = value()?
-                    .parse()
-                    .map_err(|_| "--cycles expects a number".to_string())?;
-            }
+            "--cycles" => args.cycles = parse_cycles(value()?)?,
             "--seed" => {
                 args.spec.workload.seed = value()?
                     .parse()
@@ -271,6 +268,23 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     }
     if args.nvm_latency_factors.is_empty() {
         args.nvm_latency_factors = vec![args.spec.system.nvm_latency_factor];
+    }
+    // Checked, so an absurd `--seeds` cannot wrap the product past the cap.
+    let jobs = [
+        args.policies.len(),
+        args.capacities.len(),
+        args.way_splits.len(),
+        args.nvm_latency_factors.len(),
+        args.mixes.len(),
+        args.seeds,
+    ]
+    .into_iter()
+    .try_fold(1usize, usize::checked_mul);
+    if jobs.is_none_or(|n| n > MAX_SWEEP_JOBS) {
+        let count = jobs.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
+        return Err(format!(
+            "sweep grid has {count} jobs (at most {MAX_SWEEP_JOBS})"
+        ));
     }
     args.spec.validate().map_err(|e| e.to_string())?;
     Ok(args)
@@ -298,6 +312,17 @@ fn parse_way_splits(v: &str) -> Result<Vec<(usize, usize)>, String> {
         return Err("--way-splits expects at least one SRAM/NVM pair".into());
     }
     Ok(list)
+}
+
+/// Parses a `--cycles` value: the measured cycle budget of a run, a sweep
+/// job or a replay, held to the `run.cycles` rule (finite and positive).
+fn parse_cycles(v: &str) -> Result<f64, String> {
+    v.parse()
+        .ok()
+        .filter(|c: &f64| c.is_finite() && *c > 0.0)
+        .ok_or_else(|| {
+            format!("invalid --cycles '{v}': run.cycles must be a finite positive cycle count")
+        })
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -392,13 +417,7 @@ pub fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
                         .ok_or_else(|| format!("unknown policy '{v}' (try `hllc policies`)"))?,
                 );
             }
-            "--cycles" => {
-                cycles = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "--cycles expects a number".to_string())?,
-                );
-            }
+            "--cycles" => cycles = Some(parse_cycles(value()?)?),
             "--spec" => {
                 spec = Some(ExperimentSpec::resolve(value()?).map_err(|e| e.to_string())?);
             }
@@ -680,6 +699,44 @@ mod tests {
         assert!(parse_sweep_args(&argv("--jobs many")).is_err());
         assert!(parse_args(&argv("--jobs 1")).is_ok());
         assert!(parse_sweep_args(&argv("--jobs 1")).is_ok());
+    }
+
+    #[test]
+    fn cycles_must_be_finite_and_positive_everywhere() {
+        for bad in ["nan", "inf", "-inf", "-5", "0", "-0", "lots"] {
+            let flags = format!("--cycles {bad}");
+            for e in [
+                parse_args(&argv(&flags)).unwrap_err(),
+                parse_sweep_args(&argv(&flags)).unwrap_err(),
+                parse_replay_args(&argv(&format!("--trace t.trc {flags}"))).unwrap_err(),
+            ] {
+                assert!(
+                    e.contains("--cycles") && e.contains("run.cycles"),
+                    "{bad}: {e}"
+                );
+            }
+        }
+        assert_eq!(parse_args(&argv("--cycles 1e-3")).unwrap().cycles(), 1e-3);
+        assert_eq!(parse_sweep_args(&argv("--cycles 5e4")).unwrap().cycles, 5e4);
+        let r = parse_replay_args(&argv("--trace t.trc --cycles 7")).unwrap();
+        assert_eq!(r.cycles, Some(7.0));
+    }
+
+    #[test]
+    fn sweep_job_count_is_capped() {
+        let at_cap = format!("--policies bh --mixes 1 --seeds {MAX_SWEEP_JOBS}");
+        assert_eq!(
+            parse_sweep_args(&argv(&at_cap)).unwrap().seeds,
+            MAX_SWEEP_JOBS
+        );
+        let over = format!(
+            "--policies bh,tap --mixes 1 --seeds {}",
+            MAX_SWEEP_JOBS / 2 + 1
+        );
+        let e = parse_sweep_args(&argv(&over)).unwrap_err();
+        assert!(e.contains(&format!("{} jobs", MAX_SWEEP_JOBS + 2)), "{e}");
+        let e = parse_sweep_args(&argv(&format!("--seeds {}", usize::MAX))).unwrap_err();
+        assert!(e.contains("more than"), "{e}");
     }
 
     #[test]

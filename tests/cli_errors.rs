@@ -30,6 +30,25 @@ fn bad_flags_report_on_stderr_only() {
 }
 
 #[test]
+fn sweep_and_replay_reject_unbounded_cycles() {
+    for bad in ["-5", "0", "inf", "nan"] {
+        let sweep = ["sweep", "--policies", "bh", "--mixes", "1", "--cycles", bad];
+        assert_fails_naming(&hllc(&sweep), "run.cycles");
+        let replay = ["replay", "--trace", "missing.trc", "--cycles", bad];
+        assert_fails_naming(&hllc(&replay), "run.cycles");
+    }
+}
+
+#[test]
+fn oversized_sweep_grid_is_an_error_not_an_abort() {
+    let out = hllc(&["sweep", "--seeds", "1000000000000000", "--cycles", "1e3"]);
+    // Default grid: 2 policies x 4 mixes per seed.
+    assert_fails_naming(&out, "8000000000000000 jobs");
+    let out = hllc(&["sweep", "--seeds", &usize::MAX.to_string()]);
+    assert_fails_naming(&out, "jobs");
+}
+
+#[test]
 fn oversized_spec_geometry_is_an_error_not_an_abort() {
     let spec = hybrid_llc::config::ExperimentSpec::preset("scaled")
         .unwrap()
