@@ -45,6 +45,27 @@ pub const MAX_SETS: usize = 1 << 14;
 /// Ceiling on `l1_ways` and `l2_ways`: 2× the paper's L2.
 pub const MAX_PRIVATE_WAYS: usize = 32;
 
+/// Ceiling on a cycle budget: `run.cycles`, `forecast.warmup_cycles` and
+/// `forecast.measure_cycles` (and `--cycles`). It is 1000× the largest
+/// budget used by any preset, harness, test, CI step or the benchmark
+/// (which records 1e7 cycles; the paper preset measures 8e6 per phase). A
+/// run of this many cycles is minutes of simulation; a larger finite
+/// budget, such as 1e300, would run until killed.
+pub const MAX_CYCLES: f64 = 1e10;
+
+/// Checks a cycle budget against the rule every cycle field and `--cycles`
+/// share: positive and at most [`MAX_CYCLES`] (so never NaN or infinite).
+/// The error is the rule, for the caller to attach to its field or flag.
+pub fn check_cycle_budget(cycles: f64) -> Result<f64, String> {
+    if cycles > 0.0 && cycles <= MAX_CYCLES {
+        Ok(cycles)
+    } else {
+        Err(format!(
+            "must be a finite positive cycle count, at most {MAX_CYCLES:e}"
+        ))
+    }
+}
+
 /// Footprint scale implied by an LLC set count ([`PAPER_SETS`] = 1.0).
 /// The single home of the sets-relative-to-4096 derivation.
 pub fn footprint_scale(sets: usize) -> f64 {
@@ -465,22 +486,19 @@ impl ExperimentSpec {
         if !r.warmup_fraction.is_finite() || r.warmup_fraction < 0.0 || r.warmup_fraction > 10.0 {
             return Err(invalid("run.warmup_fraction", "must be in 0.0..=10.0"));
         }
-        if !r.cycles.is_finite() || r.cycles <= 0.0 {
-            return Err(invalid(
-                "run.cycles",
-                "must be a finite positive cycle count",
-            ));
-        }
-
         let f = &self.forecast;
         for (field, v) in [
+            ("run.cycles", r.cycles),
             ("forecast.warmup_cycles", f.warmup_cycles),
             ("forecast.measure_cycles", f.measure_cycles),
-            ("forecast.max_step_seconds", f.max_step_seconds),
         ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(invalid(field, "must be a finite positive number"));
-            }
+            check_cycle_budget(v).map_err(|rule| invalid(field, rule))?;
+        }
+        if !f.max_step_seconds.is_finite() || f.max_step_seconds <= 0.0 {
+            return Err(invalid(
+                "forecast.max_step_seconds",
+                "must be a finite positive number",
+            ));
         }
         if !f.capacity_step.is_finite() || f.capacity_step <= 0.0 || f.capacity_step > 1.0 {
             return Err(invalid("forecast.capacity_step", "must be in 0.0..=1.0"));
@@ -1078,6 +1096,46 @@ mod tests {
         let paper = ExperimentSpec::preset("paper").unwrap().system;
         assert!(2 * paper.l2_sets <= MAX_SETS && paper.llc_sets <= MAX_SETS);
         assert!(paper.l2_ways <= MAX_PRIVATE_WAYS);
+    }
+
+    #[test]
+    fn cycle_budgets_are_capped_per_field() {
+        type Field = fn(&mut ExperimentSpec) -> &mut f64;
+        let fields: [(&str, Field); 3] = [
+            ("run.cycles", |s| &mut s.run.cycles),
+            ("forecast.warmup_cycles", |s| &mut s.forecast.warmup_cycles),
+            ("forecast.measure_cycles", |s| {
+                &mut s.forecast.measure_cycles
+            }),
+        ];
+        for (name, field) in fields {
+            let mut spec = ExperimentSpec::preset("scaled").unwrap();
+            *field(&mut spec) = MAX_CYCLES;
+            spec.validate().unwrap();
+            for v in [2.0 * MAX_CYCLES, 1e300, f64::INFINITY, f64::NAN, 0.0, -5.0] {
+                *field(&mut spec) = v;
+                let e = spec.validate().unwrap_err();
+                assert!(
+                    matches!(e, SpecError::Invalid { ref field, .. } if field == name),
+                    "{name} = {v}: {e}"
+                );
+            }
+        }
+        // Seconds, not cycles: the paper preset's step is ~1e7 s, and the
+        // cycle cap does not apply.
+        let mut spec = ExperimentSpec::preset("paper").unwrap();
+        spec.forecast.max_step_seconds = 1e12;
+        spec.validate().unwrap();
+        // Every preset's budgets sit at least 100x below the cap.
+        for preset in ["scaled", "paper"] {
+            let s = ExperimentSpec::preset(preset).unwrap();
+            let largest = s
+                .run
+                .cycles
+                .max(s.forecast.warmup_cycles)
+                .max(s.forecast.measure_cycles);
+            assert!(100.0 * largest <= MAX_CYCLES, "{preset}: {largest}");
+        }
     }
 
     #[test]

@@ -197,11 +197,6 @@ impl HybridLlc {
             .map(|(p, _)| p)
     }
 
-    /// The exact (part, way) a resident block occupies (diagnostics).
-    pub fn locate_way(&self, block: u64) -> Option<(Part, usize)> {
-        self.find(set_index(block, self.sets), block)
-    }
-
     /// The resident line for `block`, if any (diagnostics; gathered by
     /// value from the metadata lanes).
     pub fn peek(&self, block: u64) -> Option<LineState> {
@@ -725,6 +720,80 @@ impl LlcPort for HybridLlc {
         self.stats = LlcStats::default();
         if let Some(a) = &mut self.array {
             a.reset_write_stats();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const SETS: usize = 8;
+
+    /// Sticky pseudo-random size in 1..=64 from the hash of the block.
+    struct HashSizeData;
+
+    impl DataModel for HashSizeData {
+        fn compressed_size(&mut self, block: u64) -> u8 {
+            let h = block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+            [
+                1u8, 8, 15, 19, 22, 29, 33, 34, 36, 43, 49, 50, 57, 64, 64, 64,
+            ][h as usize % 16]
+        }
+    }
+
+    /// Inserts as `(dirty, reuse)`: clean, dirty, read reuse, write reuse.
+    const INSERTS: [(bool, ReuseClass); 4] = [
+        (false, ReuseClass::None),
+        (true, ReuseClass::None),
+        (false, ReuseClass::Read),
+        (true, ReuseClass::Write),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// NVM-resident compressed blocks always fit their frame's
+        /// capacity. Ops 0..4 index `INSERTS`; 4 is a GetS, 5 a GetX.
+        #[test]
+        fn nvm_residents_fit_their_frames(
+            ops in prop::collection::vec((0usize..6, 0u64..64), 1..400),
+            faulty_bytes in 0usize..40,
+        ) {
+            let cfg = HybridConfig::new(SETS, 4, 12, Policy::cp_sd());
+            let mut llc = HybridLlc::new(&cfg);
+            // Injure some frames first.
+            for set in 0..SETS {
+                for way in 0..12 {
+                    let n = (set * 7 + way * 13 + faulty_bytes) % faulty_bytes.max(1);
+                    for b in 0..n {
+                        llc.array_mut().unwrap().disable_byte(set, way, b);
+                    }
+                }
+            }
+            for (now, &(op, block)) in ops.iter().enumerate() {
+                let now = now as u64;
+                match INSERTS.get(op) {
+                    Some(&(dirty, reuse)) => llc.insert(now, block, dirty, reuse, &mut HashSizeData),
+                    None => {
+                        let req = if op == 4 { LlcReq::GetS } else { LlcReq::GetX };
+                        let _ = llc.request(now, block, req);
+                    }
+                }
+            }
+            for block in 0u64..64 {
+                let set = set_index(block, SETS);
+                if let Some((Part::Nvm, way)) = llc.find(set, block) {
+                    let line = llc.peek(block).unwrap();
+                    let capacity = llc.array().unwrap().effective_capacity(set, way);
+                    prop_assert!(
+                        line.ecb_size() <= capacity,
+                        "block {block}: ECB {} bytes in a {capacity}-byte frame",
+                        line.ecb_size()
+                    );
+                }
+            }
         }
     }
 }

@@ -176,36 +176,4 @@ proptest! {
             }
         }
     }
-
-    /// NVM-resident compressed blocks always fit their frame's capacity.
-    #[test]
-    fn nvm_residents_fit_their_frames(ops in arb_ops(), faulty_bytes in 0usize..40) {
-        let cfg = HybridConfig::new(SETS, 4, 12, Policy::cp_sd());
-        let mut llc = HybridLlc::new(&cfg);
-        // Injure some frames first.
-        for set in 0..SETS {
-            for way in 0..12 {
-                let n = (set * 7 + way * 13 + faulty_bytes) % faulty_bytes.max(1);
-                for b in 0..n {
-                    llc.array_mut().unwrap().disable_byte(set, way, b);
-                }
-            }
-        }
-        let mut data = HashSizeData;
-        for (now, (op, block)) in ops.iter().enumerate() {
-            apply(&mut llc, now as u64, *op, *block, &mut data);
-        }
-        for block in 0u64..64 {
-            if let Some((hllc_core::Part::Nvm, way)) = llc.locate_way(block) {
-                let line = llc.peek(block).unwrap();
-                let set = (block as usize) % SETS;
-                let capacity = llc.array().unwrap().effective_capacity(set, way);
-                prop_assert!(
-                    line.ecb_size() <= capacity,
-                    "block {block}: ECB {} bytes in a {capacity}-byte frame",
-                    line.ecb_size()
-                );
-            }
-        }
-    }
 }

@@ -18,7 +18,7 @@
 //!
 //! let cfg = ForecastConfig::scaled(Policy::cp_sd());
 //! let series = Forecast::new(cfg).run(&mixes()[0], 1);
-//! println!("50% capacity after {:?} days", series.lifetime_days(0.5));
+//! println!("50% capacity after {:?} s", series.lifetime_seconds(0.5));
 //! ```
 
 mod phase;

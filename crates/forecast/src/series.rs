@@ -25,8 +25,6 @@ pub struct ForecastSeries {
     pub points: Vec<ForecastPoint>,
 }
 
-const SECONDS_PER_DAY: f64 = 86_400.0;
-
 impl ForecastSeries {
     /// Creates an empty series with a label.
     pub fn new(label: impl Into<String>) -> Self {
@@ -53,11 +51,6 @@ impl ForecastSeries {
             prev = Some(p);
         }
         None
-    }
-
-    /// Lifetime to `target` capacity in days.
-    pub fn lifetime_days(&self, target: f64) -> Option<f64> {
-        self.lifetime_seconds(target).map(|s| s / SECONDS_PER_DAY)
     }
 
     /// IPC of the first sample (the "beginning of life" performance the
@@ -199,12 +192,38 @@ mod tests {
     }
 
     #[test]
-    fn unit_conversions() {
-        let s = ForecastSeries {
-            label: "x".into(),
-            points: vec![p(0.0, 1.0, 2.0), p(86_400.0, 0.5, 1.0)],
+    fn average_holds_a_finished_run_at_its_last_point() {
+        // Run `a` stops at t = 100 just below half capacity; run `b` ages
+        // three times slower. The grid spans the longer run.
+        let a = ForecastSeries {
+            label: "a".into(),
+            points: vec![p(0.0, 1.0, 2.0), p(100.0, 0.49, 1.0)],
         };
-        assert!((s.lifetime_days(0.5).unwrap() - 1.0).abs() < 1e-12);
+        let b = ForecastSeries {
+            label: "b".into(),
+            points: vec![p(0.0, 1.0, 2.0), p(300.0, 0.49, 1.0)],
+        };
+        let avg = ForecastSeries::average("avg", &[a.clone(), b.clone()], 4);
+        let times: Vec<f64> = avg.points.iter().map(|q| q.time_seconds).collect();
+        assert_eq!(times, [0.0, 100.0, 200.0, 300.0]);
+        // At t = 200, `a` has finished and contributes its last point (0.49
+        // capacity, IPC 1.0); `b` is interpolated (0.66, IPC 4/3).
+        let at_200 = avg.points[2];
+        assert!((at_200.capacity - (0.49 + 0.66) / 2.0).abs() < 1e-12);
+        assert!((at_200.ipc - (1.0 + 4.0 / 3.0) / 2.0).abs() < 1e-12);
+        // So the finished run stops pulling the mean down, and the averaged
+        // curve reaches 0.5 only as the slower run does: its lifetime
+        // (~288 s) is not the mean of the two runs' lifetimes (~196 s).
+        let averaged = avg.lifetime_seconds(0.5).unwrap();
+        let mean = (a.lifetime_seconds(0.5).unwrap() + b.lifetime_seconds(0.5).unwrap()) / 2.0;
+        assert!(
+            (averaged - (200.0 + 100.0 * 0.075 / 0.085)).abs() < 1e-9,
+            "{averaged}"
+        );
+        assert!(
+            (mean - (100.0 + 300.0) / 2.0 * 0.5 / 0.51).abs() < 1e-9,
+            "{mean}"
+        );
     }
 
     #[test]

@@ -26,4 +26,6 @@ mod sweep;
 
 pub use pool::{default_threads, run_indexed};
 pub use seed::job_seed;
-pub use sweep::{degraded_array, report_json, run_sweep, JobResult, SweepReport, SweepSpec};
+pub use sweep::{
+    degraded_array, report_json, run_sweep, JobResult, SweepReport, SweepSpec, MAX_SWEEP_JOBS,
+};

@@ -49,15 +49,43 @@ pub struct SweepSpec {
     pub trace: Option<Arc<TraceContent>>,
 }
 
+/// The most jobs one sweep grid may hold: far above any figure's grid (a
+/// few thousand jobs at paper scale), far below a job list that cannot be
+/// allocated.
+pub const MAX_SWEEP_JOBS: usize = 1 << 16;
+
 impl SweepSpec {
-    /// Total number of jobs in the grid.
+    /// Total number of jobs in the grid, saturating at `usize::MAX` where
+    /// the product of the axes would overflow.
     pub fn job_count(&self) -> usize {
-        self.policies.len()
-            * self.capacities.len()
-            * self.way_splits.len()
-            * self.nvm_latency_factors.len()
-            * self.mixes.len()
-            * self.seeds
+        self.axis_product().unwrap_or(usize::MAX)
+    }
+
+    /// The number of jobs in the grid, or an error naming it when the grid
+    /// holds more than [`MAX_SWEEP_JOBS`] (or more than `usize` counts).
+    pub fn checked_job_count(&self) -> Result<usize, String> {
+        match self.axis_product() {
+            Some(n) if n <= MAX_SWEEP_JOBS => Ok(n),
+            n => {
+                let count = n.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
+                Err(format!(
+                    "sweep grid has {count} jobs (at most {MAX_SWEEP_JOBS})"
+                ))
+            }
+        }
+    }
+
+    fn axis_product(&self) -> Option<usize> {
+        [
+            self.policies.len(),
+            self.capacities.len(),
+            self.way_splits.len(),
+            self.nvm_latency_factors.len(),
+            self.mixes.len(),
+            self.seeds,
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
     }
 }
 
@@ -132,7 +160,8 @@ pub fn degraded_array(llc_cfg: &HybridConfig, capacity: f64, seed: u64) -> Optio
 /// the row and derives its seed — and singleton axes keep it identical to
 /// the pre-axis enumeration.
 fn enumerate_jobs(spec: &SweepSpec) -> Vec<SweepJob> {
-    let mut jobs = Vec::with_capacity(spec.job_count());
+    // Reserve only a count within the cap; `run_sweep` refuses larger grids.
+    let mut jobs = Vec::with_capacity(spec.checked_job_count().unwrap_or(0));
     for (label, policy) in &spec.policies {
         for &capacity in &spec.capacities {
             for &(sram_ways, nvm_ways) in &spec.way_splits {
@@ -193,7 +222,15 @@ fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
 
 /// Runs the grid on `spec.threads` workers and returns the report. The
 /// report is a pure function of the spec minus its `threads` field.
+///
+/// # Panics
+///
+/// Panics if the grid holds more than [`MAX_SWEEP_JOBS`] jobs (check
+/// [`SweepSpec::checked_job_count`] first) or names a mix out of range.
 pub fn run_sweep(spec: &SweepSpec) -> SweepReport {
+    if let Err(e) = spec.checked_job_count() {
+        panic!("{e}");
+    }
     if spec.trace.is_none() {
         for &mix in &spec.mixes {
             assert!(mix < mixes().len(), "mix index {mix} out of range");
@@ -311,6 +348,30 @@ mod tests {
         assert_eq!(jobs[0].label, "BH");
         assert_eq!(jobs[1].rep, 1);
         assert_eq!(jobs[4].label, "CP_SD");
+    }
+
+    #[test]
+    fn job_count_is_checked_against_the_cap_and_overflow() {
+        let mut spec = tiny_spec(1);
+        // 2 policies × 2 capacities = 4 jobs per seed.
+        spec.seeds = MAX_SWEEP_JOBS / 4;
+        assert_eq!(spec.checked_job_count(), Ok(MAX_SWEEP_JOBS));
+        spec.seeds += 1;
+        let e = spec.checked_job_count().unwrap_err();
+        assert!(e.contains(&format!("{} jobs", MAX_SWEEP_JOBS + 4)), "{e}");
+        // 4 × usize::MAX overflows: saturated, never wrapped.
+        spec.seeds = usize::MAX;
+        assert_eq!(spec.job_count(), usize::MAX);
+        let e = spec.checked_job_count().unwrap_err();
+        assert!(e.contains(&format!("more than {}", usize::MAX)), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn run_sweep_refuses_an_oversized_grid() {
+        let mut spec = tiny_spec(1);
+        spec.seeds = usize::MAX / 4;
+        run_sweep(&spec);
     }
 
     #[test]

@@ -1,0 +1,131 @@
+//! A paged block → compressed-size table (DESIGN §10.10): replay's sizes,
+//! the recorder's first-seen set and the FPC memo. A lookup hashes a small
+//! page directory and reads one byte.
+
+use std::collections::HashMap;
+
+/// log2 of the blocks per page.
+const PAGE_SHIFT: u32 = 6;
+/// Blocks per page: one bit of [`Page::present`] each.
+const PAGE_BLOCKS: usize = 1 << PAGE_SHIFT;
+/// A block's slot within its page.
+const SLOT_MASK: u64 = PAGE_BLOCKS as u64 - 1;
+
+/// The sizes of 64 consecutive blocks and which of them are present.
+#[derive(Clone, Debug)]
+struct Page {
+    present: u64,
+    sizes: [u8; PAGE_BLOCKS],
+}
+
+/// A map from block number to a one-byte size, stored in pages of 64
+/// consecutive blocks.
+///
+/// Any `u8` value and any block (up to `u64::MAX`) round-trips, and a
+/// later insert overwrites. An empty table owns no heap memory. Heap use is
+/// linear in the number of entries: at worst, with every entry in a page of
+/// its own, about 183 bytes per entry (DESIGN §10.10).
+///
+/// # Example
+///
+/// ```
+/// use hllc_sim::BlockSizes;
+///
+/// let mut t = BlockSizes::new();
+/// assert_eq!(t.insert(u64::MAX, 0), None);
+/// assert_eq!(t.insert(u64::MAX, 37), Some(0));
+/// assert_eq!(t.get(u64::MAX), Some(37));
+/// assert_eq!(t.get(u64::MAX - 1), None);
+/// assert_eq!(t.len(), 1);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct BlockSizes {
+    /// Page number (`block >> 6`) → index into `pages`. Std's randomly
+    /// keyed SipHash, because blocks come from outside input (trace files):
+    /// with an unkeyed or invertible hash a crafted file could send every
+    /// page to one probe sequence and make building quadratic. The map is
+    /// only probed, never iterated, so its order reaches no output.
+    dir: HashMap<u64, usize>,
+    pages: Vec<Page>,
+}
+
+impl BlockSizes {
+    /// An empty table (allocates nothing).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Blocks in the table (a count over the pages' presence masks).
+    pub fn len(&self) -> usize {
+        self.pages
+            .iter()
+            .map(|p| p.present.count_ones() as usize)
+            .sum()
+    }
+
+    /// True when no block has been inserted (a page exists only once one
+    /// of its blocks has).
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// The size stored for `block`, if any.
+    #[inline]
+    pub fn get(&self, block: u64) -> Option<u8> {
+        let &index = self.dir.get(&(block >> PAGE_SHIFT))?;
+        let page = self.pages.get(index)?;
+        let slot = (block & SLOT_MASK) as usize;
+        if page.present >> slot & 1 == 0 {
+            return None;
+        }
+        // slot < PAGE_BLOCKS by the mask above.
+        Some(page.sizes[slot])
+    }
+
+    /// Stores `size` for `block` and returns the size it replaces, if any.
+    pub fn insert(&mut self, block: u64, size: u8) -> Option<u8> {
+        let pages = &mut self.pages;
+        let &mut index = self.dir.entry(block >> PAGE_SHIFT).or_insert_with(|| {
+            pages.push(Page {
+                present: 0,
+                sizes: [0; PAGE_BLOCKS],
+            });
+            pages.len() - 1
+        });
+        // index < pages.len(): every directory value is the index of the
+        // page pushed with it, and pages are never removed.
+        let page = &mut self.pages[index];
+        let slot = (block & SLOT_MASK) as usize;
+        let bit = 1u64 << slot;
+        // slot < PAGE_BLOCKS by the mask above.
+        let old = (page.present & bit != 0).then_some(page.sizes[slot]);
+        page.present |= bit;
+        // slot < PAGE_BLOCKS by the mask above.
+        page.sizes[slot] = size;
+        old
+    }
+}
+
+impl FromIterator<(u64, u8)> for BlockSizes {
+    /// Builds the table in one pass; a later duplicate wins.
+    fn from_iter<I: IntoIterator<Item = (u64, u8)>>(entries: I) -> Self {
+        let mut table = BlockSizes::new();
+        for (block, size) in entries {
+            table.insert(block, size);
+        }
+        table
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn neighbours_share_a_page_and_keep_their_own_sizes() {
+        let t: BlockSizes = (0..64u64).map(|b| (b, b as u8)).collect();
+        assert_eq!((t.len(), t.pages.len(), t.dir.len()), (64, 1, 1));
+        assert!((0..64).all(|b| t.get(b) == Some(b as u8)));
+        assert_eq!(t.get(64), None);
+    }
+}

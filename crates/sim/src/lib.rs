@@ -36,6 +36,7 @@
 
 mod access;
 mod address;
+mod block_sizes;
 mod cache;
 pub mod coherence;
 mod config;
@@ -49,6 +50,7 @@ mod timing;
 
 pub use access::{Access, Op};
 pub use address::{block_addr, block_of, set_index, BLOCK_OFFSET_BITS};
+pub use block_sizes::BlockSizes;
 pub use cache::{Cache, Entry, Evicted, Slot};
 pub use config::SystemConfig;
 pub use data::{ConstSizeData, DataModel};

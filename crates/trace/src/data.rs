@@ -1,15 +1,13 @@
 //! The workload-backed data model: per-block compressed sizes from each
 //! block's sticky compressibility class.
 
-use std::collections::HashMap;
-
 use hllc_compress::{Block, CompressorKind};
-use hllc_sim::DataModel;
+use hllc_sim::{BlockSizes, DataModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::app::APP_SLOT_SHIFT;
-use crate::profile::{splitmix, BuildSplitmix, Profile, SynthClass};
+use crate::profile::{splitmix, Profile, SynthClass};
 
 /// Block-address bit where the app slot lives (byte bit 40 → block bit 34).
 const SLOT_SHIFT_BLOCKS: u32 = APP_SLOT_SHIFT - 6;
@@ -38,11 +36,8 @@ const SLOT_SHIFT_BLOCKS: u32 = APP_SLOT_SHIFT - 6;
 pub struct WorkloadData {
     profiles: Vec<Profile>,
     compressor: CompressorKind,
-    /// Memoized per-block FPC sizes (empty under BDI). Keyed with the
-    /// splitmix hasher: the map is only ever probed and inserted (never
-    /// iterated), so the hash function affects speed, not simulation
-    /// results.
-    sizes: HashMap<u64, u8, BuildSplitmix>,
+    /// Memoized per-block FPC sizes (empty, and unallocated, under BDI).
+    sizes: BlockSizes,
     /// Whether any block has been sized, under either compressor.
     sized: bool,
     rng: StdRng,
@@ -59,7 +54,7 @@ impl WorkloadData {
         WorkloadData {
             profiles,
             compressor: CompressorKind::Bdi,
-            sizes: HashMap::default(),
+            sizes: BlockSizes::new(),
             sized: false,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -111,7 +106,7 @@ impl DataModel for WorkloadData {
         if self.compressor == CompressorKind::Bdi {
             return self.profile_of(block).sample_size(splitmix(block));
         }
-        if let Some(&s) = self.sizes.get(&block) {
+        if let Some(s) = self.sizes.get(block) {
             return s;
         }
         let payload = Profile::synthesize(self.class_of(block), &mut self.rng);
@@ -124,6 +119,7 @@ impl DataModel for WorkloadData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn sizes_are_stable_under_bdi_and_memoized_under_fpc() {

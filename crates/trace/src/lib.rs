@@ -44,7 +44,7 @@ pub use data::WorkloadData;
 pub use driver::{drive_accesses, drive_cycles, RefSource};
 pub use mix::{mixes, Mix};
 pub use pattern::Pattern;
-pub use profile::{BuildSplitmix, Profile, SplitmixHasher, SynthClass};
+pub use profile::{Profile, SynthClass};
 pub use spec::{app_by_name, spec_apps};
 pub use stream::AppStream;
 pub use threads::{claim_threads, live_helpers, ThreadClaim};

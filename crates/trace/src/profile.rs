@@ -201,35 +201,6 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A [`std::hash::Hasher`] over SplitMix64, for hash maps keyed by block
-/// addresses: one multiply-xor chain instead of SipHash. Deterministic
-/// across runs and platforms (no random state), so memoization maps using
-/// it cannot perturb reproducibility.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SplitmixHasher(u64);
-
-impl std::hash::Hasher for SplitmixHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix(self.0 ^ u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = splitmix(self.0 ^ i);
-    }
-}
-
-/// `BuildHasher` plugging [`SplitmixHasher`] into `HashMap`.
-pub type BuildSplitmix = std::hash::BuildHasherDefault<SplitmixHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

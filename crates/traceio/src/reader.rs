@@ -8,6 +8,12 @@ use crate::crc32::crc32;
 use crate::format::{chunk_crc, ChunkKind, TraceError, TraceHeader, MAGIC, MAX_CHUNK_BYTES};
 use crate::varint;
 
+/// Smallest encoded access record: the core/op byte, a one-byte address
+/// delta and a one-byte instruction gap.
+const MIN_RECORD_BYTES: usize = 3;
+/// Smallest encoded data entry: a one-byte block delta and the size byte.
+const MIN_ENTRY_BYTES: usize = 2;
+
 /// One decoded chunk.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Chunk {
@@ -161,8 +167,8 @@ impl<R: Read> TraceReader<R> {
         let mut pos = 0usize;
         let count =
             varint::read_u64(payload, &mut pos).ok_or_else(|| self.bad("missing record count"))?;
-        if count > u64::from(MAX_CHUNK_BYTES) {
-            return Err(self.bad("record count exceeds the chunk byte cap"));
+        if count > (payload.len().saturating_sub(pos) / MIN_RECORD_BYTES) as u64 {
+            return Err(self.bad("record count exceeds what the payload holds"));
         }
         let mut out = Vec::with_capacity(count as usize);
         for i in 0..count {
@@ -208,8 +214,8 @@ impl<R: Read> TraceReader<R> {
         let mut pos = 0usize;
         let count =
             varint::read_u64(payload, &mut pos).ok_or_else(|| self.bad("missing entry count"))?;
-        if count > u64::from(MAX_CHUNK_BYTES) {
-            return Err(self.bad("entry count exceeds the chunk byte cap"));
+        if count > (payload.len().saturating_sub(pos) / MIN_ENTRY_BYTES) as u64 {
+            return Err(self.bad("entry count exceeds what the payload holds"));
         }
         let mut out = Vec::with_capacity(count as usize);
         // Data-entry deltas restart from 0 in every chunk (the writer's

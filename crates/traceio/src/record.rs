@@ -13,11 +13,10 @@
 //! round-trip tests in the root package enforce this.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::io::Write;
 use std::rc::Rc;
 
-use hllc_sim::{Access, DataModel};
+use hllc_sim::{Access, BlockSizes, DataModel};
 use hllc_trace::RefSource;
 
 use crate::format::TraceError;
@@ -52,7 +51,7 @@ impl<W: Write> Recorder<W> {
     pub fn data<D: DataModel>(&self, inner: D) -> RecordingData<D, W> {
         RecordingData {
             inner,
-            seen: HashSet::new(),
+            seen: BlockSizes::new(),
             writer: Rc::clone(&self.writer),
         }
     }
@@ -90,14 +89,15 @@ impl<S: RefSource, W: Write> RefSource for RecordingStream<S, W> {
 #[derive(Debug)]
 pub struct RecordingData<D, W: Write> {
     inner: D,
-    seen: HashSet<u64>,
+    /// Blocks already logged, with the size logged for each.
+    seen: BlockSizes,
     writer: Rc<RefCell<Option<TraceWriter<W>>>>,
 }
 
 impl<D: DataModel, W: Write> DataModel for RecordingData<D, W> {
     fn compressed_size(&mut self, block: u64) -> u8 {
         let size = self.inner.compressed_size(block);
-        if self.seen.insert(block) {
+        if self.seen.insert(block, size).is_none() {
             if let Some(w) = self.writer.borrow_mut().as_mut() {
                 w.push_size(block, size);
             }

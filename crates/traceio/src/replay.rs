@@ -9,9 +9,7 @@
 //! per-core reference streams are re-interleaved by the simulated clocks —
 //! which is precisely what makes one trace a fair input to every policy.
 
-use std::collections::HashMap;
-
-use hllc_sim::{Access, DataModel};
+use hllc_sim::{Access, BlockSizes, DataModel};
 use hllc_trace::RefSource;
 
 use crate::reader::TraceContent;
@@ -59,16 +57,18 @@ impl RefSource for ReplayStream {
 /// Every block the recorded LLC sized is present, so a same-configuration
 /// replay never misses; a replay that sizes *new* blocks (different LLC
 /// geometry evicting different victims) falls back to incompressible
-/// (64 B) and counts the miss.
+/// (64 B) and counts the miss. Sizes are served from a paged
+/// [`BlockSizes`] table (DESIGN §10.10).
 #[derive(Clone, Debug)]
 pub struct TraceData {
-    sizes: HashMap<u64, u8>,
+    sizes: BlockSizes,
     fallbacks: u64,
 }
 
 impl TraceData {
-    /// Builds the size table from a trace. Later duplicates win (there are
-    /// none in well-formed traces: the recorder logs each block once).
+    /// Builds the size table from a trace in one pass. Later duplicates win
+    /// (there are none in well-formed traces: the recorder logs each block
+    /// once).
     pub fn from_content(content: &TraceContent) -> Self {
         TraceData {
             sizes: content.sizes.iter().copied().collect(),
@@ -94,8 +94,8 @@ impl TraceData {
 
 impl DataModel for TraceData {
     fn compressed_size(&mut self, block: u64) -> u8 {
-        match self.sizes.get(&block) {
-            Some(&s) => s,
+        match self.sizes.get(block) {
+            Some(s) => s,
             None => {
                 self.fallbacks += 1;
                 64

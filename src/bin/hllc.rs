@@ -23,7 +23,7 @@ use hybrid_llc::cli::{
 };
 use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
-use hybrid_llc::runner::{report_json, run_indexed, run_sweep, SweepSpec};
+use hybrid_llc::runner::{report_json, run_indexed, run_sweep};
 use hybrid_llc::session::{
     live_session, record_session, recording_header, replay_session_with, stats_json, trace_spec,
     SessionStats,
@@ -410,20 +410,7 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
             content.accesses.len()
         );
     }
-    let spec = SweepSpec {
-        policies: args.policies.clone(),
-        mixes: args.mixes.clone(),
-        seeds: args.seeds,
-        capacities: args.capacities.clone(),
-        way_splits: args.way_splits.clone(),
-        nvm_latency_factors: args.nvm_latency_factors.clone(),
-        base_seed: args.spec.workload.seed,
-        spec: args.spec.clone(),
-        warmup_cycles: args.spec.run.warmup_fraction * args.cycles,
-        measure_cycles: args.cycles,
-        threads: args.jobs,
-        trace,
-    };
+    let spec = args.sweep_spec(trace);
     println!(
         "sweeping {} policies x {} capacities x {} way splits x {} latencies x {} mixes x {} seeds = {} jobs on {} threads...",
         spec.policies.len(),

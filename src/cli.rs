@@ -7,8 +7,12 @@
 //! on top of it. The final spec is validated once, so every command
 //! reports the same structured errors for the same mistakes.
 
+use std::sync::Arc;
+
 use hllc_config::ExperimentSpec;
 use hllc_core::Policy;
+use hllc_runner::SweepSpec;
+use hllc_traceio::TraceContent;
 
 /// Parses a policy flag value into a [`Policy`] (Table III aliases plus
 /// the parameterized spellings, e.g. `cp_sd_th4`, `ca_cpth40`, `tap_h5`).
@@ -178,11 +182,6 @@ pub struct SweepArgs {
     pub trace: Option<String>,
 }
 
-/// The most jobs one `hllc sweep` grid may hold: far above any figure's
-/// grid (a few thousand jobs at paper scale), far below a job list that
-/// cannot be allocated.
-pub const MAX_SWEEP_JOBS: usize = 1 << 16;
-
 /// Parses the flags of `hllc sweep`.
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     let (spec, _) = resolve_spec_flag(argv)?;
@@ -270,24 +269,29 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
         args.nvm_latency_factors = vec![args.spec.system.nvm_latency_factor];
     }
     // Checked, so an absurd `--seeds` cannot wrap the product past the cap.
-    let jobs = [
-        args.policies.len(),
-        args.capacities.len(),
-        args.way_splits.len(),
-        args.nvm_latency_factors.len(),
-        args.mixes.len(),
-        args.seeds,
-    ]
-    .into_iter()
-    .try_fold(1usize, usize::checked_mul);
-    if jobs.is_none_or(|n| n > MAX_SWEEP_JOBS) {
-        let count = jobs.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
-        return Err(format!(
-            "sweep grid has {count} jobs (at most {MAX_SWEEP_JOBS})"
-        ));
-    }
+    args.sweep_spec(None).checked_job_count()?;
     args.spec.validate().map_err(|e| e.to_string())?;
     Ok(args)
+}
+
+impl SweepArgs {
+    /// The grid these flags describe, replaying `trace` if one is loaded.
+    pub fn sweep_spec(&self, trace: Option<Arc<TraceContent>>) -> SweepSpec {
+        SweepSpec {
+            policies: self.policies.clone(),
+            mixes: self.mixes.clone(),
+            seeds: self.seeds,
+            capacities: self.capacities.clone(),
+            way_splits: self.way_splits.clone(),
+            nvm_latency_factors: self.nvm_latency_factors.clone(),
+            base_seed: self.spec.workload.seed,
+            spec: self.spec.clone(),
+            warmup_cycles: self.spec.run.warmup_fraction * self.cycles,
+            measure_cycles: self.cycles,
+            threads: self.jobs,
+            trace,
+        }
+    }
 }
 
 /// Parses a comma-separated way-split list, e.g. `4/12,3/13`.
@@ -315,14 +319,14 @@ fn parse_way_splits(v: &str) -> Result<Vec<(usize, usize)>, String> {
 }
 
 /// Parses a `--cycles` value: the measured cycle budget of a run, a sweep
-/// job or a replay, held to the `run.cycles` rule (finite and positive).
+/// job or a replay, held to the `run.cycles` rule
+/// ([`hllc_config::check_cycle_budget`], at most `MAX_CYCLES`).
 fn parse_cycles(v: &str) -> Result<f64, String> {
-    v.parse()
-        .ok()
-        .filter(|c: &f64| c.is_finite() && *c > 0.0)
-        .ok_or_else(|| {
-            format!("invalid --cycles '{v}': run.cycles must be a finite positive cycle count")
-        })
+    let rule = |why: String| format!("invalid --cycles '{v}': run.cycles {why}");
+    let cycles = v
+        .parse()
+        .map_err(|_| rule("must be a finite positive cycle count".into()))?;
+    hllc_config::check_cycle_budget(cycles).map_err(rule)
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -515,6 +519,7 @@ fn parse_mix_list(v: &str) -> Result<Vec<usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hllc_runner::MAX_SWEEP_JOBS;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

@@ -2,13 +2,35 @@
 //! error and the usage text on stderr, and writes nothing to stdout, so
 //! `hllc run --json ... > out.json` never captures the usage text.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn hllc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hllc"))
         .args(args)
         .output()
         .expect("hllc runs")
+}
+
+/// Runs `hllc`, killing it if it is still running after `limit`, for
+/// inputs that used to mean a run without end.
+fn hllc_within(args: &[&str], limit: Duration) -> Result<Output, String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hllc"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hllc starts");
+    let start = Instant::now();
+    while child.try_wait().expect("hllc waits").is_none() {
+        if start.elapsed() > limit {
+            child.kill().expect("hllc is killed");
+            child.wait().expect("hllc is reaped");
+            return Err(format!("hllc {args:?} still running after {limit:?}"));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Ok(child.wait_with_output().expect("hllc output"))
 }
 
 fn assert_fails_naming(out: &Output, field: &str) {
@@ -37,6 +59,40 @@ fn sweep_and_replay_reject_unbounded_cycles() {
         let replay = ["replay", "--trace", "missing.trc", "--cycles", bad];
         assert_fails_naming(&hllc(&replay), "run.cycles");
     }
+}
+
+#[test]
+fn an_absurd_cycle_budget_is_an_error_not_a_hang() {
+    let limit = Duration::from_secs(20);
+    let run = ["run", "--mix", "1", "--cycles", "1e300"];
+    assert_fails_naming(&hllc_within(&run, limit).unwrap(), "run.cycles");
+    let sweep = [
+        "sweep",
+        "--policies",
+        "bh",
+        "--mixes",
+        "1",
+        "--cycles",
+        "1e300",
+    ];
+    assert_fails_naming(&hllc_within(&sweep, limit).unwrap(), "run.cycles");
+}
+
+#[test]
+fn an_absurd_cycle_budget_in_a_spec_file_is_an_error_not_a_hang() {
+    let spec = hybrid_llc::config::ExperimentSpec::preset("scaled")
+        .unwrap()
+        .to_string_pretty()
+        .replace("\"cycles\": 2000000", "\"cycles\": 1e300");
+    assert!(spec.contains("1e300"), "{spec}");
+    let path = std::env::temp_dir().join(format!("hllc-cycles-{}.json", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    let out = hllc_within(
+        &["run", "--spec", path.to_str().unwrap()],
+        Duration::from_secs(20),
+    );
+    std::fs::remove_file(&path).unwrap();
+    assert_fails_naming(&out.unwrap(), "run.cycles");
 }
 
 #[test]
