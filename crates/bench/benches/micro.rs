@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor, CompressorKind};
 use hllc_config::ExperimentSpec;
 use hllc_core::{HybridConfig, HybridLlc, Policy};
-use hllc_forecast::{advance_wear, choose_step, run_phase, ForecastConfig, PhaseSetup};
+use hllc_forecast::{advance_wear, choose_step, run_phase, ForecastConfig};
 use hllc_nvm::{rearrange, DisableGranularity, FaultMap, NvmArray};
 use hllc_sim::{Access, ConstSizeData, DataModel, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
 use hllc_trace::{mixes, APP_SLOT_SHIFT};
@@ -275,22 +275,9 @@ fn bench_nvm_degrade(c: &mut Criterion) {
 /// the same rates.
 fn bench_choose_step(c: &mut Criterion) {
     let cfg = ForecastConfig::scaled(Policy::cp_sd());
-    let setup = PhaseSetup {
-        system: cfg.system.clone(),
-        llc: cfg.llc.clone(),
-        warmup_cycles: cfg.warmup_cycles,
-        measure_cycles: cfg.measure_cycles,
-        scale: PhaseSetup::scale_for_sets(cfg.llc.sets),
-        compressor: cfg.compressor,
-    };
-    let (metrics, array) = run_phase(&setup, &mixes()[0], None, 1);
+    let (metrics, array) = run_phase(&cfg.phase(), &mixes()[0], None, 1);
     let mut array = array.expect("the scaled LLC has NVM ways");
-    let freq_hz = cfg.system.timing.freq_ghz * 1e9;
-    let rates: Vec<f64> = metrics
-        .frame_bytes_written
-        .iter()
-        .map(|&b| b as f64 / metrics.measured_cycles * freq_hz)
-        .collect();
+    let rates = metrics.frame_write_rates(cfg.system.timing.freq_ghz * 1e9);
     for _ in 0..4 {
         let dt = choose_step(&array, &rates, cfg.capacity_step, cfg.max_step_seconds);
         advance_wear(&mut array, &rates, dt);

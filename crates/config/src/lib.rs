@@ -134,6 +134,13 @@ pub struct RunSpec {
     pub cycles: f64,
 }
 
+impl RunSpec {
+    /// Warm-up cycles before a `measure_cycles`-long measured window.
+    pub fn warmup_cycles(&self, measure_cycles: f64) -> f64 {
+        self.warmup_fraction * measure_cycles
+    }
+}
+
 /// Aging-forecast recipe (the alternating simulate/predict procedure).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ForecastSpec {
@@ -418,13 +425,15 @@ impl ExperimentSpec {
                 return Err(invalid(field, format!("must be <= {MAX_SETS}, got {v}")));
             }
         }
-        if s.sram_ways + s.nvm_ways == 0 {
+        // Saturating, so a huge way count cannot wrap the sum into range.
+        let ways = s.sram_ways.saturating_add(s.nvm_ways);
+        if ways == 0 {
             return Err(invalid(
                 "system.sram_ways",
                 "the LLC needs at least one way (sram_ways + nvm_ways >= 1)",
             ));
         }
-        if s.sram_ways + s.nvm_ways > MAX_WAYS {
+        if ways > MAX_WAYS {
             return Err(invalid(
                 "system.nvm_ways",
                 format!(

@@ -26,7 +26,7 @@ mod predict;
 mod procedure;
 mod series;
 
-pub use phase::{run_phase, run_phase_streams, PhaseMetrics, PhaseSetup};
+pub use phase::{run_phase, run_phase_streams, simulate, Phase, PhaseMetrics, PhaseSetup};
 pub use predict::{advance_wear, capacity_after, choose_step};
 pub use procedure::{Forecast, ForecastConfig};
 pub use series::{ForecastPoint, ForecastSeries};

@@ -1,11 +1,14 @@
-//! One simulation phase: run a mix over the current NVM state.
+//! One simulation phase: run references over the current NVM state.
+//!
+//! [`simulate`] is the workspace's one copy of this recipe, and
+//! [`PhaseSetup::inputs`] the one place a phase picks its synthetic inputs.
 
 use hllc_compress::CompressorKind;
 use hllc_config::ExperimentSpec;
-use hllc_core::{HybridConfig, HybridLlc};
+use hllc_core::{HybridConfig, HybridLlc, Policy};
 use hllc_nvm::NvmArray;
 use hllc_sim::{DataModel, Hierarchy, LlcPort, LlcStats, SystemConfig};
-use hllc_trace::{drive_cycles, Mix, RefSource};
+use hllc_trace::{drive_cycles, AppStream, Mix, RefSource, WorkloadData};
 
 /// Inputs of a simulation phase.
 #[derive(Clone, Debug)]
@@ -20,8 +23,8 @@ pub struct PhaseSetup {
     pub measure_cycles: f64,
     /// Footprint scale relative to the paper's 4 MB LLC.
     pub scale: f64,
-    /// Compression mechanism sizing the blocks (BDI unless running the
-    /// compressor ablation).
+    /// Compression mechanism sizing the blocks: the spec's
+    /// `hybrid.compressor`.
     pub compressor: CompressorKind,
 }
 
@@ -29,16 +32,36 @@ impl PhaseSetup {
     /// The phase an [`ExperimentSpec`] describes (system, LLC under the
     /// spec's policy, footprint scale, compressor) with the given lengths.
     /// [`ForecastConfig::from_spec`](crate::ForecastConfig::from_spec) and
-    /// sweep jobs build on it.
+    /// the harnesses build on it.
     pub fn from_spec(spec: &ExperimentSpec, warmup_cycles: f64, measure_cycles: f64) -> Self {
+        Self::from_spec_for(spec, spec.policy(), warmup_cycles, measure_cycles)
+    }
+
+    /// [`from_spec`](Self::from_spec) under `policy` in place of the
+    /// spec's own: sweep jobs, and sessions replaying under another policy.
+    pub fn from_spec_for(
+        spec: &ExperimentSpec,
+        policy: Policy,
+        warmup_cycles: f64,
+        measure_cycles: f64,
+    ) -> Self {
         PhaseSetup {
             system: spec.system_config(),
-            llc: spec.llc_config(),
+            llc: spec.llc_config_for(policy),
             warmup_cycles,
             measure_cycles,
             scale: spec.footprint_scale(),
             compressor: spec.compressor(),
         }
+    }
+
+    /// The synthetic inputs of this phase over `mix`: the first
+    /// `min(system.cores, apps)` of the mix's streams, and its data model
+    /// sizing blocks with [`compressor`](Self::compressor).
+    pub fn inputs(&self, mix: &Mix, seed: u64) -> (Vec<AppStream>, WorkloadData) {
+        let mut streams = mix.instantiate(self.scale, seed);
+        streams.truncate(self.system.cores);
+        (streams, mix.data_model_with(self.compressor, seed))
     }
 
     /// Footprint scale implied by the LLC geometry
@@ -78,19 +101,70 @@ impl PhaseMetrics {
             self.llc.nvm_bytes_written as f64 / self.measured_cycles
         }
     }
+
+    /// Bytes per second written to each frame, on a `freq_hz` clock.
+    pub fn frame_write_rates(&self, freq_hz: f64) -> Vec<f64> {
+        self.frame_bytes_written
+            .iter()
+            .map(|&b| b as f64 / self.measured_cycles * freq_hz)
+            .collect()
+    }
 }
 
-/// Runs one simulation phase over `array` (or a freshly sampled array when
-/// `None`), returning the metrics and the (unchanged-wear, possibly `None`)
-/// array for the next phase.
+/// A finished phase: the hierarchy after its measured window, whose
+/// statistics cover that window only, and the references it executed.
+pub struct Phase<D> {
+    /// The hierarchy, its LLC and the LLC's NVM array.
+    pub hierarchy: Hierarchy<HybridLlc, D>,
+    /// References executed during the warm-up.
+    pub warm_accesses: u64,
+    /// References executed during the measured window.
+    pub accesses: u64,
+}
+
+/// Runs one phase of `setup` over `streams` and `data`, starting from
+/// `array` (or a freshly sampled array when `None`): the warm-up,
+/// statistics reset, then the measured window.
+///
+/// # Panics
+///
+/// Panics if `streams` is empty or has more streams than `setup.system`
+/// has cores.
+pub fn simulate<S: RefSource, D: DataModel>(
+    setup: &PhaseSetup,
+    streams: &mut [S],
+    data: D,
+    array: Option<NvmArray>,
+) -> Phase<D> {
+    assert!(
+        !streams.is_empty() && streams.len() <= setup.system.cores,
+        "stream count {} incompatible with {} cores",
+        streams.len(),
+        setup.system.cores
+    );
+    let llc = HybridLlc::with_array(&setup.llc, array.or_else(|| setup.llc.sample_array()));
+    let mut hierarchy = Hierarchy::new(&setup.system, llc, data);
+    let warm_accesses = drive_cycles(&mut hierarchy, streams, setup.warmup_cycles);
+    hierarchy.reset_stats();
+    let end = setup.warmup_cycles + setup.measure_cycles;
+    let accesses = drive_cycles(&mut hierarchy, streams, end);
+    Phase {
+        hierarchy,
+        warm_accesses,
+        accesses,
+    }
+}
+
+/// Runs one simulation phase of `mix` over `array` (or a freshly sampled
+/// array when `None`), returning the metrics and the (unchanged-wear,
+/// possibly `None`) array for the next phase.
 pub fn run_phase(
     setup: &PhaseSetup,
     mix: &Mix,
     array: Option<NvmArray>,
     seed: u64,
 ) -> (PhaseMetrics, Option<NvmArray>) {
-    let mut streams = mix.instantiate(setup.scale, seed);
-    let data = mix.data_model_with(setup.compressor, seed);
+    let (mut streams, data) = setup.inputs(mix, seed);
     run_phase_streams(setup, &mut streams, data, array)
 }
 
@@ -100,56 +174,37 @@ pub fn run_phase(
 ///
 /// # Panics
 ///
-/// Panics if `streams` is empty or has more streams than `setup.system`
-/// has cores.
+/// As [`simulate`].
 pub fn run_phase_streams<S: RefSource, D: DataModel>(
     setup: &PhaseSetup,
     streams: &mut [S],
     data: D,
     array: Option<NvmArray>,
 ) -> (PhaseMetrics, Option<NvmArray>) {
-    assert!(
-        !streams.is_empty() && streams.len() <= setup.system.cores,
-        "stream count {} incompatible with {} cores",
-        streams.len(),
-        setup.system.cores
-    );
-    let llc = match array {
-        Some(a) => HybridLlc::with_array(&setup.llc, Some(a)),
-        None => HybridLlc::new(&setup.llc),
-    };
-    let mut h = Hierarchy::new(&setup.system, llc, data);
-
-    let warm = drive_cycles(&mut h, streams, setup.warmup_cycles);
-    h.reset_stats();
-    let measured = drive_cycles(&mut h, streams, setup.warmup_cycles + setup.measure_cycles);
-
-    let ipc = h.system_ipc();
-    let llc_stats = *h.llc().stats();
+    let mut phase = simulate(setup, streams, data, array);
+    let h = &mut phase.hierarchy;
+    let llc = *h.llc().stats();
     let epochs = h.llc().dueling().map(|d| d.history()).unwrap_or_default();
     let frame_bytes_written = h
         .llc_mut()
         .array_mut()
         .map(|a| a.take_pending_writes())
         .unwrap_or_default();
-    let array_out = h.into_llc().into_array();
-
     let metrics = PhaseMetrics {
-        ipc,
-        hit_rate: llc_stats.hit_rate(),
-        llc: llc_stats,
+        ipc: h.system_ipc(),
+        hit_rate: llc.hit_rate(),
+        llc,
         frame_bytes_written,
         measured_cycles: setup.measure_cycles,
         epochs,
-        accesses: warm + measured,
+        accesses: phase.warm_accesses + phase.accesses,
     };
-    (metrics, array_out)
+    (metrics, phase.hierarchy.into_llc().into_array())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hllc_core::Policy;
     use hllc_trace::mixes;
 
     fn setup(policy: Policy) -> PhaseSetup {

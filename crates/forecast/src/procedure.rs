@@ -62,6 +62,18 @@ impl ForecastConfig {
             .with_policy(policy)
     }
 
+    /// The simulation phase each step of the forecast runs.
+    pub fn phase(&self) -> PhaseSetup {
+        PhaseSetup {
+            system: self.system.clone(),
+            llc: self.llc.clone(),
+            warmup_cycles: self.warmup_cycles,
+            measure_cycles: self.measure_cycles,
+            scale: PhaseSetup::scale_for_sets(self.llc.sets),
+            compressor: self.compressor,
+        }
+    }
+
     /// Replaces the policy, keeping geometry and endurance.
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.llc.policy = policy;
@@ -85,15 +97,7 @@ impl Forecast {
     /// timeline. Deterministic for a given `seed`.
     pub fn run(&self, mix: &Mix, seed: u64) -> ForecastSeries {
         let cfg = &self.cfg;
-        let setup = PhaseSetup {
-            system: cfg.system.clone(),
-            llc: cfg.llc.clone(),
-            warmup_cycles: cfg.warmup_cycles,
-            measure_cycles: cfg.measure_cycles,
-            scale: PhaseSetup::scale_for_sets(cfg.llc.sets),
-            compressor: cfg.compressor,
-        };
-        let freq_hz = cfg.system.timing.freq_ghz * 1e9;
+        let setup = cfg.phase();
 
         let mut series = ForecastSeries::new(cfg.llc.policy.name());
         let mut array: Option<NvmArray> = None;
@@ -119,12 +123,7 @@ impl Forecast {
                 break;
             }
 
-            // Convert per-frame byte counts to bytes/second.
-            let rates: Vec<f64> = metrics
-                .frame_bytes_written
-                .iter()
-                .map(|&b| b as f64 / metrics.measured_cycles * freq_hz)
-                .collect();
+            let rates = metrics.frame_write_rates(cfg.system.timing.freq_ghz * 1e9);
             if rates.iter().all(|&r| r == 0.0) {
                 // No NVM writes at all: the cache never ages.
                 array = Some(a);

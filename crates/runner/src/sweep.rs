@@ -75,6 +75,21 @@ impl SweepSpec {
         }
     }
 
+    /// Checks that the grid can run: [`checked_job_count`](Self::checked_job_count),
+    /// mixes in range, and a trace (if any) that fits the base spec's cores.
+    pub fn validate(&self) -> Result<(), String> {
+        self.checked_job_count()?;
+        if let Some(trace) = &self.trace {
+            return trace
+                .check_cores(self.spec.system.cores)
+                .map_err(|e| format!("sweep trace: {e}"));
+        }
+        match self.mixes.iter().find(|&&mix| mix >= mixes().len()) {
+            Some(mix) => Err(format!("mix index {mix} out of range")),
+            None => Ok(()),
+        }
+    }
+
     fn axis_product(&self) -> Option<usize> {
         [
             self.policies.len(),
@@ -193,8 +208,8 @@ fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
     exp.system.sram_ways = job.sram_ways;
     exp.system.nvm_ways = job.nvm_ways;
     exp.system.nvm_latency_factor = job.nvm_latency_factor;
-    exp.hybrid.policy = job.policy.label();
-    let setup = PhaseSetup::from_spec(&exp, spec.warmup_cycles, spec.measure_cycles);
+    let setup =
+        PhaseSetup::from_spec_for(&exp, job.policy, spec.warmup_cycles, spec.measure_cycles);
     let array = degraded_array(&setup.llc, job.capacity, seed);
     let (m, _) = match &spec.trace {
         Some(trace) => {
@@ -225,16 +240,10 @@ fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
 ///
 /// # Panics
 ///
-/// Panics if the grid holds more than [`MAX_SWEEP_JOBS`] jobs (check
-/// [`SweepSpec::checked_job_count`] first) or names a mix out of range.
+/// Panics if [`SweepSpec::validate`] fails; call it first.
 pub fn run_sweep(spec: &SweepSpec) -> SweepReport {
-    if let Err(e) = spec.checked_job_count() {
+    if let Err(e) = spec.validate() {
         panic!("{e}");
-    }
-    if spec.trace.is_none() {
-        for &mix in &spec.mixes {
-            assert!(mix < mixes().len(), "mix index {mix} out of range");
-        }
     }
     let jobs = enumerate_jobs(spec);
     let results = run_indexed(jobs, spec.threads, |index, job| run_job(spec, index, job));
@@ -427,6 +436,32 @@ mod tests {
         let v = report_json(&report);
         assert_eq!(v.get("summary").and_then(Value::as_array).unwrap().len(), 4);
         assert_eq!(v.get("jobs").and_then(Value::as_array).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn a_trace_beyond_its_header_cores_fails_validation() {
+        use hllc_sim::Access;
+        use hllc_traceio::TraceHeader;
+        let mut spec = tiny_spec(1);
+        spec.trace = Some(Arc::new(TraceContent {
+            header: TraceHeader {
+                cores: 1,
+                mix: 0,
+                seed: 42,
+                sets: 64,
+                cycles: 10_000.0,
+                policy: "bh".into(),
+                workload: "synthetic fixture".into(),
+                spec_json: None,
+            },
+            accesses: vec![Access::load(0, 0x40), Access::load(1, 0x80)],
+            sizes: Vec::new(),
+        }));
+        let e = spec.validate().unwrap_err();
+        assert!(e.contains("access 1 names core 1"), "{e}");
+        spec.trace = None;
+        spec.mixes = vec![10];
+        assert_eq!(spec.validate(), Err("mix index 10 out of range".into()));
     }
 
     #[test]

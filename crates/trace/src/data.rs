@@ -29,7 +29,9 @@ const SLOT_SHIFT_BLOCKS: u32 = APP_SLOT_SHIFT - 6;
 /// use hllc_sim::DataModel;
 /// use hllc_trace::{Profile, WorkloadData};
 ///
-/// let mut d = WorkloadData::new(vec![Profile::incompressible()], 1);
+/// use hllc_compress::CompressorKind;
+///
+/// let mut d = WorkloadData::new(vec![Profile::incompressible()], CompressorKind::Bdi, 1);
 /// assert_eq!(d.compressed_size(0x123), 64);
 /// ```
 #[derive(Clone, Debug)]
@@ -38,38 +40,24 @@ pub struct WorkloadData {
     compressor: CompressorKind,
     /// Memoized per-block FPC sizes (empty, and unallocated, under BDI).
     sizes: BlockSizes,
-    /// Whether any block has been sized, under either compressor.
-    sized: bool,
     rng: StdRng,
 }
 
 impl WorkloadData {
-    /// Creates the model for apps in slots `0..profiles.len()`.
+    /// Creates the model for apps in slots `0..profiles.len()`, sizing
+    /// blocks with `compressor`.
     ///
     /// # Panics
     ///
     /// Panics if `profiles` is empty.
-    pub fn new(profiles: Vec<Profile>, seed: u64) -> Self {
+    pub fn new(profiles: Vec<Profile>, compressor: CompressorKind, seed: u64) -> Self {
         assert!(!profiles.is_empty(), "at least one profile required");
         WorkloadData {
             profiles,
-            compressor: CompressorKind::Bdi,
+            compressor,
             sizes: BlockSizes::new(),
-            sized: false,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Switches the compression mechanism used to size blocks (ablation:
-    /// the insertion policies are compressor-orthogonal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block has already been sized.
-    pub fn with_compressor(mut self, kind: CompressorKind) -> Self {
-        assert!(!self.sized, "switch compressors before any sizing");
-        self.compressor = kind;
-        self
     }
 
     /// The compression mechanism in use.
@@ -102,7 +90,6 @@ impl WorkloadData {
 
 impl DataModel for WorkloadData {
     fn compressed_size(&mut self, block: u64) -> u8 {
-        self.sized = true;
         if self.compressor == CompressorKind::Bdi {
             return self.profile_of(block).sample_size(splitmix(block));
         }
@@ -124,24 +111,16 @@ mod tests {
     #[test]
     fn sizes_are_stable_under_bdi_and_memoized_under_fpc() {
         let p = Profile::from_fractions(0.5, 0.3, 0.2, 0.2);
-        let mut bdi = WorkloadData::new(vec![p.clone()], 3);
+        let mut bdi = WorkloadData::new(vec![p.clone()], CompressorKind::Bdi, 3);
         let s = bdi.compressed_size(77);
         assert_eq!(bdi.compressed_size(77), s);
         assert_eq!(s, bdi.class_of(77).nominal_size());
         assert_eq!(bdi.memoized(), 0, "BDI sizes are derived, not stored");
 
-        let mut fpc = WorkloadData::new(vec![p], 3).with_compressor(CompressorKind::Fpc);
+        let mut fpc = WorkloadData::new(vec![p], CompressorKind::Fpc, 3);
         let s = fpc.compressed_size(77);
         assert_eq!(fpc.compressed_size(77), s);
         assert_eq!(fpc.memoized(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "before any sizing")]
-    fn compressor_switch_after_bdi_sizing_panics() {
-        let mut d = WorkloadData::new(vec![Profile::incompressible()], 3);
-        d.compressed_size(1);
-        let _ = d.with_compressor(CompressorKind::Fpc);
     }
 
     /// The sizing recipe class-derived BDI sizes replace: synthesize a
@@ -174,7 +153,7 @@ mod tests {
         // so about a third of them repeat a block sized earlier.
         for (m, mix) in crate::mixes().iter().enumerate() {
             let seed = 1000 + m as u64;
-            let mut derived = mix.data_model(seed);
+            let mut derived = mix.data_model_with(CompressorKind::Bdi, seed);
             let mut oracle = SynthesizedBdi {
                 profiles: mix.apps.iter().map(|a| a.profile.clone()).collect(),
                 sizes: HashMap::new(),
@@ -203,6 +182,7 @@ mod tests {
                 Profile::incompressible(),
                 Profile::from_fractions(1.0, 0.0, 0.0, 1.0),
             ],
+            CompressorKind::Bdi,
             3,
         );
         // Slot 0: always 64. Slot 1 (all-zero bias 1.0): always 1.
@@ -214,7 +194,7 @@ mod tests {
     #[test]
     fn class_population_matches_profile() {
         let p = Profile::from_fractions(0.49, 0.29, 0.22, 0.2);
-        let mut d = WorkloadData::new(vec![p], 9);
+        let mut d = WorkloadData::new(vec![p], CompressorKind::Bdi, 9);
         let n = 20_000u64;
         let mut hcr = 0u32;
         let mut lcr = 0u32;
@@ -234,15 +214,15 @@ mod tests {
     #[test]
     fn fpc_compressor_swaps_in() {
         let p = Profile::from_fractions(1.0, 0.0, 0.0, 1.0); // all-zero blocks
-        let mut bdi = WorkloadData::new(vec![p.clone()], 3);
-        let mut fpc = WorkloadData::new(vec![p], 3).with_compressor(CompressorKind::Fpc);
+        let mut bdi = WorkloadData::new(vec![p.clone()], CompressorKind::Bdi, 3);
+        let mut fpc = WorkloadData::new(vec![p], CompressorKind::Fpc, 3);
         assert_eq!(bdi.compressed_size(9), 1); // BDI zero encoding
         assert_eq!(fpc.compressed_size(9), 6); // FPC: 16 prefixes
     }
 
     #[test]
     fn synthesize_block_matches_class_size() {
-        let mut d = WorkloadData::new(vec![Profile::incompressible()], 1);
+        let mut d = WorkloadData::new(vec![Profile::incompressible()], CompressorKind::Bdi, 1);
         let b = d.synthesize_block(9);
         assert_eq!(
             hllc_compress::Compressor::new().compressed_size(&b),

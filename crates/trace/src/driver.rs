@@ -84,6 +84,7 @@ fn laggard<L: LlcPort, D: DataModel>(h: &Hierarchy<L, D>, cores: usize) -> usize
 mod tests {
     use super::*;
     use crate::mix::mixes;
+    use hllc_compress::CompressorKind;
     use hllc_sim::{NullLlc, SystemConfig};
 
     #[test]
@@ -91,7 +92,11 @@ mod tests {
         let _serial = crate::serial_helpers();
         let mix = &mixes()[0];
         let cfg = SystemConfig::default();
-        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(1));
+        let mut h = Hierarchy::new(
+            &cfg,
+            NullLlc::default(),
+            mix.data_model_with(CompressorKind::Bdi, 1),
+        );
         let mut streams = mix.instantiate(0.05, 1);
         let executed = drive_cycles(&mut h, &mut streams, 20_000.0);
         assert!(executed > 100);
@@ -105,7 +110,11 @@ mod tests {
         let _serial = crate::serial_helpers();
         let mix = &mixes()[1];
         let cfg = SystemConfig::default();
-        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(2));
+        let mut h = Hierarchy::new(
+            &cfg,
+            NullLlc::default(),
+            mix.data_model_with(CompressorKind::Bdi, 2),
+        );
         let mut streams = mix.instantiate(0.05, 2);
         drive_accesses(&mut h, &mut streams, 10_000);
         let clocks: Vec<f64> = (0..4).map(|c| h.core_clock(c)).collect();

@@ -43,15 +43,10 @@ impl Mix {
     }
 
     /// Builds the matching data model (one compressibility profile per app
-    /// slot), sizing blocks with the paper's BDI compressor.
-    pub fn data_model(&self, seed: u64) -> WorkloadData {
-        WorkloadData::new(self.apps.iter().map(|a| a.profile.clone()).collect(), seed)
-    }
-
-    /// Like [`Mix::data_model`] but with an explicit compression mechanism
-    /// (the FPC ablation).
+    /// slot), sizing blocks with `kind`: the paper's BDI, or FPC.
     pub fn data_model_with(&self, kind: hllc_compress::CompressorKind, seed: u64) -> WorkloadData {
-        self.data_model(seed).with_compressor(kind)
+        let profiles = self.apps.iter().map(|a| a.profile.clone()).collect();
+        WorkloadData::new(profiles, kind, seed)
     }
 }
 
@@ -80,6 +75,7 @@ pub fn mixes() -> Vec<Mix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hllc_compress::CompressorKind;
 
     #[test]
     fn ten_mixes_of_four() {
@@ -116,7 +112,7 @@ mod tests {
     fn data_model_has_four_profiles() {
         use hllc_sim::DataModel;
         let mix = &mixes()[5]; // lbm, xz, Gems, wrf
-        let mut d = mix.data_model(1);
+        let mut d = mix.data_model_with(CompressorKind::Bdi, 1);
         // Slot 1 is xz17: incompressible.
         let xz_block = 1u64 << (crate::APP_SLOT_SHIFT - 6);
         assert_eq!(d.compressed_size(xz_block | 5), 64);

@@ -1,5 +1,6 @@
 //! Property-based tests for the multi-core interleaving driver.
 
+use hllc_compress::CompressorKind;
 use hllc_sim::{Hierarchy, NullLlc, SystemConfig};
 use hllc_trace::{drive_accesses, mixes};
 use proptest::prelude::*;
@@ -17,7 +18,7 @@ proptest! {
     ) {
         let mix = &mixes()[mix_idx];
         let cfg = SystemConfig::default();
-        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(seed));
+        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model_with(CompressorKind::Bdi, seed));
         let mut streams = mix.instantiate(0.05, seed);
         let cores = streams.len();
         let mut prev: Vec<f64> = (0..cores).map(|c| h.core_clock(c)).collect();
@@ -50,7 +51,7 @@ proptest! {
     ) {
         let mix = &mixes()[mix_idx];
         let cfg = SystemConfig::default();
-        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model(seed));
+        let mut h = Hierarchy::new(&cfg, NullLlc::default(), mix.data_model_with(CompressorKind::Bdi, seed));
         let mut streams = mix.instantiate(0.05, seed);
         drive_accesses(&mut h, &mut streams, n);
         prop_assert_eq!(h.stats().accesses(), n);

@@ -1,5 +1,6 @@
 //! Property-based tests for the workload generator.
 
+use hllc_compress::CompressorKind;
 use hllc_sim::Op;
 use hllc_trace::{mixes, Pattern, Profile};
 use proptest::prelude::*;
@@ -81,7 +82,7 @@ proptest! {
     fn data_sizes_valid(mix_idx in 0usize..10, block in any::<u64>()) {
         use hllc_sim::DataModel;
         let mix = &mixes()[mix_idx];
-        let mut d = mix.data_model(7);
+        let mut d = mix.data_model_with(CompressorKind::Bdi, 7);
         let size = d.compressed_size(block & 0x03FF_FFFF_FFFF);
         prop_assert!((1..=64).contains(&size));
     }

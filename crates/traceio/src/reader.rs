@@ -258,13 +258,35 @@ pub struct TraceContent {
 }
 
 impl TraceContent {
-    /// Splits the global access order into per-core streams, preserving
-    /// each core's program order. Each stream is allocated once, at its
-    /// exact length, so a replay op does not grow vectors by doubling.
+    /// Checks that the header names 1..=`system_cores` cores and every
+    /// access one of those (as any trace from [`TraceReader`] does).
+    pub fn check_cores(&self, system_cores: usize) -> Result<(), String> {
+        let cores = self.header.cores;
+        if cores == 0 || usize::from(cores) > system_cores {
+            return Err(format!(
+                "trace has {cores} cores but the system has {system_cores}"
+            ));
+        }
+        match self.accesses.iter().position(|a| a.core >= cores) {
+            Some(i) => Err(format!(
+                "access {i} names core {}, but the trace header has {cores} cores",
+                self.accesses[i].core
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Splits the global access order into per-core streams (index = core,
+    /// more than the header's if an access names a higher core), each in
+    /// program order and allocated once, at its exact length.
     pub fn per_core(&self) -> Vec<Vec<Access>> {
         let mut counts = vec![0usize; usize::from(self.header.cores)];
         for a in &self.accesses {
-            counts[usize::from(a.core)] += 1;
+            let core = usize::from(a.core);
+            if core >= counts.len() {
+                counts.resize(core + 1, 0);
+            }
+            counts[core] += 1;
         }
         let mut streams: Vec<Vec<Access>> = counts.into_iter().map(Vec::with_capacity).collect();
         for a in &self.accesses {
@@ -350,6 +372,33 @@ mod tests {
             assert!(s.iter().all(|a| usize::from(a.core) == c));
             assert_eq!(s.capacity(), s.len(), "core {c} stream over-allocated");
         }
+        assert_eq!(content.check_cores(2), Ok(()));
+        assert!(content.check_cores(1).is_err());
+    }
+
+    #[test]
+    fn an_access_beyond_the_header_cores_fails_the_check_not_the_split() {
+        let content = TraceContent {
+            header: TraceHeader {
+                cores: 1,
+                ..header()
+            },
+            accesses: vec![Access::load(0, 0x40), Access::load(1, 0x80)],
+            sizes: Vec::new(),
+        };
+        let streams = content.per_core();
+        assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1]);
+        let e = content.check_cores(4).unwrap_err();
+        assert!(e.contains("access 1 names core 1"), "{e}");
+        let empty = TraceContent {
+            header: TraceHeader {
+                cores: 0,
+                ..header()
+            },
+            accesses: Vec::new(),
+            sizes: Vec::new(),
+        };
+        assert!(empty.check_cores(4).is_err());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
+use hllc_compress::CompressorKind;
 use hllc_sim::{block_of, DataModel};
 use hllc_trace::RefSource;
 use hllc_traceio::{
@@ -130,7 +131,7 @@ fn recorded_trace() -> &'static [u8] {
         };
         let recorder = Recorder::new(TraceWriter::new(Vec::new(), &header).unwrap());
         let mut taps: Vec<_> = streams.into_iter().map(|s| recorder.stream(s)).collect();
-        let mut data = recorder.data(mix.data_model(11));
+        let mut data = recorder.data(mix.data_model_with(CompressorKind::Bdi, 11));
         for i in 0..9_000usize {
             let core = (i % taps.len()) as u8;
             let a = taps[usize::from(core)].next_access(core).unwrap();

@@ -7,13 +7,12 @@
 //! ```
 
 use hybrid_llc::config::ExperimentSpec;
-use hybrid_llc::llc::{HybridLlc, Policy, CP_TH_CANDIDATES};
-use hybrid_llc::sim::Hierarchy;
-use hybrid_llc::trace::{drive_cycles, mixes};
+use hybrid_llc::forecast::{simulate, PhaseSetup};
+use hybrid_llc::llc::{Policy, CP_TH_CANDIDATES};
+use hybrid_llc::trace::mixes;
 
 fn main() {
     let spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-    let system = spec.system_config();
     let mix = &mixes()[5]; // lbm + xz + GemsFDTD + wrf: mixed compressibility
     println!(
         "workload {} = {}\n",
@@ -29,10 +28,12 @@ fn main() {
         ("CP_SD", Policy::cp_sd()),
         ("CP_SD_Th8", Policy::cp_sd_th(8.0)),
     ] {
-        let cfg = spec.llc_config_for(policy);
-        let mut h = Hierarchy::new(&system, HybridLlc::new(&cfg), mix.data_model(42));
-        let mut streams = mix.instantiate(spec.footprint_scale(), 42);
-        drive_cycles(&mut h, &mut streams, 2_000_000.0);
+        let setup = PhaseSetup {
+            llc: spec.llc_config_for(policy),
+            ..PhaseSetup::from_spec(&spec, 0.0, 2_000_000.0)
+        };
+        let (mut streams, data) = setup.inputs(mix, 42);
+        let h = simulate(&setup, &mut streams, data, None).hierarchy;
 
         println!("— {name} —");
         println!(

@@ -7,15 +7,13 @@
 //! ```
 
 use hybrid_llc::config::ExperimentSpec;
-use hybrid_llc::llc::{HybridLlc, Policy};
-use hybrid_llc::sim::Hierarchy;
-use hybrid_llc::trace::{drive_cycles, mixes};
-use hybrid_llc::LlcPort;
+use hybrid_llc::forecast::{run_phase, PhaseSetup};
+use hybrid_llc::llc::Policy;
+use hybrid_llc::trace::mixes;
 
 fn run(policy_name: &str, policy: Option<Policy>, mix_idx: usize) -> (String, f64, f64, u64) {
     let mut spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-    let mix = &mixes()[mix_idx];
-    let llc_cfg = match policy {
+    let llc = match policy {
         Some(p) => spec.llc_config_for(p),
         None => {
             // SRAM-only upper bound: every way SRAM, under BH.
@@ -24,18 +22,16 @@ fn run(policy_name: &str, policy: Option<Policy>, mix_idx: usize) -> (String, f6
             spec.llc_config_for(Policy::Bh)
         }
     };
-    let llc = HybridLlc::new(&llc_cfg);
-    let mut h = Hierarchy::new(&spec.system_config(), llc, mix.data_model(42));
-    let mut streams = mix.instantiate(spec.footprint_scale(), 42);
-    drive_cycles(&mut h, &mut streams, 400_000.0);
-    h.reset_stats();
-    drive_cycles(&mut h, &mut streams, 2_400_000.0);
-    let s = h.llc().stats();
+    let setup = PhaseSetup {
+        llc,
+        ..PhaseSetup::from_spec(&spec, 400_000.0, 2_000_000.0)
+    };
+    let (m, _) = run_phase(&setup, &mixes()[mix_idx], None, 42);
     (
         policy_name.to_string(),
-        h.system_ipc(),
-        s.hit_rate(),
-        s.nvm_bytes_written,
+        m.ipc,
+        m.hit_rate,
+        m.llc.nvm_bytes_written,
     )
 }
 

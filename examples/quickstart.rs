@@ -6,18 +6,17 @@
 //! ```
 
 use hybrid_llc::config::ExperimentSpec;
-use hybrid_llc::llc::HybridLlc;
-use hybrid_llc::sim::Hierarchy;
-use hybrid_llc::trace::{drive_cycles, mixes};
+use hybrid_llc::forecast::{simulate, PhaseSetup};
+use hybrid_llc::trace::mixes;
 use hybrid_llc::LlcPort;
 
 fn main() {
     // The `scaled` preset: a 1/8-scale version of the paper's Table IV
     // system (512-set LLC, 4 SRAM + 12 NVM ways), running mix 1 of Table V
-    // under CP_SD.
+    // under CP_SD, warmed up for 400 K cycles and then measured for 2 M.
     let spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-    let system = spec.system_config();
-    let llc_cfg = spec.llc_config();
+    let setup = PhaseSetup::from_spec(&spec, 400_000.0, 2_000_000.0);
+    let (system, llc_cfg) = (&setup.system, &setup.llc);
     let mix = &mixes()[spec.mix_index()];
     println!(
         "system: {} cores, LLC {} KB ({} SRAM + {} NVM ways)",
@@ -36,14 +35,9 @@ fn main() {
             .join(" + ")
     );
 
-    let llc = HybridLlc::new(&llc_cfg);
-    let mut hierarchy = Hierarchy::new(&system, llc, mix.data_model(42));
-    let mut streams = mix.instantiate(spec.footprint_scale(), 42);
-
-    // Warm up, then measure 2 M cycles.
-    drive_cycles(&mut hierarchy, &mut streams, 400_000.0);
-    hierarchy.reset_stats();
-    let accesses = drive_cycles(&mut hierarchy, &mut streams, 2_400_000.0);
+    let (mut streams, data) = setup.inputs(mix, 42);
+    let phase = simulate(&setup, &mut streams, data, None);
+    let (hierarchy, accesses) = (&phase.hierarchy, phase.accesses);
 
     let s = *hierarchy.llc().stats();
     println!("\nafter {accesses} memory references:");

@@ -7,19 +7,17 @@
 //! ```
 
 use hybrid_llc::config::ExperimentSpec;
-use hybrid_llc::llc::{HybridLlc, Policy};
-use hybrid_llc::nvm::FRAME_BYTES;
-use hybrid_llc::sim::Hierarchy;
-use hybrid_llc::trace::{drive_cycles, mixes};
-use hybrid_llc::LlcPort;
+use hybrid_llc::forecast::{run_phase, PhaseSetup};
+use hybrid_llc::llc::Policy;
+use hybrid_llc::nvm::{NvmArray, FRAME_BYTES};
+use hybrid_llc::trace::mixes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Disables `n` random bytes per NVM frame; the array applies each
 /// policy's granularity (a frame-disabling cache loses the whole frame at
 /// its first fault).
-fn injure(llc: &mut HybridLlc, bytes_per_frame: usize, rng: &mut StdRng) {
-    let Some(array) = llc.array_mut() else { return };
+fn injure(array: &mut NvmArray, bytes_per_frame: usize, rng: &mut StdRng) {
     for set in 0..array.sets() {
         for way in 0..array.ways() {
             for _ in 0..bytes_per_frame {
@@ -31,19 +29,15 @@ fn injure(llc: &mut HybridLlc, bytes_per_frame: usize, rng: &mut StdRng) {
 
 fn measure(policy: Policy, bytes_per_frame: usize) -> (f64, f64) {
     let spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-    let system = spec.system_config();
-    let mix = &mixes()[0];
-    let cfg = spec.llc_config_for(policy);
-    let mut llc = HybridLlc::new(&cfg);
-    let mut rng = StdRng::seed_from_u64(9);
-    injure(&mut llc, bytes_per_frame, &mut rng);
-    let capacity = llc.capacity_fraction();
-    let mut h = Hierarchy::new(&system, llc, mix.data_model(42));
-    let mut streams = mix.instantiate(spec.footprint_scale(), 42);
-    drive_cycles(&mut h, &mut streams, 400_000.0);
-    h.reset_stats();
-    drive_cycles(&mut h, &mut streams, 2_000_000.0);
-    (capacity, h.llc().stats().hit_rate())
+    let setup = PhaseSetup {
+        llc: spec.llc_config_for(policy),
+        ..PhaseSetup::from_spec(&spec, 400_000.0, 1_600_000.0)
+    };
+    let mut array = setup.llc.sample_array().expect("the preset has NVM ways");
+    injure(&mut array, bytes_per_frame, &mut StdRng::seed_from_u64(9));
+    let capacity = array.capacity_fraction();
+    let (m, _) = run_phase(&setup, &mixes()[0], Some(array), 42);
+    (capacity, m.hit_rate)
 }
 
 fn main() {

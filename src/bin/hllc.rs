@@ -25,8 +25,8 @@ use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
 use hybrid_llc::runner::{report_json, run_indexed, run_sweep};
 use hybrid_llc::session::{
-    live_session, record_session, recording_header, replay_session_with, stats_json, trace_spec,
-    SessionStats,
+    check_replay, live_session, record_session, recording_header, replay_session_with, stats_json,
+    trace_spec, SessionStats,
 };
 use hybrid_llc::sim::{EnergyModel, Op, SystemConfig};
 use hybrid_llc::trace::mixes;
@@ -154,11 +154,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                     args.cycles() / 1e6
                 );
             }
-            let system = args.spec.system_config();
             (
-                live_session(args, system.cores),
+                live_session(args),
                 mix.name.to_string(),
-                system,
+                args.spec.system_config(),
             )
         }
     };
@@ -319,30 +318,25 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads (and core-count-validates) the trace named by a `--trace` flag.
-fn load_trace_arg(
-    trace: &Option<String>,
-    system_cores: usize,
-) -> Result<Option<Arc<TraceContent>>, String> {
+/// Loads the trace named by a `--trace` flag.
+fn load_trace_arg(trace: &Option<String>) -> Result<Option<TraceContent>, String> {
     let Some(path) = trace else { return Ok(None) };
-    let content = load_trace(path).map_err(|e| format!("{path}: {e}"))?;
-    let cores = usize::from(content.header.cores);
-    if cores > system_cores {
-        return Err(format!(
-            "{path}: trace has {cores} cores but the system only has {system_cores}"
-        ));
-    }
-    Ok(Some(Arc::new(content)))
+    load_trace(path)
+        .map(Some)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    let trace = load_trace_arg(&args.trace, args.spec.system.cores)?;
-    let replay = match &trace {
-        Some(content) => Some(Arc::new(replay_spec(args, content)?)),
+    let replay = match load_trace_arg(&args.trace)? {
+        Some(content) => {
+            let spec = replay_spec(args, &content)?;
+            check_replay(&content, &spec)?;
+            Some((content, spec))
+        }
         None => None,
     };
-    let workload = match (&trace, &args.trace) {
-        (Some(content), Some(path)) => format!("{} (trace {path})", content.header.workload),
+    let workload = match (&replay, &args.trace) {
+        (Some((content, _)), Some(path)) => format!("{} (trace {path})", content.header.workload),
         _ => mixes()[args.mix_index()].name.to_string(),
     };
     println!(
@@ -371,15 +365,15 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     .collect();
     let rows = run_indexed(policies, args.jobs, |_, policy| {
         let system = args.spec.system_config();
-        let stats = match (&trace, &replay) {
-            (Some(content), Some(spec)) => {
+        let stats = match &replay {
+            Some((content, spec)) => {
                 replay_session_with(content, spec, policy, Some(args.cycles()))
-                    .expect("trace geometry validated before dispatch")
+                    .expect("replay checked before dispatch")
             }
-            _ => {
+            None => {
                 let mut job_args = args.clone();
                 job_args.spec.hybrid.policy = policy.label();
-                live_session(&job_args, system.cores)
+                live_session(&job_args)
             }
         };
         let e = EnergyModel::default_16nm().breakdown(
@@ -403,14 +397,14 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
-    let trace = load_trace_arg(&args.trace, args.spec.system.cores)?;
-    if let (Some(content), Some(path)) = (&trace, &args.trace) {
+    let spec = args.sweep_spec(load_trace_arg(&args.trace)?.map(Arc::new));
+    spec.validate()?;
+    if let (Some(content), Some(path)) = (&spec.trace, &args.trace) {
         println!(
             "replaying trace {path} ({} accesses) in every job; mixes only label the grid",
             content.accesses.len()
         );
     }
-    let spec = args.sweep_spec(trace);
     println!(
         "sweeping {} policies x {} capacities x {} way splits x {} latencies x {} mixes x {} seeds = {} jobs on {} threads...",
         spec.policies.len(),

@@ -20,6 +20,11 @@ pub fn parse_policy(name: &str) -> Option<Policy> {
     Policy::parse(name)
 }
 
+/// [`parse_policy`], with an error naming an unknown policy.
+fn policy_arg(name: &str) -> Result<Policy, String> {
+    parse_policy(name).ok_or_else(|| format!("unknown policy '{name}' (try `hllc policies`)"))
+}
+
 /// Arguments of `hllc run|forecast|compare`.
 #[derive(Clone, Debug)]
 pub struct Args {
@@ -123,8 +128,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--policy" => {
                 let v = value()?;
-                parse_policy(v)
-                    .ok_or_else(|| format!("unknown policy '{v}' (try `hllc policies`)"))?;
+                policy_arg(v)?;
                 args.spec.hybrid.policy = v.clone();
             }
             "--mix" => {
@@ -137,14 +141,8 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.spec.workload.mix = v;
             }
             "--cycles" => args.spec.run.cycles = parse_cycles(value()?)?,
-            "--seed" => {
-                args.spec.workload.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--jobs" => {
-                args.jobs = parse_jobs(value()?)?;
-            }
+            "--seed" => args.spec.workload.seed = parse_seed(value()?)?,
+            "--jobs" => args.jobs = parse_jobs(value()?)?,
             "--trace" => args.trace = Some(value()?.clone()),
             "--json" => args.json = true,
             other => return Err(format!("unknown flag '{other}'")),
@@ -157,25 +155,10 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// Arguments of `hllc sweep`.
 #[derive(Clone, Debug)]
 pub struct SweepArgs {
-    /// Base experiment: geometry, endurance, and workload seed of every
-    /// job; the grid axes below are edits applied per job.
-    pub spec: ExperimentSpec,
-    /// Policies to sweep, as `(label, policy)` pairs in flag order.
-    pub policies: Vec<(String, Policy)>,
-    /// Table V mixes, stored 0-based.
-    pub mixes: Vec<usize>,
-    /// Seed replicates per grid cell.
-    pub seeds: usize,
-    /// NVM capacity fractions (1.0 = pristine).
-    pub capacities: Vec<f64>,
-    /// SRAM/NVM way splits (Fig. 10b-style axis); defaults to the spec's.
-    pub way_splits: Vec<(usize, usize)>,
-    /// NVM latency factors (Fig. 11b-style axis); defaults to the spec's.
-    pub nvm_latency_factors: Vec<f64>,
-    /// Worker threads; any value yields byte-identical reports.
-    pub jobs: usize,
-    /// Measured cycles per job (warm-up is 20% on top).
-    pub cycles: f64,
+    /// The grid the flags describe: the base spec (whose `workload.seed`
+    /// is the base seed), the axes, the cycle windows and the worker
+    /// threads. Its trace is loaded from `trace` when the sweep runs.
+    pub grid: SweepSpec,
     /// Where to write the JSON report, if anywhere.
     pub json: Option<String>,
     /// Trace file replacing the synthetic mixes.
@@ -185,19 +168,22 @@ pub struct SweepArgs {
 /// Parses the flags of `hllc sweep`.
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     let (spec, _) = resolve_spec_flag(argv)?;
-    let mut args = SweepArgs {
-        spec,
+    // The axes default to the base spec's point (no other flag moves it).
+    let mut grid = SweepSpec {
         policies: parse_policy_list("bh,cp_sd").unwrap(),
         mixes: vec![0, 1, 2, 3],
         seeds: 1,
         capacities: vec![1.0],
-        way_splits: Vec::new(),
-        nvm_latency_factors: Vec::new(),
-        jobs: hllc_runner::default_threads(),
-        cycles: 2.0e5,
-        json: None,
+        way_splits: vec![(spec.system.sram_ways, spec.system.nvm_ways)],
+        nvm_latency_factors: vec![spec.system.nvm_latency_factor],
+        base_seed: 0,
+        warmup_cycles: 0.0,
+        measure_cycles: 2.0e5,
+        threads: hllc_runner::default_threads(),
         trace: None,
+        spec,
     };
+    let (mut json, mut trace) = (None, None);
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -205,93 +191,71 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
             "--spec" => {
                 value()?; // consumed by resolve_spec_flag
             }
-            "--policies" => args.policies = parse_policy_list(value()?)?,
-            "--mixes" => args.mixes = parse_mix_list(value()?)?,
+            "--policies" => grid.policies = parse_policy_list(value()?)?,
+            "--mixes" => grid.mixes = parse_mix_list(value()?)?,
             "--seeds" => {
-                args.seeds = value()?
+                grid.seeds = value()?
                     .parse()
                     .ok()
                     .filter(|&k: &usize| k >= 1)
                     .ok_or_else(|| "--seeds expects an integer >= 1".to_string())?;
             }
             "--capacities" => {
-                let v = value()?;
-                args.capacities = v
-                    .split(',')
-                    .map(|c| {
-                        c.trim()
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|&f| f > 0.0 && f <= 1.0)
-                            .ok_or_else(|| {
-                                format!("bad capacity '{c}' (expects a fraction in (0, 1])")
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
+                let fraction = |f: f64| f > 0.0 && f <= 1.0;
+                grid.capacities = parse_numbers(value()?, fraction)
+                    .map_err(|c| format!("bad capacity '{c}' (expects a fraction in (0, 1])"))?;
             }
-            "--way-splits" => args.way_splits = parse_way_splits(value()?)?,
+            "--way-splits" => grid.way_splits = parse_way_splits(value()?)?,
             "--nvm-latency" => {
-                let v = value()?;
-                args.nvm_latency_factors = v
-                    .split(',')
-                    .map(|f| {
-                        f.trim()
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|x| x.is_finite() && *x > 0.0)
-                            .ok_or_else(|| format!("bad latency factor '{f}' (expects > 0)"))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let positive = |x: f64| x.is_finite() && x > 0.0;
+                grid.nvm_latency_factors = parse_numbers(value()?, positive)
+                    .map_err(|f| format!("bad latency factor '{f}' (expects > 0)"))?;
             }
-            "--jobs" => args.jobs = parse_jobs(value()?)?,
-            "--cycles" => args.cycles = parse_cycles(value()?)?,
-            "--seed" => {
-                args.spec.workload.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
+            "--jobs" => grid.threads = parse_jobs(value()?)?,
+            "--cycles" => grid.measure_cycles = parse_cycles(value()?)?,
+            "--seed" => grid.spec.workload.seed = parse_seed(value()?)?,
             "--sets" => {
-                args.spec.system.llc_sets = value()?
+                grid.spec.system.llc_sets = value()?
                     .parse()
                     .ok()
                     .filter(|&s: &usize| s >= 1)
                     .ok_or_else(|| "--sets expects an integer >= 1".to_string())?;
             }
-            "--json" => args.json = Some(value()?.clone()),
-            "--trace" => args.trace = Some(value()?.clone()),
+            "--json" => json = Some(value()?.clone()),
+            "--trace" => trace = Some(value()?.clone()),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if args.way_splits.is_empty() {
-        args.way_splits = vec![(args.spec.system.sram_ways, args.spec.system.nvm_ways)];
-    }
-    if args.nvm_latency_factors.is_empty() {
-        args.nvm_latency_factors = vec![args.spec.system.nvm_latency_factor];
-    }
+    grid.base_seed = grid.spec.workload.seed;
+    grid.warmup_cycles = grid.spec.run.warmup_cycles(grid.measure_cycles);
     // Checked, so an absurd `--seeds` cannot wrap the product past the cap.
-    args.sweep_spec(None).checked_job_count()?;
-    args.spec.validate().map_err(|e| e.to_string())?;
-    Ok(args)
+    grid.checked_job_count()?;
+    grid.spec.validate().map_err(|e| e.to_string())?;
+    Ok(SweepArgs { grid, json, trace })
 }
 
 impl SweepArgs {
     /// The grid these flags describe, replaying `trace` if one is loaded.
     pub fn sweep_spec(&self, trace: Option<Arc<TraceContent>>) -> SweepSpec {
         SweepSpec {
-            policies: self.policies.clone(),
-            mixes: self.mixes.clone(),
-            seeds: self.seeds,
-            capacities: self.capacities.clone(),
-            way_splits: self.way_splits.clone(),
-            nvm_latency_factors: self.nvm_latency_factors.clone(),
-            base_seed: self.spec.workload.seed,
-            spec: self.spec.clone(),
-            warmup_cycles: self.spec.run.warmup_fraction * self.cycles,
-            measure_cycles: self.cycles,
-            threads: self.jobs,
             trace,
+            ..self.grid.clone()
         }
     }
+}
+
+/// Parses a comma-separated list of numbers that pass `valid`; the error
+/// is the first item that does not.
+fn parse_numbers(v: &str, valid: impl Fn(f64) -> bool) -> Result<Vec<f64>, String> {
+    v.split(',')
+        .map(|x| {
+            x.trim()
+                .parse()
+                .ok()
+                .filter(|&f| valid(f))
+                .ok_or_else(|| x.to_string())
+        })
+        .collect()
 }
 
 /// Parses a comma-separated way-split list, e.g. `4/12,3/13`.
@@ -327,6 +291,11 @@ fn parse_cycles(v: &str) -> Result<f64, String> {
         .parse()
         .map_err(|_| rule("must be a finite positive cycle count".into()))?;
     hllc_config::check_cycle_budget(cycles).map_err(rule)
+}
+
+fn parse_seed(v: &str) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| "--seed expects an integer".to_string())
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -414,13 +383,7 @@ pub fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--trace" => trace = Some(value()?.clone()),
-            "--policy" => {
-                let v = value()?;
-                policy = Some(
-                    parse_policy(v)
-                        .ok_or_else(|| format!("unknown policy '{v}' (try `hllc policies`)"))?,
-                );
-            }
+            "--policy" => policy = Some(policy_arg(value()?)?),
             "--cycles" => cycles = Some(parse_cycles(value()?)?),
             "--spec" => {
                 spec = Some(ExperimentSpec::resolve(value()?).map_err(|e| e.to_string())?);
@@ -486,9 +449,7 @@ fn parse_policy_list(v: &str) -> Result<Vec<(String, Policy)>, String> {
         .split(',')
         .map(|name| {
             let name = name.trim();
-            parse_policy(name)
-                .map(|p| (name.to_string(), p))
-                .ok_or_else(|| format!("unknown policy '{name}' (try `hllc policies`)"))
+            policy_arg(name).map(|p| (name.to_string(), p))
         })
         .collect::<Result<_, _>>()?;
     if list.is_empty() {
@@ -652,27 +613,27 @@ mod tests {
              --jobs 4 --cycles 1e5 --seed 9 --sets 256 --json out.json",
         ))
         .unwrap();
-        assert_eq!(a.policies.len(), 3);
-        assert_eq!(a.policies[2].0, "tap");
-        assert_eq!(a.mixes, vec![0, 4, 9]);
-        assert_eq!(a.seeds, 3);
-        assert_eq!(a.capacities, vec![1.0, 0.7]);
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.cycles, 1.0e5);
-        assert_eq!(a.spec.workload.seed, 9);
-        assert_eq!(a.spec.system.llc_sets, 256);
+        assert_eq!(a.grid.policies.len(), 3);
+        assert_eq!(a.grid.policies[2].0, "tap");
+        assert_eq!(a.grid.mixes, vec![0, 4, 9]);
+        assert_eq!(a.grid.seeds, 3);
+        assert_eq!(a.grid.capacities, vec![1.0, 0.7]);
+        assert_eq!(a.grid.threads, 4);
+        assert_eq!(a.grid.measure_cycles, 1.0e5);
+        assert_eq!(a.grid.spec.workload.seed, 9);
+        assert_eq!(a.grid.spec.system.llc_sets, 256);
         assert_eq!(a.json.as_deref(), Some("out.json"));
     }
 
     #[test]
     fn parse_sweep_args_reads_the_new_axes() {
         let a = parse_sweep_args(&argv("--way-splits 4/12,3/13 --nvm-latency 1.0,1.5")).unwrap();
-        assert_eq!(a.way_splits, vec![(4, 12), (3, 13)]);
-        assert_eq!(a.nvm_latency_factors, vec![1.0, 1.5]);
+        assert_eq!(a.grid.way_splits, vec![(4, 12), (3, 13)]);
+        assert_eq!(a.grid.nvm_latency_factors, vec![1.0, 1.5]);
         // Defaults mirror the base spec: a singleton per axis.
         let d = parse_sweep_args(&[]).unwrap();
-        assert_eq!(d.way_splits, vec![(4, 12)]);
-        assert_eq!(d.nvm_latency_factors, vec![1.0]);
+        assert_eq!(d.grid.way_splits, vec![(4, 12)]);
+        assert_eq!(d.grid.nvm_latency_factors, vec![1.0]);
     }
 
     #[test]
@@ -722,7 +683,13 @@ mod tests {
             }
         }
         assert_eq!(parse_args(&argv("--cycles 1e-3")).unwrap().cycles(), 1e-3);
-        assert_eq!(parse_sweep_args(&argv("--cycles 5e4")).unwrap().cycles, 5e4);
+        assert_eq!(
+            parse_sweep_args(&argv("--cycles 5e4"))
+                .unwrap()
+                .grid
+                .measure_cycles,
+            5e4
+        );
         let r = parse_replay_args(&argv("--trace t.trc --cycles 7")).unwrap();
         assert_eq!(r.cycles, Some(7.0));
     }
@@ -731,7 +698,7 @@ mod tests {
     fn sweep_job_count_is_capped() {
         let at_cap = format!("--policies bh --mixes 1 --seeds {MAX_SWEEP_JOBS}");
         assert_eq!(
-            parse_sweep_args(&argv(&at_cap)).unwrap().seeds,
+            parse_sweep_args(&argv(&at_cap)).unwrap().grid.seeds,
             MAX_SWEEP_JOBS
         );
         let over = format!(
@@ -836,10 +803,10 @@ mod tests {
     #[test]
     fn parse_sweep_args_defaults_are_sane() {
         let a = parse_sweep_args(&[]).unwrap();
-        assert!(!a.policies.is_empty());
-        assert!(!a.mixes.is_empty());
-        assert!(a.seeds >= 1 && a.jobs >= 1);
-        assert_eq!(a.spec.name, "scaled");
+        assert!(!a.grid.policies.is_empty());
+        assert!(!a.grid.mixes.is_empty());
+        assert!(a.grid.seeds >= 1 && a.grid.threads >= 1);
+        assert_eq!(a.grid.spec.name, "scaled");
         assert!(a.json.is_none());
     }
 }

@@ -29,25 +29,20 @@
 //!
 //! ```
 //! use hybrid_llc::config::ExperimentSpec;
-//! use hybrid_llc::llc::HybridLlc;
-//! use hybrid_llc::sim::{Hierarchy, LlcPort};
-//! use hybrid_llc::trace::{drive_accesses, mixes};
+//! use hybrid_llc::forecast::{run_phase, PhaseSetup};
+//! use hybrid_llc::trace::mixes;
 //!
 //! // The scaled-down preset running the paper's CP_SD policy on mix 1,
-//! // shrunk to 256 sets for an even faster demo.
+//! // shrunk to 256 sets for an even faster demo: 10 K cycles of warm-up,
+//! // then a 50 K-cycle measured window.
 //! let mut spec = ExperimentSpec::preset("scaled").unwrap();
 //! spec.system.llc_sets = 256;
 //! spec.validate().unwrap();
-//! let mix = &mixes()[spec.mix_index()];
-//! let llc = HybridLlc::new(&spec.llc_config());
-//! let mut hierarchy = Hierarchy::new(&spec.system_config(), llc, mix.data_model(1));
-//! let mut streams = mix.instantiate(spec.footprint_scale(), 1);
-//! drive_accesses(&mut hierarchy, &mut streams, 50_000);
+//! let setup = PhaseSetup::from_spec(&spec, 10_000.0, 50_000.0);
+//! let (m, _) = run_phase(&setup, &mixes()[spec.mix_index()], None, 1);
 //! println!(
 //!     "IPC {:.3}, LLC hit rate {:.3}, NVM bytes written {}",
-//!     hierarchy.system_ipc(),
-//!     hierarchy.llc().stats().hit_rate(),
-//!     hierarchy.llc().stats().nvm_bytes_written,
+//!     m.ipc, m.hit_rate, m.llc.nvm_bytes_written,
 //! );
 //! ```
 //!

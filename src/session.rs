@@ -1,13 +1,14 @@
 //! One simulation session shared by `run`, `record`, `replay`, and
 //! `compare`.
 //!
-//! All four commands execute the same recipe — the spec's system, its
-//! warm-up fraction, statistics reset, then the measured window — and
-//! differ only in where references and block sizes come from: a synthetic
-//! mix, a tapped mix being recorded, or a trace file being replayed.
-//! Keeping the recipe in one function is what makes record/replay round
-//! trips byte-comparable: the round-trip tests diff [`stats_json`] output
-//! of a live run against a replay of its recording.
+//! All four commands run the spec's phase through
+//! [`hllc_forecast::simulate`] — the spec's system, its warm-up fraction,
+//! statistics reset, then the measured window — and differ only in where
+//! references and block sizes come from: a synthetic mix, a tapped mix
+//! being recorded, or a trace file being replayed. One recipe is what
+//! makes record/replay round trips byte-comparable: the round-trip tests
+//! diff [`stats_json`] output of a live run against a replay of its
+//! recording.
 //!
 //! Recordings embed the resolved [`ExperimentSpec`] in the trace header
 //! (format v2), so [`replay_session`] reconstructs the exact recorded
@@ -17,9 +18,10 @@
 use serde_json::{json, Value};
 
 use crate::cli::Args;
-use crate::llc::{HybridLlc, Policy};
-use crate::sim::{DataModel, Hierarchy, HierarchyStats, LlcPort, LlcStats};
-use crate::trace::{drive_cycles, mixes, RefSource};
+use crate::forecast::{simulate, PhaseSetup};
+use crate::llc::Policy;
+use crate::sim::{DataModel, HierarchyStats, LlcPort, LlcStats};
+use crate::trace::{mixes, RefSource};
 use hllc_config::ExperimentSpec;
 
 use crate::traceio::{Recorder, ReplayStream, TraceContent, TraceData, TraceHeader};
@@ -46,7 +48,32 @@ pub struct SessionStats {
     pub dueling_epochs: Option<(u64, usize)>,
 }
 
-/// Runs the spec's recipe over arbitrary reference sources:
+/// The phase a session runs: the spec's system under `policy`, measuring
+/// `cycles` after the spec's warm-up.
+fn session_setup(spec: &ExperimentSpec, policy: Policy, cycles: f64) -> PhaseSetup {
+    PhaseSetup::from_spec_for(spec, policy, spec.run.warmup_cycles(cycles), cycles)
+}
+
+/// Runs `setup`'s phase from a fresh LLC: the session's view of it.
+fn session<S: RefSource, D: DataModel>(
+    setup: &PhaseSetup,
+    streams: &mut [S],
+    data: D,
+) -> SessionStats {
+    let phase = simulate(setup, streams, data, None);
+    let h = &phase.hierarchy;
+    let dueling = h.llc().dueling();
+    SessionStats {
+        ipc: h.system_ipc(),
+        accesses: phase.accesses,
+        llc: *h.llc().stats(),
+        hierarchy: h.stats().clone(),
+        cp_th: dueling.map(|d| d.current_cp_th()),
+        dueling_epochs: dueling.map(|d| (d.epochs_total(), d.epochs_retained())),
+    }
+}
+
+/// Runs the spec's phase under `policy` over arbitrary reference sources:
 /// `spec.run.warmup_fraction * cycles` of warm-up, statistics reset, then
 /// a `cycles`-long measured window.
 pub fn run_session<S: RefSource, D: DataModel>(
@@ -56,61 +83,36 @@ pub fn run_session<S: RefSource, D: DataModel>(
     streams: &mut [S],
     data: D,
 ) -> SessionStats {
-    let llc = HybridLlc::new(&spec.llc_config_for(policy));
-    let mut h = Hierarchy::new(&spec.system_config(), llc, data);
-    let warmup = spec.run.warmup_fraction * cycles;
-    drive_cycles(&mut h, streams, warmup);
-    h.reset_stats();
-    let accesses = drive_cycles(&mut h, streams, warmup + cycles);
-    SessionStats {
-        ipc: h.system_ipc(),
-        accesses,
-        llc: *h.llc().stats(),
-        hierarchy: h.stats().clone(),
-        cp_th: h.llc().dueling().map(|d| d.current_cp_th()),
-        dueling_epochs: h
-            .llc()
-            .dueling()
-            .map(|d| (d.epochs_total(), d.epochs_retained())),
-    }
+    session(&session_setup(spec, policy, cycles), streams, data)
 }
 
-/// Runs `args` live from the synthetic mix on the first `cores` of the
-/// spec's system.
-pub fn live_session(args: &Args, cores: usize) -> SessionStats {
+/// Runs `args` live from the synthetic mix, on the inputs
+/// [`PhaseSetup::inputs`] picks for the spec.
+pub fn live_session(args: &Args) -> SessionStats {
     let spec = &args.spec;
-    let mix = &mixes()[spec.mix_index()];
-    let mut streams = mix.instantiate(spec.footprint_scale(), spec.workload.seed);
-    streams.truncate(cores.clamp(1, spec.system.cores));
-    run_session(
-        spec,
-        args.policy(),
-        spec.run.cycles,
-        &mut streams,
-        mix.data_model(spec.workload.seed),
-    )
+    let setup = session_setup(spec, args.policy(), spec.run.cycles);
+    let (mut streams, data) = setup.inputs(&mixes()[spec.mix_index()], spec.workload.seed);
+    session(&setup, &mut streams, data)
 }
 
-/// Runs `args` live while capturing every reference and block size into
-/// `writer`'s sink. The tap never perturbs the run, so the returned stats
-/// equal [`live_session`]'s for the same arguments.
+/// Runs `args` live on at most `cores` of its streams, capturing every
+/// reference and block size into `writer`'s sink. The tap never perturbs
+/// the run: with every stream recorded, the stats equal [`live_session`]'s.
 pub fn record_session<W: std::io::Write>(
     args: &Args,
     cores: usize,
     writer: crate::traceio::TraceWriter<W>,
 ) -> Result<(SessionStats, W), String> {
     let spec = &args.spec;
-    let cores = cores.clamp(1, spec.system.cores);
-    let mix = &mixes()[spec.mix_index()];
+    let setup = session_setup(spec, args.policy(), spec.run.cycles);
+    let (streams, data) = setup.inputs(&mixes()[spec.mix_index()], spec.workload.seed);
     let recorder = Recorder::new(writer);
-    let mut streams: Vec<_> = mix
-        .instantiate(spec.footprint_scale(), spec.workload.seed)
+    let mut streams: Vec<_> = streams
         .into_iter()
-        .take(cores)
+        .take(cores.max(1))
         .map(|s| recorder.stream(s))
         .collect();
-    let data = recorder.data(mix.data_model(spec.workload.seed));
-    let stats = run_session(spec, args.policy(), spec.run.cycles, &mut streams, data);
+    let stats = session(&setup, &mut streams, recorder.data(data));
     drop(streams);
     let mut sink = recorder.finish().map_err(|e| e.to_string())?;
     sink.flush()
@@ -119,18 +121,20 @@ pub fn record_session<W: std::io::Write>(
 }
 
 /// The header a recording of `args` carries: the legacy summary fields
-/// plus the full resolved spec as an embedded JSON blob (format v2).
+/// plus the full resolved spec as an embedded JSON blob (format v2). Its
+/// core count is the number of streams [`record_session`] captures.
 pub fn recording_header(args: &Args, cores: usize) -> TraceHeader {
     let spec = &args.spec;
+    let mix = &mixes()[spec.mix_index()];
     let spec_text = serde_json::to_string(&spec.to_json()).expect("spec serialization cannot fail");
     TraceHeader {
-        cores: cores.clamp(1, spec.system.cores) as u8,
+        cores: cores.clamp(1, spec.system.cores.min(mix.apps.len())) as u8,
         mix: spec.workload.mix as u8,
         seed: spec.workload.seed,
         sets: spec.system.llc_sets as u32,
         cycles: spec.run.cycles,
         policy: args.policy().name().to_string(),
-        workload: mixes()[spec.mix_index()].name.to_string(),
+        workload: mix.name.to_string(),
         spec_json: Some(spec_text),
     }
 }
@@ -169,45 +173,40 @@ pub fn replay_session(
     replay_session_with(content, &spec, policy, cycles)
 }
 
-/// Replays a loaded trace on an explicitly requested system. The spec's
-/// geometry must match the recording's — replaying 512-set references
-/// onto a different set count or way split would silently measure a
-/// system the trace was never recorded for.
-pub fn replay_session_with(
-    content: &TraceContent,
-    spec: &ExperimentSpec,
-    policy: Policy,
-    cycles: Option<f64>,
-) -> Result<SessionStats, String> {
-    let recorded = trace_spec(content)?;
-    let mut mismatches = Vec::new();
-    for (field, want, got) in [
-        ("llc_sets", recorded.system.llc_sets, spec.system.llc_sets),
-        (
-            "sram_ways",
-            recorded.system.sram_ways,
-            spec.system.sram_ways,
-        ),
-        ("nvm_ways", recorded.system.nvm_ways, spec.system.nvm_ways),
-        ("cores", recorded.system.cores, spec.system.cores),
-    ] {
-        if want != got {
-            mismatches.push(format!("{field}: spec {got} vs recording {want}"));
-        }
-    }
+/// Checks that `content` replays on `spec`'s system. The spec's geometry
+/// must match the recording's — replaying 512-set references onto a
+/// different set count or way split would silently measure a system the
+/// trace was never recorded for — and the trace's cores must fit it.
+pub fn check_replay(content: &TraceContent, spec: &ExperimentSpec) -> Result<(), String> {
+    let (want, got) = (&trace_spec(content)?.system, &spec.system);
+    let mismatches: Vec<String> = [
+        ("llc_sets", want.llc_sets, got.llc_sets),
+        ("sram_ways", want.sram_ways, got.sram_ways),
+        ("nvm_ways", want.nvm_ways, got.nvm_ways),
+        ("cores", want.cores, got.cores),
+    ]
+    .into_iter()
+    .filter(|(_, want, got)| want != got)
+    .map(|(field, want, got)| format!("{field}: spec {got} vs recording {want}"))
+    .collect();
     if !mismatches.is_empty() {
         return Err(format!(
             "geometry mismatch between --spec and the recording: {}",
             mismatches.join(", ")
         ));
     }
-    let cores = usize::from(content.header.cores);
-    if cores > spec.system.cores {
-        return Err(format!(
-            "trace has {cores} cores but the system only has {}",
-            spec.system.cores
-        ));
-    }
+    content.check_cores(spec.system.cores)
+}
+
+/// Replays a loaded trace on an explicitly requested system, once
+/// [`check_replay`] accepts it.
+pub fn replay_session_with(
+    content: &TraceContent,
+    spec: &ExperimentSpec,
+    policy: Policy,
+    cycles: Option<f64>,
+) -> Result<SessionStats, String> {
+    check_replay(content, spec)?;
     let mut streams = ReplayStream::per_core(content);
     let data = TraceData::from_content(content);
     let cycles = cycles.unwrap_or(content.header.cycles);
@@ -262,9 +261,59 @@ mod tests {
     }
 
     #[test]
+    fn live_session_and_run_phase_agree_for_every_core_count_and_compressor() {
+        use crate::forecast::run_phase;
+        let mut by_compressor = Vec::new();
+        for compressor in ["bdi", "fpc"] {
+            for cores in [1, 2, 4, 8] {
+                let mut a = Args::scaled(Policy::cp_sd(), 1, 30_000.0, 5);
+                a.spec.system.cores = cores;
+                a.spec.system.llc_sets = 128;
+                a.spec.hybrid.compressor = compressor.into();
+                a.spec.validate().unwrap();
+                let live = live_session(&a);
+                let spec = &a.spec;
+                let setup = PhaseSetup::from_spec(
+                    spec,
+                    spec.run.warmup_cycles(spec.run.cycles),
+                    spec.run.cycles,
+                );
+                let (m, _) = run_phase(&setup, &mixes()[1], None, spec.workload.seed);
+                let what = format!("{compressor} on {cores} cores");
+                assert_eq!(live.ipc.to_bits(), m.ipc.to_bits(), "IPC, {what}");
+                assert_eq!(live.llc, m.llc, "LLC stats, {what}");
+                assert!(live.llc.requests() > 0, "{what} idle");
+                if cores == 4 {
+                    by_compressor.push(live.llc);
+                }
+            }
+        }
+        assert_ne!(
+            by_compressor[0], by_compressor[1],
+            "the spec's compressor did not reach the live run"
+        );
+    }
+
+    #[test]
+    fn replay_of_an_access_beyond_the_header_cores_is_an_error() {
+        use crate::sim::Access;
+        let a = args();
+        let content = TraceContent {
+            header: TraceHeader {
+                cores: 1,
+                ..recording_header(&a, 1)
+            },
+            accesses: vec![Access::load(0, 0x40), Access::load(1, 0x80)],
+            sizes: Vec::new(),
+        };
+        let e = replay_session_with(&content, &a.spec, Policy::Bh, None).unwrap_err();
+        assert!(e.contains("access 1 names core 1"), "{e}");
+    }
+
+    #[test]
     fn recording_does_not_perturb_the_run() {
         let a = args();
-        let live = live_session(&a, 4);
+        let live = live_session(&a);
         let writer = TraceWriter::new(Vec::new(), &recording_header(&a, 4)).unwrap();
         let (recorded, _) = record_session(&a, 4, writer).unwrap();
         assert_eq!(live, recorded, "the recorder tap changed the simulation");

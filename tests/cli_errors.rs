@@ -125,3 +125,16 @@ fn help_goes_to_stdout() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: hllc"));
     assert!(out.stderr.is_empty());
 }
+
+#[test]
+fn compare_on_a_trace_with_a_mismatched_spec_is_an_error_not_a_panic() {
+    let path = std::env::temp_dir().join(format!("hllc-compare-{}.trc", std::process::id()));
+    let trace = path.to_str().unwrap();
+    let record = hllc(&["record", "--cycles", "2e4", "--cores", "2", "--out", trace]);
+    assert!(record.status.success(), "{record:?}");
+    let out = hllc(&[
+        "compare", "--trace", trace, "--spec", "paper", "--jobs", "1",
+    ]);
+    std::fs::remove_file(&path).unwrap();
+    assert_fails_naming(&out, "llc_sets: spec 4096 vs recording 512");
+}

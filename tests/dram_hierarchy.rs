@@ -1,5 +1,6 @@
 //! Integration of the banked open-page DRAM model with the hierarchy.
 
+use hybrid_llc::compress::CompressorKind;
 use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::llc::{HybridLlc, Policy};
 use hybrid_llc::sim::{Access, Hierarchy};
@@ -40,7 +41,7 @@ fn dram_model_slows_random_traffic_more_than_streams() {
         let cfg = spec.system_config();
         let mix = &mixes()[mix_idx];
         let llc = HybridLlc::new(&spec.llc_config_for(Policy::Bh));
-        let mut h = Hierarchy::new(&cfg, llc, mix.data_model(3));
+        let mut h = Hierarchy::new(&cfg, llc, mix.data_model_with(CompressorKind::Bdi, 3));
         let mut streams = mix.instantiate(spec.footprint_scale(), 3);
         drive_cycles(&mut h, &mut streams, 600_000.0);
         let (hits, misses, conflicts) = h.dram().unwrap().stats();

@@ -2,6 +2,7 @@
 //! synthetic mixes, checking cross-policy invariants the paper's story
 //! rests on.
 
+use hybrid_llc::compress::CompressorKind;
 use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::llc::{HybridLlc, Policy};
 use hybrid_llc::sim::{Hierarchy, LlcStats};
@@ -26,7 +27,7 @@ fn run_policy(policy: Policy, mix_idx: usize) -> (LlcStats, f64) {
     let mut h: Hierarchy<HybridLlc, WorkloadData> = Hierarchy::new(
         &spec.system_config(),
         HybridLlc::new(&spec.llc_config_for(policy)),
-        mix.data_model(5),
+        mix.data_model_with(CompressorKind::Bdi, 5),
     );
     let mut streams = mix.instantiate(spec.footprint_scale(), 5);
     drive_cycles(&mut h, &mut streams, 100_000.0);
@@ -115,7 +116,7 @@ fn every_access_is_served_exactly_once() {
     let mut h: Hierarchy<HybridLlc, WorkloadData> = Hierarchy::new(
         &spec.system_config(),
         HybridLlc::new(&spec.llc_config_for(Policy::cp_sd())),
-        mix.data_model(5),
+        mix.data_model_with(CompressorKind::Bdi, 5),
     );
     let mut streams = mix.instantiate(spec.footprint_scale(), 5);
     drive_cycles(&mut h, &mut streams, 300_000.0);
@@ -155,7 +156,11 @@ fn aged_cache_serves_fewer_hits() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             llc.array_mut().unwrap().degrade_to(capacity, &mut rng);
         }
-        let mut h = Hierarchy::new(&spec.system_config(), llc, mix.data_model(5));
+        let mut h = Hierarchy::new(
+            &spec.system_config(),
+            llc,
+            mix.data_model_with(CompressorKind::Bdi, 5),
+        );
         let mut streams = mix.instantiate(spec.footprint_scale(), 5);
         drive_cycles(&mut h, &mut streams, 100_000.0);
         h.reset_stats();

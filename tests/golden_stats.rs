@@ -19,7 +19,7 @@ use hybrid_llc::trace::mixes;
 
 fn golden_case(policy: Policy, policy_slug: &str, mix: usize) {
     let args = Args::scaled(policy, mix, 400_000.0, 7);
-    let stats = live_session(&args, 4);
+    let stats = live_session(&args);
     let value = stats_json(&policy.name(), mixes()[mix].name, &stats);
     let rendered = serde_json::to_string_pretty(&value).unwrap() + "\n";
 

@@ -2,6 +2,7 @@
 //! parallel runner's determinism guarantee ultimately rests on: equal seeds
 //! must replay identical streams, different seeds must diverge.
 
+use hybrid_llc::compress::CompressorKind;
 use hybrid_llc::trace::mixes;
 use proptest::prelude::*;
 
@@ -34,8 +35,8 @@ proptest! {
 
     fn equal_seeds_synthesize_identical_data(seed in any::<u64>(), block in any::<u64>()) {
         let mix = &mixes()[0];
-        let mut a = mix.data_model(seed);
-        let mut b = mix.data_model(seed);
+        let mut a = mix.data_model_with(CompressorKind::Bdi, seed);
+        let mut b = mix.data_model_with(CompressorKind::Bdi, seed);
         prop_assert_eq!(a.synthesize_block(block), b.synthesize_block(block));
         // Memoization must not change the synthesized content either.
         prop_assert_eq!(a.synthesize_block(block), b.synthesize_block(block));
@@ -43,8 +44,8 @@ proptest! {
 
     fn different_seeds_synthesize_different_data(seed in any::<u64>(), delta in 1u64..1_000_000) {
         let mix = &mixes()[0];
-        let mut a = mix.data_model(seed);
-        let mut b = mix.data_model(seed.wrapping_add(delta));
+        let mut a = mix.data_model_with(CompressorKind::Bdi, seed);
+        let mut b = mix.data_model_with(CompressorKind::Bdi, seed.wrapping_add(delta));
         let diverged = (0..64u64).any(|block| a.synthesize_block(block) != b.synthesize_block(block));
         prop_assert!(diverged, "data models for {seed} and +{delta} agree on 64 blocks");
     }
