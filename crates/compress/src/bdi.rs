@@ -229,13 +229,6 @@ impl Compressor {
         }
         best
     }
-
-    /// The compressed size in bytes straight from the raw block bytes — the
-    /// probe's headline number: `probe_size(b) == compress(b).size()` for
-    /// every block, with no payload materialized.
-    pub fn probe_size(&self, bytes: &[u8; BLOCK_SIZE]) -> u8 {
-        self.probe(bytes).compressed_size()
-    }
 }
 
 /// The smaller-CB of two encodings (sizes are distinct, so no tie exists).
@@ -570,7 +563,6 @@ mod tests {
             }
             let blk = Block::new(bytes);
             assert_eq!(c.compressed_size(&blk), c.compress(&blk).size());
-            assert_eq!(c.probe_size(blk.bytes()), c.compress(&blk).size());
         }
     }
 

@@ -107,13 +107,6 @@ impl Fpc {
         }
         (bits.div_ceil(8) as u8).min(64)
     }
-
-    /// Per-word pattern breakdown (diagnostics and tests).
-    pub fn patterns(&self, block: &Block) -> [FpcPattern; 16] {
-        let lanes = block.u32_lanes();
-        // from_fn's i < 16 == lanes.len().
-        core::array::from_fn(|i| FpcPattern::classify(lanes[i]))
-    }
 }
 
 /// Which compression mechanism a data model sizes blocks with.
@@ -200,7 +193,13 @@ mod tests {
     fn patterns_reported_per_word() {
         let mut lanes = [0u32; 16];
         lanes[3] = 0x1234_5678;
-        let p = Fpc::new().patterns(&Block::from_u32_lanes(lanes));
+        let block = Block::from_u32_lanes(lanes);
+        let p: Vec<FpcPattern> = block
+            .u32_lanes()
+            .into_iter()
+            .map(FpcPattern::classify)
+            .collect();
+        assert_eq!(p.len(), 16);
         assert_eq!(p[0], FpcPattern::Zero);
         assert_eq!(p[3], FpcPattern::Uncompressed);
     }

@@ -108,7 +108,7 @@ proptest! {
     fn probe_matches_compress_across_all_encodings(block in arb_any_encoding_block()) {
         let c = Compressor::new();
         let cb = c.compress(&block);
-        prop_assert_eq!(c.probe_size(block.bytes()), cb.size());
+        prop_assert_eq!(c.compressed_size(&block), cb.size());
         prop_assert_eq!(c.probe(block.bytes()), cb.encoding());
         prop_assert_eq!(cb.decompress(), block);
     }

@@ -124,7 +124,9 @@ pub struct Phase<D> {
 
 /// Runs one phase of `setup` over `streams` and `data`, starting from
 /// `array` (or a freshly sampled array when `None`): the warm-up,
-/// statistics reset, then the measured window.
+/// statistics reset, then the measured window. The hierarchy has one core
+/// per stream, so a mix with fewer apps than `setup.system` has cores
+/// reports the IPC of the cores that ran, not a mean diluted by idle ones.
 ///
 /// # Panics
 ///
@@ -142,8 +144,12 @@ pub fn simulate<S: RefSource, D: DataModel>(
         streams.len(),
         setup.system.cores
     );
+    let system = SystemConfig {
+        cores: streams.len(),
+        ..setup.system.clone()
+    };
     let llc = HybridLlc::with_array(&setup.llc, array.or_else(|| setup.llc.sample_array()));
-    let mut hierarchy = Hierarchy::new(&setup.system, llc, data);
+    let mut hierarchy = Hierarchy::new(&system, llc, data);
     let warm_accesses = drive_cycles(&mut hierarchy, streams, setup.warmup_cycles);
     hierarchy.reset_stats();
     let end = setup.warmup_cycles + setup.measure_cycles;
@@ -225,6 +231,22 @@ mod tests {
         let total_frame_bytes: u64 = m.frame_bytes_written.iter().sum();
         assert_eq!(total_frame_bytes, m.llc.nvm_bytes_written);
         assert!(array.is_some());
+    }
+
+    #[test]
+    fn idle_cores_do_not_dilute_the_ipc() {
+        let four = PhaseSetup {
+            warmup_cycles: 10_000.0,
+            measure_cycles: 30_000.0,
+            ..setup(Policy::Bh)
+        };
+        let mut eight = four.clone();
+        eight.system.cores = 8;
+        let (m4, _) = run_phase(&four, &mixes()[0], None, 42);
+        let (m8, _) = run_phase(&eight, &mixes()[0], None, 42);
+        assert!(m4.ipc > 0.0);
+        assert_eq!(m4.ipc.to_bits(), m8.ipc.to_bits(), "8 cores, 4 apps");
+        assert_eq!(m4.llc, m8.llc);
     }
 
     #[test]

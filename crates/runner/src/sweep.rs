@@ -8,7 +8,7 @@ use hllc_core::{HybridConfig, Policy};
 use hllc_forecast::{run_phase, run_phase_streams, PhaseSetup};
 use hllc_nvm::NvmArray;
 use hllc_trace::mixes;
-use hllc_traceio::{ReplayStream, TraceContent, TraceData};
+use hllc_traceio::{check_replay, ReplayStream, TraceContent, TraceData};
 use serde_json::{json, Value};
 
 use crate::pool::run_indexed;
@@ -76,18 +76,32 @@ impl SweepSpec {
     }
 
     /// Checks that the grid can run: [`checked_job_count`](Self::checked_job_count),
-    /// mixes in range, and a trace (if any) that fits the base spec's cores.
+    /// mixes in range, and a trace (if any) that [`check_replay`] accepts
+    /// for every way split's system (the other axes leave the geometry as
+    /// it is).
     pub fn validate(&self) -> Result<(), String> {
         self.checked_job_count()?;
         if let Some(trace) = &self.trace {
-            return trace
-                .check_cores(self.spec.system.cores)
-                .map_err(|e| format!("sweep trace: {e}"));
+            let factor = self.spec.system.nvm_latency_factor;
+            for &split in &self.way_splits {
+                check_replay(trace, &self.job_experiment(split, factor))?;
+            }
+            return Ok(());
         }
         match self.mixes.iter().find(|&&mix| mix >= mixes().len()) {
             Some(mix) => Err(format!("mix index {mix} out of range")),
             None => Ok(()),
         }
+    }
+
+    /// The experiment of the jobs at one way split and NVM latency factor:
+    /// the base spec with those axes applied.
+    fn job_experiment(&self, (sram_ways, nvm_ways): (usize, usize), factor: f64) -> ExperimentSpec {
+        let mut exp = self.spec.clone();
+        exp.system.sram_ways = sram_ways;
+        exp.system.nvm_ways = nvm_ways;
+        exp.system.nvm_latency_factor = factor;
+        exp
     }
 
     fn axis_product(&self) -> Option<usize> {
@@ -204,10 +218,7 @@ fn enumerate_jobs(spec: &SweepSpec) -> Vec<SweepJob> {
 
 fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
     let seed = job_seed(spec.base_seed, index);
-    let mut exp = spec.spec.clone();
-    exp.system.sram_ways = job.sram_ways;
-    exp.system.nvm_ways = job.nvm_ways;
-    exp.system.nvm_latency_factor = job.nvm_latency_factor;
+    let exp = spec.job_experiment((job.sram_ways, job.nvm_ways), job.nvm_latency_factor);
     let setup =
         PhaseSetup::from_spec_for(&exp, job.policy, spec.warmup_cycles, spec.measure_cycles);
     let array = degraded_array(&setup.llc, job.capacity, seed);

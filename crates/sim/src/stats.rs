@@ -45,11 +45,6 @@ impl HierarchyStats {
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores
     }
-
-    /// Total instructions across cores.
-    pub fn total_instructions(&self) -> u64 {
-        self.instructions.iter().sum()
-    }
 }
 
 #[cfg(test)]

@@ -72,6 +72,6 @@ fn instruction_gaps_accumulate() {
     let mut h = Hierarchy::new(&cfg, NullLlc::default(), ConstSizeData::new(64));
     h.access(&Access::load(0, 0).with_gap(4));
     h.access(&Access::load(0, 0).with_gap(6)); // L1 hit
-    assert_eq!(h.stats().total_instructions(), 12);
+    assert_eq!(h.stats().instructions.iter().sum::<u64>(), 12);
     assert_eq!(h.stats().accesses(), 2);
 }

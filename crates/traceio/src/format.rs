@@ -86,9 +86,9 @@ pub struct TraceHeader {
     /// Workload label, e.g. `"mix 3"` (metadata only).
     pub workload: String,
     /// Resolved experiment spec of the recording system, as JSON (version
-    /// 2; `None` in version-1 files). Opaque to this crate — producing and
-    /// interpreting it is `hllc-config`'s job, keeping the trace layer
-    /// free of configuration knowledge.
+    /// 2; `None` in version-1 files). The format treats it as opaque
+    /// bytes; [`trace_spec`](crate::trace_spec) reads it back as an
+    /// `ExperimentSpec`.
     pub spec_json: Option<String>,
 }
 

@@ -25,6 +25,11 @@
 //! sees the same per-core reference streams re-interleaved by its own
 //! clocks — one recording, a level playing field for every policy.
 //!
+//! [`trace_spec`] reads back the experiment a recording was made under, and
+//! [`check_replay`] is the one check that a replay's system fits it: every
+//! command that replays a trace resolves its experiment from the former
+//! and passes the latter.
+//!
 //! ```
 //! use hllc_traceio::{Recorder, ReplayStream, TraceHeader, TraceReader, TraceWriter};
 //! use hllc_trace::RefSource;
@@ -53,6 +58,7 @@
 //! ```
 
 mod crc32;
+mod experiment;
 mod format;
 mod reader;
 mod record;
@@ -61,6 +67,7 @@ mod varint;
 mod writer;
 
 pub use crc32::crc32;
+pub use experiment::{check_replay, trace_spec};
 pub use format::{ChunkKind, TraceError, TraceHeader, MAGIC, MAX_CHUNK_BYTES, VERSION};
 pub use reader::{Chunk, TraceContent, TraceReader};
 pub use record::{Recorder, RecordingData, RecordingStream};

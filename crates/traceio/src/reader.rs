@@ -260,7 +260,7 @@ pub struct TraceContent {
 impl TraceContent {
     /// Checks that the header names 1..=`system_cores` cores and every
     /// access one of those (as any trace from [`TraceReader`] does).
-    pub fn check_cores(&self, system_cores: usize) -> Result<(), String> {
+    pub(crate) fn check_cores(&self, system_cores: usize) -> Result<(), String> {
         let cores = self.header.cores;
         if cores == 0 || usize::from(cores) > system_cores {
             return Err(format!(

@@ -1,12 +1,13 @@
 //! Mutation test of the trace load path: a small recorded trace is
 //! corrupted (bytes flipped, the file truncated, a run of it spliced in
 //! elsewhere, or a chunk payload edited and its CRC recomputed so the
-//! decoders see it), then loaded the way `hllc replay` loads it:
-//! `TraceReader::read_to_end` → `TraceData::from_content` →
-//! `ReplayStream::per_core`.
+//! decoders see it), then loaded the way `hllc run --trace` loads it:
+//! `TraceReader::read_to_end`, then `trace_spec` → `check_replay`. The
+//! decoders `TraceData::from_content` and `ReplayStream::per_core` run on
+//! every input that reads, whether or not those checks accept it.
 //!
-//! Every mutated input must give `Ok` or a structured `TraceError`, never a
-//! panic, and the heap must stay within one chunk buffer at the 16 MiB cap
+//! Every mutated input must give `Ok` or a named error (a `TraceError`, or
+//! the recorded experiment's), never a panic, and the heap must stay within one chunk buffer at the 16 MiB cap
 //! plus a linear bound per input byte (the decoded records, their per-core
 //! copy and the size table at its worst case, DESIGN §10.10). Mutations are
 //! drawn by SplitMix64 from seeds the vendored proptest supplies.
@@ -20,8 +21,8 @@ use hllc_compress::CompressorKind;
 use hllc_sim::{block_of, DataModel};
 use hllc_trace::RefSource;
 use hllc_traceio::{
-    crc32, Recorder, ReplayStream, TraceData, TraceError, TraceHeader, TraceReader, TraceWriter,
-    MAX_CHUNK_BYTES,
+    check_replay, crc32, trace_spec, Recorder, ReplayStream, TraceData, TraceHeader, TraceReader,
+    TraceWriter, MAX_CHUNK_BYTES,
 };
 use proptest::prelude::*;
 
@@ -94,7 +95,8 @@ static ALLOCATOR: Counting = Counting;
 /// its chunk's vector, up to 32 B in the trace's and 16 B in its per-core
 /// copy: 22 B per input byte. So 128 covers either.
 const HEAP_PER_INPUT_BYTE: usize = 128;
-/// Small fixed allocations (header strings, per-core vectors, the error).
+/// Small fixed allocations (header strings, per-core vectors, the
+/// recorded experiment, the error).
 const HEAP_CONSTANT: usize = 64 << 10;
 
 fn splitmix(x: &mut u64) -> u64 {
@@ -217,10 +219,17 @@ fn mutate(original: &[u8], seed: u64) -> Vec<u8> {
 
 /// The replay load path. Returns the table size and per-core reference
 /// counts, so the whole pipeline runs.
-fn load(bytes: &[u8]) -> Result<(usize, usize), TraceError> {
-    let content = TraceReader::new(bytes)?.read_to_end()?;
+fn load(bytes: &[u8]) -> Result<(usize, usize), String> {
+    let content = TraceReader::new(bytes)
+        .and_then(|r| r.read_to_end())
+        .map_err(|e| e.to_string())?;
+    // The decoders run on every input that reads, whatever the recorded
+    // experiment's checks say, so they see cores, sets and budgets that
+    // `check_replay` would refuse.
+    let checked = trace_spec(&content).and_then(|spec| check_replay(&content, &spec));
     let data = TraceData::from_content(&content);
     let streams = ReplayStream::per_core(&content);
+    checked?;
     Ok((
         data.len(),
         streams.iter().map(ReplayStream::remaining).sum(),

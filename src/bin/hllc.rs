@@ -10,27 +10,25 @@
 //! hllc compare  --mix 1 --jobs 4         all policies side by side, in parallel
 //! hllc sweep    --policies bh,cp_sd --way-splits 4/12,3/13 --nvm-latency 1.0,1.5
 //! hllc record   --mix 1 --out m1.trc     capture a live run into a trace file
-//! hllc replay   --trace m1.trc           rerun a trace file (bit-identical)
+//! hllc run      --trace m1.trc           rerun the recording (bit-identical)
 //! hllc trace-info m1.trc                 inspect and verify a trace file
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use hybrid_llc::cli::{
-    parse_args, parse_policy, parse_record_args, parse_replay_args, parse_spec_args,
-    parse_sweep_args, parse_trace_info_args, Args, RecordArgs, ReplayArgs, SpecArgs, SweepArgs,
+    parse_args, parse_policy, parse_record_args, parse_spec_args, parse_sweep_args,
+    parse_trace_info_args, Args, RecordArgs, SpecArgs, SweepArgs,
 };
 use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
 use hybrid_llc::runner::{report_json, run_indexed, run_sweep};
 use hybrid_llc::session::{
-    check_replay, live_session, record_session, recording_header, replay_session_with, stats_json,
-    trace_spec, SessionStats,
+    live_session, record_session, recording_header, replay_session_with, stats_json, SessionStats,
 };
-use hybrid_llc::sim::{EnergyModel, Op, SystemConfig};
+use hybrid_llc::sim::{EnergyModel, Op};
 use hybrid_llc::trace::mixes;
-use hybrid_llc::traceio::{create_trace, load_trace, open_trace, Chunk, TraceContent, VERSION};
+use hybrid_llc::traceio::{create_trace, open_trace, Chunk, VERSION};
 use serde_json::Value;
 
 fn cmd_policies() {
@@ -72,9 +70,13 @@ fn cmd_spec(args: &SpecArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn print_stats(stats: &SessionStats, cycles: f64, system: &SystemConfig) {
+fn print_stats(stats: &SessionStats, args: &Args) {
     let s = stats.llc;
-    let energy = EnergyModel::default_16nm().breakdown(&s, cycles, system.timing.freq_ghz);
+    let energy = EnergyModel::default_16nm().breakdown(
+        &s,
+        args.cycles(),
+        args.spec.system_config().timing.freq_ghz,
+    );
     println!("  system IPC        {:.3}", stats.ipc);
     println!(
         "  LLC hit rate      {:.1}% ({} of {} requests)",
@@ -97,79 +99,56 @@ fn print_stats(stats: &SessionStats, cycles: f64, system: &SystemConfig) {
     }
 }
 
-/// Writes session stats JSON to `path` when given (the CI round-trip check
-/// diffs these files between a recorded live run and its replay).
-fn write_stats_json(
-    path: Option<&str>,
-    policy: &str,
-    workload: &str,
-    stats: &SessionStats,
-) -> Result<(), String> {
-    let Some(path) = path else { return Ok(()) };
-    let text = serde_json::to_string_pretty(&stats_json(policy, workload, stats))
-        .map_err(|e| format!("serializing stats: {e}"))?;
-    std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-    println!("stats written to {path}");
-    Ok(())
+/// A session's stats as sorted-key JSON: what `run --json` prints and
+/// `record --json` writes, so a replay diffs against its recording.
+fn stats_text(policy: &str, workload: &str, stats: &SessionStats) -> Result<String, String> {
+    serde_json::to_string_pretty(&stats_json(policy, workload, stats))
+        .map_err(|e| format!("serializing stats: {e}"))
 }
 
-/// The spec a replay runs under: the explicitly requested one when `--spec`
-/// was passed (geometry-checked against the recording downstream), else the
-/// recording's own.
-fn replay_spec(args: &Args, content: &TraceContent) -> Result<ExperimentSpec, String> {
-    if args.explicit_spec {
-        Ok(args.spec.clone())
-    } else {
-        trace_spec(content)
+/// Runs `args`' experiment: a replay of its recording, else live.
+fn session(args: &Args) -> Result<SessionStats, String> {
+    match &args.trace {
+        Some(t) => replay_session_with(&t.content, &args.spec, args.policy(), None),
+        None => Ok(live_session(args)),
+    }
+}
+
+/// The workload `args` runs: the recording's label, else the mix's name.
+fn workload(args: &Args) -> String {
+    match &args.trace {
+        Some(t) => t.content.header.workload.clone(),
+        None => mixes()[args.mix_index()].name.to_string(),
     }
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let quiet = args.json;
-    let (stats, workload, system) = match &args.trace {
-        Some(path) => {
-            let content = load_trace(path).map_err(|e| format!("{path}: {e}"))?;
-            if !quiet {
-                println!(
-                    "replaying {} ({} accesses, recorded under {}) with {} for {:.1}M cycles...",
-                    path,
-                    content.accesses.len(),
-                    content.header.policy,
-                    args.policy().name(),
-                    args.cycles() / 1e6
-                );
-            }
-            let workload = content.header.workload.clone();
-            let spec = replay_spec(args, &content)?;
-            let stats = replay_session_with(&content, &spec, args.policy(), Some(args.cycles()))?;
-            (stats, workload, spec.system_config())
-        }
-        None => {
-            let mix = &mixes()[args.mix_index()];
-            if !quiet {
-                println!(
-                    "running {} under {} for {:.1}M cycles...",
-                    mix.name,
-                    args.policy().name(),
-                    args.cycles() / 1e6
-                );
-            }
-            (
-                live_session(args),
-                mix.name.to_string(),
-                args.spec.system_config(),
-            )
-        }
-    };
+    if !args.json {
+        let action = match &args.trace {
+            Some(t) => format!(
+                "replaying {} ({} accesses, recorded under {})",
+                t.path,
+                t.content.accesses.len(),
+                t.content.header.policy
+            ),
+            None => format!("running {}", workload(args)),
+        };
+        println!(
+            "{action} under {} for {:.1}M cycles...",
+            args.policy().name(),
+            args.cycles() / 1e6
+        );
+    }
+    let stats = session(args)?;
     if args.json {
         // Sorted-key JSON only — the golden determinism tests diff this
         // output byte for byte, so nothing else may reach stdout.
-        let value = stats_json(&args.policy().name(), &workload, &stats);
-        let text =
-            serde_json::to_string_pretty(&value).map_err(|e| format!("serializing stats: {e}"))?;
-        println!("{text}");
+        println!(
+            "{}",
+            stats_text(&args.policy().name(), &workload(args), &stats)?
+        );
     } else {
-        print_stats(&stats, args.cycles(), &system);
+        print_stats(&stats, args);
     }
     Ok(())
 }
@@ -186,50 +165,14 @@ fn cmd_record(args: &RecordArgs) -> Result<(), String> {
         args.out
     );
     let (stats, _) = record_session(&args.run, args.cores, writer)?;
-    print_stats(&stats, args.run.cycles(), &args.run.spec.system_config());
-    write_stats_json(
-        args.json.as_deref(),
-        &header.policy,
-        &header.workload,
-        &stats,
-    )?;
+    print_stats(&stats, &args.run);
+    if let Some(path) = &args.json {
+        let text = stats_text(&header.policy, &header.workload, &stats)?;
+        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+        println!("stats written to {path}");
+    }
     println!("trace written to {}", args.out);
     Ok(())
-}
-
-fn cmd_replay(args: &ReplayArgs) -> Result<(), String> {
-    let content = load_trace(&args.trace).map_err(|e| format!("{}: {e}", args.trace))?;
-    let policy = match args.policy {
-        Some(p) => p,
-        None => parse_policy(&content.header.policy).ok_or_else(|| {
-            format!(
-                "cannot reconstruct recorded policy '{}'; pass --policy",
-                content.header.policy
-            )
-        })?,
-    };
-    let spec = match &args.spec {
-        Some(s) => s.clone(),
-        None => trace_spec(&content)?,
-    };
-    let cycles = args.cycles.unwrap_or(content.header.cycles);
-    println!(
-        "replaying {} ({} cores, {} accesses, {} block sizes) under {} for {:.1}M cycles...",
-        args.trace,
-        content.header.cores,
-        content.accesses.len(),
-        content.sizes.len(),
-        policy.name(),
-        cycles / 1e6
-    );
-    let stats = replay_session_with(&content, &spec, policy, args.cycles)?;
-    print_stats(&stats, cycles, &spec.system_config());
-    write_stats_json(
-        args.json.as_deref(),
-        &policy.name(),
-        &content.header.workload,
-        &stats,
-    )
 }
 
 fn cmd_trace_info(path: &str) -> Result<(), String> {
@@ -282,9 +225,6 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
 }
 
 fn cmd_forecast(args: &Args) -> Result<(), String> {
-    if args.trace.is_some() {
-        return Err("forecast alternates synthetic phases; --trace is not supported".into());
-    }
     let mix = &mixes()[args.mix_index()];
     println!(
         "forecasting {} under {} (spec '{}', mu={:.0e} writes/frame)...",
@@ -318,26 +258,10 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads the trace named by a `--trace` flag.
-fn load_trace_arg(trace: &Option<String>) -> Result<Option<TraceContent>, String> {
-    let Some(path) = trace else { return Ok(None) };
-    load_trace(path)
-        .map(Some)
-        .map_err(|e| format!("{path}: {e}"))
-}
-
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    let replay = match load_trace_arg(&args.trace)? {
-        Some(content) => {
-            let spec = replay_spec(args, &content)?;
-            check_replay(&content, &spec)?;
-            Some((content, spec))
-        }
-        None => None,
-    };
-    let workload = match (&replay, &args.trace) {
-        (Some((content, _)), Some(path)) => format!("{} (trace {path})", content.header.workload),
-        _ => mixes()[args.mix_index()].name.to_string(),
+    let workload = match &args.trace {
+        Some(t) => format!("{} (trace {})", workload(args), t.path),
+        None => workload(args),
     };
     println!(
         "comparing all policies on {} ({:.1}M cycles each)...\n",
@@ -364,41 +288,31 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     .map(|p| parse_policy(p).unwrap())
     .collect();
     let rows = run_indexed(policies, args.jobs, |_, policy| {
-        let system = args.spec.system_config();
-        let stats = match &replay {
-            Some((content, spec)) => {
-                replay_session_with(content, spec, policy, Some(args.cycles()))
-                    .expect("replay checked before dispatch")
-            }
-            None => {
-                let mut job_args = args.clone();
-                job_args.spec.hybrid.policy = policy.label();
-                live_session(&job_args)
-            }
-        };
+        let mut job_args = args.clone();
+        job_args.spec.hybrid.policy = policy.label();
+        let stats = session(&job_args)?;
         let e = EnergyModel::default_16nm().breakdown(
             &stats.llc,
             args.cycles(),
-            system.timing.freq_ghz,
+            args.spec.system_config().timing.freq_ghz,
         );
-        format!(
+        Ok::<_, String>(format!(
             "{:<12} {:>8.3} {:>9.1}% {:>14} {:>12.2}",
             policy.name(),
             stats.ipc,
             100.0 * stats.llc.hit_rate(),
             stats.llc.nvm_bytes_written,
             e.total_mj()
-        )
+        ))
     });
     for row in rows {
-        println!("{row}");
+        println!("{}", row?);
     }
     Ok(())
 }
 
 fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
-    let spec = args.sweep_spec(load_trace_arg(&args.trace)?.map(Arc::new));
-    spec.validate()?;
+    let spec = &args.grid;
     if let (Some(content), Some(path)) = (&spec.trace, &args.trace) {
         println!(
             "replaying trace {path} ({} accesses) in every job; mixes only label the grid",
@@ -416,7 +330,7 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
         spec.job_count(),
         spec.threads,
     );
-    let report = report_json(&run_sweep(&spec));
+    let report = report_json(&run_sweep(spec));
 
     println!(
         "\n{:<12} {:>9} {:>8} {:>10} {:>14}",
@@ -481,13 +395,14 @@ fn cmd_figures() {
 
 fn usage() -> String {
     format!(
-        "usage: hllc <policies|mixes|figures|spec|run|forecast|compare|sweep|record|replay|trace-info> \
+        "usage: hllc <policies|mixes|figures|spec|run|forecast|compare|sweep|record|trace-info> \
         [--spec file|preset] [--policy P] [--mix 1..10] [--cycles N] [--seed S] [--jobs N] [--trace f.trc] [--json]\n\
         \x20      hllc spec [--preset name] [--dump out.json]           (presets: {})\n\
         \x20      hllc sweep [--spec file|preset] [--policies a,b] [--mixes 1,2] [--seeds K] [--capacities 1.0,0.7] \
         [--way-splits 4/12,3/13] [--nvm-latency 1.0,1.5] [--sets N] [--json out.json] [--trace f.trc]\n\
         \x20      hllc record --out f.trc [--cores N] [--json stats.json] [run flags]\n\
-        \x20      hllc replay --trace f.trc [--policy P] [--cycles N] [--spec file|preset] [--json stats.json]\n\
+        \x20      hllc run --trace f.trc [--policy P] [--cycles N] [--spec file|preset] [--json]  \
+        (default: the recording's own experiment)\n\
         \x20      hllc trace-info f.trc",
         ExperimentSpec::preset_names().join(", ")
     )
@@ -513,6 +428,9 @@ fn main() -> ExitCode {
             Ok(())
         }
         "spec" => parse_spec_args(&argv[1..]).and_then(|args| cmd_spec(&args)),
+        "forecast" if argv.iter().any(|a| a == "--trace") => {
+            Err("forecast alternates synthetic phases; --trace is not supported".into())
+        }
         "run" | "forecast" | "compare" => {
             parse_args(&argv[1..]).and_then(|args| match cmd.as_str() {
                 "run" => cmd_run(&args),
@@ -522,7 +440,6 @@ fn main() -> ExitCode {
         }
         "sweep" => parse_sweep_args(&argv[1..]).and_then(|args| cmd_sweep(&args)),
         "record" => parse_record_args(&argv[1..]).and_then(|args| cmd_record(&args)),
-        "replay" => parse_replay_args(&argv[1..]).and_then(|args| cmd_replay(&args)),
         "trace-info" => parse_trace_info_args(&argv[1..]).and_then(|path| cmd_trace_info(&path)),
         "-h" | "--help" | "help" => {
             println!("{}", usage());

@@ -1,18 +1,20 @@
 //! Command-line parsing for the `hllc` binary, split out of the binary so
 //! the flag grammar is unit-testable.
 //!
-//! Every command resolves one [`ExperimentSpec`] — the `scaled` preset
-//! unless `--spec <file|preset>` says otherwise — and the familiar flags
-//! (`--policy`, `--mix`, `--cycles`, `--seed`, `--sets`) are edits applied
-//! on top of it. The final spec is validated once, so every command
-//! reports the same structured errors for the same mistakes.
+//! Every command resolves one [`ExperimentSpec`] — `--spec <file|preset>`
+//! if given, else the experiment a `--trace` recording was made under,
+//! else the `scaled` preset — and the familiar flags (`--policy`, `--mix`,
+//! `--cycles`, `--seed`, `--sets`, the sweep axes) are edits applied on
+//! top of it. The final spec is validated once, and a recording must fit
+//! it ([`check_replay`]), so every command reports the same structured
+//! errors for the same mistakes.
 
 use std::sync::Arc;
 
 use hllc_config::ExperimentSpec;
 use hllc_core::Policy;
 use hllc_runner::SweepSpec;
-use hllc_traceio::TraceContent;
+use hllc_traceio::{check_replay, load_trace, trace_spec, TraceContent};
 
 /// Parses a policy flag value into a [`Policy`] (Table III aliases plus
 /// the parameterized spellings, e.g. `cp_sd_th4`, `ca_cpth40`, `tap_h5`).
@@ -28,19 +30,25 @@ fn policy_arg(name: &str) -> Result<Policy, String> {
 /// Arguments of `hllc run|forecast|compare`.
 #[derive(Clone, Debug)]
 pub struct Args {
-    /// The resolved experiment: preset or file, with flag edits applied.
+    /// The resolved experiment: its base (see [`parse_args`]) with the flag
+    /// edits applied.
     pub spec: ExperimentSpec,
-    /// Whether `--spec` was passed explicitly. Replay paths use this to
-    /// decide between reconstructing the recorded system and enforcing
-    /// the requested one.
-    pub explicit_spec: bool,
     /// Worker threads (`compare` only; results are independent of it).
     pub jobs: usize,
-    /// Trace file replacing the synthetic mix (`run`/`compare` only).
-    pub trace: Option<String>,
+    /// Recording replacing the synthetic mix (`run`/`compare` only).
+    pub trace: Option<TraceArg>,
     /// Print the stats as sorted-key JSON instead of the human summary
     /// (`run` only) — the output the golden determinism tests diff.
     pub json: bool,
+}
+
+/// A `--trace` recording, loaded once every flag has been checked.
+#[derive(Clone, Debug)]
+pub struct TraceArg {
+    /// The file it was loaded from.
+    pub path: String,
+    /// Its verified content.
+    pub content: Arc<TraceContent>,
 }
 
 impl Args {
@@ -75,7 +83,6 @@ impl Args {
         spec.validate().expect("scaled preset with test overrides");
         Args {
             spec,
-            explicit_spec: false,
             jobs: 1,
             trace: None,
             json: false,
@@ -83,38 +90,64 @@ impl Args {
     }
 }
 
-/// First pass over the flags: resolve `--spec` (preset name or file path)
-/// before the remaining flags edit it. Returns the spec and whether it was
-/// explicit.
-fn resolve_spec_flag(argv: &[String]) -> Result<(ExperimentSpec, bool), String> {
-    let mut found: Option<String> = None;
+/// The value of the last `flag` in `argv`, if any.
+fn flag_value(argv: &[String], flag: &str) -> Result<Option<String>, String> {
+    let mut found = None;
     let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--spec" {
-            found = Some(
-                it.next()
-                    .ok_or_else(|| "--spec needs a value".to_string())?
-                    .clone(),
-            );
+    while let Some(f) = it.next() {
+        if f == flag {
+            found = Some(it.next().ok_or(format!("{flag} needs a value"))?.clone());
         }
     }
-    match found {
-        Some(arg) => ExperimentSpec::resolve(&arg)
-            .map(|s| (s, true))
-            .map_err(|e| e.to_string()),
-        None => Ok((
-            ExperimentSpec::preset("scaled").expect("builtin preset"),
-            false,
-        )),
-    }
+    Ok(found)
 }
 
-/// Parses the flags of `hllc run|forecast|compare`.
+/// Resolves a command's experiment through `edit`, which applies every
+/// flag but `--spec` and `--trace` to a base spec. The base is `--spec`
+/// (a preset name or file path) if given, else the `--trace` recording's
+/// own experiment ([`trace_spec`]), else the `scaled` preset. `edit` first
+/// runs on `--spec` or the preset, so flag errors come before the trace is
+/// opened; it runs again on the recording's spec when that is the base.
+fn resolve<T>(
+    argv: &[String],
+    edit: impl Fn(ExperimentSpec) -> Result<T, String>,
+) -> Result<(T, Option<TraceArg>), String> {
+    let spec = flag_value(argv, "--spec")?
+        .map(|arg| ExperimentSpec::resolve(&arg).map_err(|e| e.to_string()))
+        .transpose()?;
+    let explicit = spec.is_some();
+    let edited =
+        edit(spec.unwrap_or_else(|| ExperimentSpec::preset("scaled").expect("builtin preset")))?;
+    let Some(path) = flag_value(argv, "--trace")? else {
+        return Ok((edited, None));
+    };
+    let content = load_trace(&path).map_err(|e| format!("{path}: {e}"))?;
+    let edited = if explicit {
+        edited
+    } else {
+        edit(trace_spec(&content)?)?
+    };
+    let content = Arc::new(content);
+    Ok((edited, Some(TraceArg { path, content })))
+}
+
+/// Parses the flags of `hllc run|forecast|compare`: `--policy`, `--mix`,
+/// `--cycles` and `--seed` edit the base experiment [`resolve`] picks,
+/// exactly as they edit a live run's. A `--trace` recording must pass
+/// [`check_replay`] on the result.
 pub fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let (spec, explicit_spec) = resolve_spec_flag(argv)?;
+    let (mut args, trace) = resolve(argv, |spec| edit_run(argv, spec))?;
+    if let Some(t) = &trace {
+        check_replay(&t.content, &args.spec)?;
+    }
+    args.trace = trace;
+    Ok(args)
+}
+
+/// Applies the `run|forecast|compare` flags to `spec`.
+fn edit_run(argv: &[String], spec: ExperimentSpec) -> Result<Args, String> {
     let mut args = Args {
         spec,
-        explicit_spec,
         jobs: hllc_runner::default_threads(),
         trace: None,
         json: false,
@@ -123,8 +156,8 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--spec" => {
-                value()?; // consumed by resolve_spec_flag
+            "--spec" | "--trace" => {
+                value()?; // read by resolve
             }
             "--policy" => {
                 let v = value()?;
@@ -143,7 +176,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--cycles" => args.spec.run.cycles = parse_cycles(value()?)?,
             "--seed" => args.spec.workload.seed = parse_seed(value()?)?,
             "--jobs" => args.jobs = parse_jobs(value()?)?,
-            "--trace" => args.trace = Some(value()?.clone()),
             "--json" => args.json = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -156,18 +188,34 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
 #[derive(Clone, Debug)]
 pub struct SweepArgs {
     /// The grid the flags describe: the base spec (whose `workload.seed`
-    /// is the base seed), the axes, the cycle windows and the worker
-    /// threads. Its trace is loaded from `trace` when the sweep runs.
+    /// is the base seed), the axes, the cycle windows, the worker threads
+    /// and the recording every job replays, if any.
     pub grid: SweepSpec,
     /// Where to write the JSON report, if anywhere.
     pub json: Option<String>,
-    /// Trace file replacing the synthetic mixes.
+    /// The file `grid.trace` was loaded from.
     pub trace: Option<String>,
 }
 
-/// Parses the flags of `hllc sweep`.
+/// Parses the flags of `hllc sweep`: the axes and `--sets`, `--seed` and
+/// `--cycles` edit the base experiment [`resolve`] picks, and the grid
+/// must pass [`SweepSpec::validate`].
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
-    let (spec, _) = resolve_spec_flag(argv)?;
+    let ((mut grid, json), trace) = resolve(argv, |spec| edit_sweep(argv, spec))?;
+    grid.trace = trace.as_ref().map(|t| Arc::clone(&t.content));
+    grid.validate()?;
+    Ok(SweepArgs {
+        grid,
+        json,
+        trace: trace.map(|t| t.path),
+    })
+}
+
+/// Applies the `sweep` flags to `spec`: the grid and the report path.
+fn edit_sweep(
+    argv: &[String],
+    spec: ExperimentSpec,
+) -> Result<(SweepSpec, Option<String>), String> {
     // The axes default to the base spec's point (no other flag moves it).
     let mut grid = SweepSpec {
         policies: parse_policy_list("bh,cp_sd").unwrap(),
@@ -183,13 +231,13 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
         trace: None,
         spec,
     };
-    let (mut json, mut trace) = (None, None);
+    let mut json = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--spec" => {
-                value()?; // consumed by resolve_spec_flag
+            "--spec" | "--trace" => {
+                value()?; // read by resolve
             }
             "--policies" => grid.policies = parse_policy_list(value()?)?,
             "--mixes" => grid.mixes = parse_mix_list(value()?)?,
@@ -222,7 +270,6 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                     .ok_or_else(|| "--sets expects an integer >= 1".to_string())?;
             }
             "--json" => json = Some(value()?.clone()),
-            "--trace" => trace = Some(value()?.clone()),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -231,17 +278,7 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     // Checked, so an absurd `--seeds` cannot wrap the product past the cap.
     grid.checked_job_count()?;
     grid.spec.validate().map_err(|e| e.to_string())?;
-    Ok(SweepArgs { grid, json, trace })
-}
-
-impl SweepArgs {
-    /// The grid these flags describe, replaying `trace` if one is loaded.
-    pub fn sweep_spec(&self, trace: Option<Arc<TraceContent>>) -> SweepSpec {
-        SweepSpec {
-            trace,
-            ..self.grid.clone()
-        }
-    }
+    Ok((grid, json))
 }
 
 /// Parses a comma-separated list of numbers that pass `valid`; the error
@@ -339,64 +376,14 @@ pub fn parse_record_args(argv: &[String]) -> Result<RecordArgs, String> {
             }
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
             "--json" => json = Some(it.next().ok_or("--json needs a value")?.clone()),
+            "--trace" => return Err("record captures a live run; it does not take --trace".into()),
             _ => rest.push(flag.clone()),
         }
     }
-    let run = parse_args(&rest)?;
-    if run.trace.is_some() {
-        return Err("record captures a live run; it does not take --trace".into());
-    }
     Ok(RecordArgs {
-        run,
+        run: parse_args(&rest)?,
         cores,
         out: out.ok_or_else(|| "record requires --out <file>".to_string())?,
-        json,
-    })
-}
-
-/// Arguments of `hllc replay`.
-#[derive(Clone, Debug)]
-pub struct ReplayArgs {
-    /// Trace file to replay.
-    pub trace: String,
-    /// Policy override; `None` replays under the recorded policy.
-    pub policy: Option<Policy>,
-    /// Cycle-budget override; `None` uses the recording's budget.
-    pub cycles: Option<f64>,
-    /// System override; `None` reconstructs the recorded system. When
-    /// given, the geometry must match the recording's.
-    pub spec: Option<ExperimentSpec>,
-    /// Where to write the replay's stats JSON, if anywhere.
-    pub json: Option<String>,
-}
-
-/// Parses the flags of `hllc replay`: a required `--trace <file>` plus
-/// optional `--policy`, `--cycles`, `--spec`, and `--json` overrides.
-pub fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
-    let mut trace: Option<String> = None;
-    let mut policy: Option<Policy> = None;
-    let mut cycles: Option<f64> = None;
-    let mut spec: Option<ExperimentSpec> = None;
-    let mut json: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--trace" => trace = Some(value()?.clone()),
-            "--policy" => policy = Some(policy_arg(value()?)?),
-            "--cycles" => cycles = Some(parse_cycles(value()?)?),
-            "--spec" => {
-                spec = Some(ExperimentSpec::resolve(value()?).map_err(|e| e.to_string())?);
-            }
-            "--json" => json = Some(value()?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(ReplayArgs {
-        trace: trace.ok_or_else(|| "replay requires --trace <file>".to_string())?,
-        policy,
-        cycles,
-        spec,
         json,
     })
 }
@@ -552,7 +539,6 @@ mod tests {
         assert_eq!(a.cycles(), 5.0e5);
         assert_eq!(a.seed(), 7);
         assert_eq!(a.jobs, 2);
-        assert!(!a.explicit_spec);
     }
 
     #[test]
@@ -568,7 +554,6 @@ mod tests {
     #[test]
     fn parse_args_resolves_spec_presets_with_flag_edits_on_top() {
         let a = parse_args(&argv("--spec waysplit-3-13 --policy bh --cycles 1e5")).unwrap();
-        assert!(a.explicit_spec);
         assert_eq!(a.spec.system.sram_ways, 3);
         assert_eq!(a.spec.system.nvm_ways, 13);
         assert_eq!(a.policy(), Policy::Bh, "flags edit the resolved spec");
@@ -671,10 +656,13 @@ mod tests {
     fn cycles_must_be_finite_and_positive_everywhere() {
         for bad in ["nan", "inf", "-inf", "-5", "0", "-0", "lots"] {
             let flags = format!("--cycles {bad}");
+            // A missing trace file: flag errors come before it is opened.
+            let traced = format!("--trace missing.trc {flags}");
             for e in [
                 parse_args(&argv(&flags)).unwrap_err(),
                 parse_sweep_args(&argv(&flags)).unwrap_err(),
-                parse_replay_args(&argv(&format!("--trace t.trc {flags}"))).unwrap_err(),
+                parse_args(&argv(&traced)).unwrap_err(),
+                parse_sweep_args(&argv(&traced)).unwrap_err(),
             ] {
                 assert!(
                     e.contains("--cycles") && e.contains("run.cycles"),
@@ -690,8 +678,11 @@ mod tests {
                 .measure_cycles,
             5e4
         );
-        let r = parse_replay_args(&argv("--trace t.trc --cycles 7")).unwrap();
-        assert_eq!(r.cycles, Some(7.0));
+        let e = parse_args(&argv("--trace missing.trc --cycles 7")).unwrap_err();
+        assert!(
+            e.starts_with("missing.trc: "),
+            "good flags, then the trace: {e}"
+        );
     }
 
     #[test]
@@ -740,31 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_replay_args_reads_overrides() {
-        let a = parse_replay_args(&argv(
-            "--trace t.trc --policy tap --cycles 5e4 --json r.json",
-        ))
-        .unwrap();
-        assert_eq!(a.trace, "t.trc");
-        assert_eq!(a.policy, Some(Policy::tap()));
-        assert_eq!(a.cycles, Some(5.0e4));
-        assert_eq!(a.json.as_deref(), Some("r.json"));
-        let d = parse_replay_args(&argv("--trace t.trc")).unwrap();
-        assert!(d.policy.is_none() && d.cycles.is_none() && d.json.is_none());
-        assert!(d.spec.is_none());
-        let s = parse_replay_args(&argv("--trace t.trc --spec scaled")).unwrap();
-        assert_eq!(s.spec.map(|s| s.name), Some("scaled".to_string()));
-    }
-
-    #[test]
-    fn parse_replay_args_rejects_bad_flags() {
-        assert!(parse_replay_args(&argv("--policy bh")).is_err(), "no trace");
-        assert!(parse_replay_args(&argv("--trace t.trc --policy nope")).is_err());
-        assert!(parse_replay_args(&argv("--trace t.trc --spec nope")).is_err());
-        assert!(parse_replay_args(&argv("--trace t.trc --frobnicate 1")).is_err());
-    }
-
-    #[test]
     fn parse_spec_args_resolves_presets_and_dumps() {
         let a = parse_spec_args(&argv("--preset paper --dump out.json")).unwrap();
         assert_eq!(a.spec.name, "paper");
@@ -784,12 +750,61 @@ mod tests {
         assert!(parse_trace_info_args(&argv("--trace")).is_err());
     }
 
+    /// Records `flags` (cycles kept short) on 2 cores into a temp file.
+    fn recording(name: &str, flags: &str) -> String {
+        let run = parse_args(&argv(flags)).unwrap();
+        let path = std::env::temp_dir().join(format!("hllc-cli-{}-{name}.trc", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let writer = hllc_traceio::create_trace(&path, &crate::session::recording_header(&run, 2));
+        crate::session::record_session(&run, 2, writer.unwrap()).unwrap();
+        path
+    }
+
     #[test]
     fn run_and_sweep_accept_a_trace_flag() {
-        let a = parse_args(&argv("--trace t.trc")).unwrap();
-        assert_eq!(a.trace.as_deref(), Some("t.trc"));
-        let s = parse_sweep_args(&argv("--trace t.trc")).unwrap();
-        assert_eq!(s.trace.as_deref(), Some("t.trc"));
+        let path = recording("accept", "--policy bh --cycles 2e4");
+        let a = parse_args(&argv(&format!("--trace {path}"))).unwrap();
+        let recorded = a.trace.as_ref().map(|t| t.path.as_str());
+        assert_eq!(recorded, Some(path.as_str()));
+        let s = parse_sweep_args(&argv(&format!("--trace {path}"))).unwrap();
+        assert_eq!(s.trace.as_deref(), Some(path.as_str()));
+        assert!(s.grid.trace.is_some());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_trace_run_edits_the_recordings_own_experiment() {
+        let path = recording("base", "--policy bh --mix 3 --cycles 2e4 --seed 5");
+        let parse = |flags: &str| parse_args(&argv(&format!("--trace {path} {flags}")));
+        let recorded = parse("").unwrap();
+        assert_eq!(recorded.policy(), Policy::Bh);
+        assert_eq!(recorded.cycles(), 2e4);
+        assert_eq!((recorded.mix_index(), recorded.seed()), (2, 5));
+        let edited = parse("--policy tap --cycles 1e4").unwrap();
+        assert_eq!((edited.policy(), edited.cycles()), (Policy::tap(), 1e4));
+        assert_eq!(edited.seed(), 5, "unedited fields stay the recording's");
+        // `--spec` replaces the base; its geometry must still fit.
+        assert_eq!(parse("--spec scaled").unwrap().policy(), Policy::cp_sd());
+        let mismatch = "llc_sets: spec 4096 vs recording 512";
+        let e = parse("--spec paper").unwrap_err();
+        assert!(e.contains(mismatch), "{e}");
+        let sweep = |flags: &str| parse_sweep_args(&argv(&format!("--trace {path} {flags}")));
+        let e = sweep("--spec paper").unwrap_err();
+        assert!(e.contains(mismatch), "{e}");
+        let e = sweep("--sets 128").unwrap_err();
+        assert!(e.contains("llc_sets: spec 128 vs recording 512"), "{e}");
+        let e = sweep("--way-splits 4/12,3/13").unwrap_err();
+        assert!(e.contains("sram_ways: spec 3 vs recording 4"), "{e}");
+        // The sweep's axes default to the recording's point.
+        let d = sweep("--nvm-latency 1.0,1.5").unwrap();
+        assert_eq!(d.grid.way_splits, vec![(4, 12)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn record_refuses_a_trace_before_reading_it() {
+        let e = parse_record_args(&argv("--out t.trc --trace missing.trc")).unwrap_err();
+        assert_eq!(e, "record captures a live run; it does not take --trace");
     }
 
     #[test]

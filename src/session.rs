@@ -1,19 +1,20 @@
-//! One simulation session shared by `run`, `record`, `replay`, and
-//! `compare`.
+//! One simulation session shared by `run`, `record` and `compare`.
 //!
-//! All four commands run the spec's phase through
+//! Every session runs the spec's phase through
 //! [`hllc_forecast::simulate`] — the spec's system, its warm-up fraction,
-//! statistics reset, then the measured window — and differ only in where
-//! references and block sizes come from: a synthetic mix, a tapped mix
-//! being recorded, or a trace file being replayed. One recipe is what
-//! makes record/replay round trips byte-comparable: the round-trip tests
-//! diff [`stats_json`] output of a live run against a replay of its
-//! recording.
+//! statistics reset, then the measured window — and sessions differ only
+//! in where references and block sizes come from: a synthetic mix, a
+//! tapped mix being recorded, or a trace file being replayed (`run
+//! --trace`, `compare --trace`). One recipe is what makes record/replay
+//! round trips byte-comparable: the round-trip tests diff [`stats_json`]
+//! output of a live run against a replay of its recording.
 //!
-//! Recordings embed the resolved [`ExperimentSpec`] in the trace header
-//! (format v2), so [`replay_session`] reconstructs the exact recorded
-//! system; v1 traces fall back to the `scaled` preset at the recorded set
-//! count, which is what every v1 recording was made with.
+//! A replay's experiment is the recording's own unless `--spec` names
+//! another: recordings embed the resolved [`ExperimentSpec`] in the trace
+//! header (format v2), and v1 traces fall back to the `scaled` preset at
+//! the recorded set count, mix, seed, and policy and cycle budget when
+//! they read as valid ([`trace_spec`]). Whatever the spec,
+//! [`check_replay`] holds its geometry to the recording's.
 
 use serde_json::{json, Value};
 
@@ -24,6 +25,7 @@ use crate::sim::{DataModel, HierarchyStats, LlcPort, LlcStats};
 use crate::trace::{mixes, RefSource};
 use hllc_config::ExperimentSpec;
 
+pub use crate::traceio::{check_replay, trace_spec};
 use crate::traceio::{Recorder, ReplayStream, TraceContent, TraceData, TraceHeader};
 
 /// The measurements of one session: the live `run` printout and the
@@ -139,27 +141,6 @@ pub fn recording_header(args: &Args, cores: usize) -> TraceHeader {
     }
 }
 
-/// The experiment a recording was made under: the embedded spec when the
-/// header carries one (v2), else the `scaled` preset at the recorded set
-/// count (every v1 recording's system).
-pub fn trace_spec(content: &TraceContent) -> Result<ExperimentSpec, String> {
-    match &content.header.spec_json {
-        Some(text) => ExperimentSpec::from_str(text)
-            .map_err(|e| format!("embedded spec in trace header: {e}")),
-        None => {
-            let mut spec = ExperimentSpec::preset("scaled").expect("builtin preset");
-            spec.system.llc_sets = content.header.sets as usize;
-            spec.workload.seed = content.header.seed;
-            if (1..=10).contains(&usize::from(content.header.mix)) {
-                spec.workload.mix = usize::from(content.header.mix);
-            }
-            spec.validate()
-                .map_err(|e| format!("trace header implies an invalid system: {e}"))?;
-            Ok(spec)
-        }
-    }
-}
-
 /// Replays a loaded trace under `policy` for `cycles` (the recording's own
 /// budget when `None`) on the recorded system — see [`trace_spec`]. Under
 /// the recorded policy and cycle budget the result is bit-identical to the
@@ -173,33 +154,8 @@ pub fn replay_session(
     replay_session_with(content, &spec, policy, cycles)
 }
 
-/// Checks that `content` replays on `spec`'s system. The spec's geometry
-/// must match the recording's — replaying 512-set references onto a
-/// different set count or way split would silently measure a system the
-/// trace was never recorded for — and the trace's cores must fit it.
-pub fn check_replay(content: &TraceContent, spec: &ExperimentSpec) -> Result<(), String> {
-    let (want, got) = (&trace_spec(content)?.system, &spec.system);
-    let mismatches: Vec<String> = [
-        ("llc_sets", want.llc_sets, got.llc_sets),
-        ("sram_ways", want.sram_ways, got.sram_ways),
-        ("nvm_ways", want.nvm_ways, got.nvm_ways),
-        ("cores", want.cores, got.cores),
-    ]
-    .into_iter()
-    .filter(|(_, want, got)| want != got)
-    .map(|(field, want, got)| format!("{field}: spec {got} vs recording {want}"))
-    .collect();
-    if !mismatches.is_empty() {
-        return Err(format!(
-            "geometry mismatch between --spec and the recording: {}",
-            mismatches.join(", ")
-        ));
-    }
-    content.check_cores(spec.system.cores)
-}
-
-/// Replays a loaded trace on an explicitly requested system, once
-/// [`check_replay`] accepts it.
+/// Replays a loaded trace on `spec`'s system under `policy` for `cycles`
+/// (the spec's `run.cycles` when `None`), once [`check_replay`] accepts it.
 pub fn replay_session_with(
     content: &TraceContent,
     spec: &ExperimentSpec,
@@ -209,7 +165,7 @@ pub fn replay_session_with(
     check_replay(content, spec)?;
     let mut streams = ReplayStream::per_core(content);
     let data = TraceData::from_content(content);
-    let cycles = cycles.unwrap_or(content.header.cycles);
+    let cycles = cycles.unwrap_or(spec.run.cycles);
     Ok(run_session(spec, policy, cycles, &mut streams, data))
 }
 
@@ -334,6 +290,19 @@ mod tests {
             serde_json::to_string_pretty(&lhs).unwrap(),
             serde_json::to_string_pretty(&rhs).unwrap()
         );
+    }
+
+    #[test]
+    fn a_two_core_recording_reports_the_mean_over_its_two_cores() {
+        let a = args();
+        let writer = TraceWriter::new(Vec::new(), &recording_header(&a, 2)).unwrap();
+        let (stats, _) = record_session(&a, 2, writer).unwrap();
+        assert_eq!(a.spec.system.cores, 4);
+        let instructions = &stats.hierarchy.instructions;
+        assert_eq!(instructions.len(), 2, "idle cores were simulated");
+        assert!(instructions.iter().all(|&n| n > 0));
+        let four = live_session(&a);
+        assert!(stats.ipc > four.ipc / 2.0, "{} vs {}", stats.ipc, four.ipc);
     }
 
     #[test]

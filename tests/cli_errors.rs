@@ -56,7 +56,8 @@ fn sweep_and_replay_reject_unbounded_cycles() {
     for bad in ["-5", "0", "inf", "nan"] {
         let sweep = ["sweep", "--policies", "bh", "--mixes", "1", "--cycles", bad];
         assert_fails_naming(&hllc(&sweep), "run.cycles");
-        let replay = ["replay", "--trace", "missing.trc", "--cycles", bad];
+        // Flags are checked before the (missing) trace is opened.
+        let replay = ["run", "--trace", "missing.trc", "--cycles", bad];
         assert_fails_naming(&hllc(&replay), "run.cycles");
     }
 }
@@ -116,6 +117,20 @@ fn oversized_spec_geometry_is_an_error_not_an_abort() {
     let out = hllc(&["run", "--spec", path.to_str().unwrap()]);
     std::fs::remove_file(&path).unwrap();
     assert_fails_naming(&out, "system.llc_sets");
+}
+
+#[test]
+fn record_refuses_a_trace_with_its_own_error() {
+    let out = hllc(&["record", "--trace", "missing.trc", "--out", "unused.trc"]);
+    assert_fails_naming(&out, "record captures a live run; it does not take --trace");
+}
+
+#[test]
+fn replay_is_no_longer_a_command() {
+    assert_fails_naming(
+        &hllc(&["replay", "--trace", "t.trc"]),
+        "unknown command 'replay'",
+    );
 }
 
 #[test]

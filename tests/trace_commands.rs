@@ -1,0 +1,125 @@
+//! The commands that replay a recording — `hllc run --trace`, `hllc compare
+//! --trace` and `hllc sweep --trace` — run the recording's own experiment
+//! unless `--spec` or a flag edits it, and hold any other experiment to the
+//! recording's geometry with the same named error.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use hybrid_llc::config::ExperimentSpec;
+use serde_json::Value;
+
+fn hllc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hllc"))
+        .args(args)
+        .output()
+        .expect("hllc runs")
+}
+
+fn stdout(out: &Output) -> String {
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stdout: {text}\nstderr: {stderr}");
+    text
+}
+
+/// A per-process path in the temp directory.
+fn temp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("hllc-trace-cmd-{}-{name}", std::process::id()))
+}
+
+/// Runs `hllc record` with `flags` into a fresh trace, returning its path.
+fn record(name: &str, flags: &[&str]) -> String {
+    let path = temp(name).to_str().unwrap().to_string();
+    stdout(&hllc(&[&["record", "--out", &path], flags].concat()));
+    path
+}
+
+#[test]
+fn run_trace_with_no_other_flag_prints_the_recorded_stats() {
+    let mut fpc2 = ExperimentSpec::preset("scaled").unwrap();
+    fpc2.hybrid.compressor = "fpc".into();
+    fpc2.system.cores = 2;
+    let spec_path = temp("fpc2.json");
+    fpc2.store(spec_path.to_str().unwrap()).unwrap();
+    for (name, flags) in [
+        ("bh", vec!["--policy", "bh"]),
+        ("fpc2", vec!["--spec", spec_path.to_str().unwrap()]),
+    ] {
+        let live = temp(&format!("{name}-live.json"));
+        let live_path = live.to_str().unwrap();
+        let trace = record(
+            name,
+            &[&flags[..], &["--cycles", "2e5", "--json", live_path]].concat(),
+        );
+        let replay = stdout(&hllc(&["run", "--trace", &trace, "--json"]));
+        let recorded = std::fs::read_to_string(&live).unwrap();
+        assert_eq!(
+            replay, recorded,
+            "{name}: the replay ran another experiment"
+        );
+        std::fs::remove_file(&trace).unwrap();
+        std::fs::remove_file(&live).unwrap();
+    }
+    std::fs::remove_file(&spec_path).unwrap();
+}
+
+#[test]
+fn compare_trace_runs_the_recorded_budget_and_matches_run_trace() {
+    let trace = record("compare", &["--cycles", "1e5", "--cores", "2"]);
+    let table = stdout(&hllc(&["compare", "--trace", &trace, "--jobs", "2"]));
+    assert!(table.contains("(0.1M cycles each)"), "{table}");
+    let bh = stdout(&hllc(&[
+        "run", "--trace", &trace, "--policy", "bh", "--json",
+    ]));
+    std::fs::remove_file(&trace).unwrap();
+    let bh: Value = serde_json::from_str(&bh).unwrap();
+    let number = |key: &str| bh.get(key).and_then(Value::as_f64).unwrap();
+    let llc = bh.get("llc").unwrap();
+    let hit_rate = llc.get("hit_rate").and_then(Value::as_f64).unwrap();
+    let bytes = llc
+        .get("nvm_bytes_written")
+        .and_then(Value::as_u64)
+        .unwrap();
+    let row = format!(
+        "{:<12} {:>8.3} {:>9.1}% {:>14}",
+        "BH",
+        number("ipc"),
+        100.0 * hit_rate,
+        bytes
+    );
+    assert!(
+        table.lines().any(|l| l.starts_with(&row)),
+        "no '{row}' in\n{table}"
+    );
+    let rows = table.lines().skip_while(|l| !l.starts_with("policy"));
+    for line in rows.skip(1) {
+        assert!(
+            !line.contains(" 0.000 "),
+            "a policy replayed nothing: {line}"
+        );
+    }
+}
+
+#[test]
+fn every_trace_command_names_the_same_geometry_mismatch() {
+    let trace = record("mismatch", &["--cycles", "2e4"]);
+    let paper = "llc_sets: spec 4096 vs recording 512";
+    for (cmd, flags, field) in [
+        ("run", &["--spec", "paper"], paper),
+        ("compare", &["--spec", "paper"], paper),
+        ("sweep", &["--spec", "paper"], paper),
+        (
+            "sweep",
+            &["--sets", "128"],
+            "llc_sets: spec 128 vs recording 512",
+        ),
+    ] {
+        let out = hllc(&[&[cmd, "--trace", &trace], &flags[..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} printed before failing");
+        assert!(stderr.contains(field), "{cmd} names no {field}: {stderr}");
+    }
+    std::fs::remove_file(&trace).unwrap();
+}

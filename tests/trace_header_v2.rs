@@ -21,7 +21,8 @@ fn read(bytes: &[u8]) -> TraceContent {
 /// The v1 fixture was recorded by the pre-spec binary
 /// (`hllc record --policy cp_sd --mix 1 --cycles 4e4 --seed 7 --cores 2`);
 /// its stats JSON sits next to it. The v2 reader must reconstruct the
-/// recording system from the v1 header alone and reproduce every counter.
+/// recording's experiment from the v1 header alone — its system, policy
+/// and cycle budget — and reproduce every counter.
 #[test]
 fn v1_fixture_replays_bit_identically() {
     let bytes = std::fs::read(fixture("v1_mix1.trc")).expect("v1 fixture");
@@ -31,10 +32,22 @@ fn v1_fixture_replays_bit_identically() {
     let spec = trace_spec(&content).expect("v1 header implies a valid system");
     assert_eq!(spec.system.llc_sets, 512);
     assert_eq!(spec.workload.seed, 7);
+    assert_eq!(spec.policy(), Policy::cp_sd());
+    assert_eq!(spec.run.cycles, 4e4);
 
     let stats = replay_session_with(&content, &spec, Policy::cp_sd(), None).unwrap();
+    // The recording ran 2 streams on a 4-core system, and its binary
+    // counted the 2 idle cores: zero instructions, and a quarter of the
+    // summed IPC where the replay reports half. Both scalings are by
+    // powers of two, so the recorded view is exact.
+    let (cores, system_cores) = (usize::from(content.header.cores), spec.system.cores);
+    assert_eq!((cores, system_cores), (2, 4));
+    assert_eq!(stats.hierarchy.instructions.len(), cores);
+    let mut as_recorded = stats.clone();
+    as_recorded.hierarchy.instructions.resize(system_cores, 0);
+    as_recorded.ipc = stats.ipc * cores as f64 / system_cores as f64;
     let rendered =
-        serde_json::to_string_pretty(&stats_json("CP_SD", &content.header.workload, &stats))
+        serde_json::to_string_pretty(&stats_json("CP_SD", &content.header.workload, &as_recorded))
             .unwrap()
             + "\n";
     let golden = std::fs::read_to_string(fixture("v1_mix1.stats.json")).unwrap();
