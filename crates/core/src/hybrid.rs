@@ -4,10 +4,13 @@
 //! selects the insertion target, the replacement flavour (LRU, Fit-LRU,
 //! global vs local), the migration behaviour, and the reuse tagging rules.
 //!
-//! Way metadata is stored struct-of-arrays (see [`crate::soa`]): tag
-//! probes and LRU sweeps are linear scans over contiguous per-field lanes
-//! rather than strides over `Option<LineState>` entries, which is what
-//! makes the per-access kernel cache-friendly.
+//! Each set is one array of `sram_ways + nvm_ways` ways, SRAM ways first:
+//! way `w` is SRAM when `w < sram_ways` and is otherwise NVM frame
+//! `w - sram_ways` of the [`NvmArray`]. Way metadata is stored
+//! struct-of-arrays (see [`crate::soa`]), and every placement picks its
+//! victim with one rule over a range of ways (`victim`).
+
+use std::ops::Range;
 
 use hllc_nvm::NvmArray;
 use hllc_sim::{set_index, DataModel, LlcPort, LlcReq, LlcResponse, LlcStats, ReuseClass};
@@ -36,8 +39,8 @@ pub struct HybridLlc {
     sets: usize,
     sram_ways: usize,
     policy: Policy,
-    sram: WayArray,
-    nvm: WayArray,
+    /// Every way of every set, SRAM ways first.
+    ways: WayArray,
     array: Option<NvmArray>,
     dueling: Option<SetDueling>,
     /// TAP's thrashing predictor: a hashed table of saturating per-block
@@ -107,8 +110,7 @@ impl HybridLlc {
             sets: cfg.sets,
             sram_ways: cfg.sram_ways,
             policy: cfg.policy,
-            sram: WayArray::new(cfg.sets, cfg.sram_ways),
-            nvm: WayArray::new(cfg.sets, cfg.nvm_ways),
+            ways: WayArray::new(cfg.sets, cfg.sram_ways + cfg.nvm_ways),
             array,
             dueling,
             tap_table,
@@ -161,48 +163,31 @@ impl HybridLlc {
         self.stamp
     }
 
-    fn part(&self, part: Part) -> &WayArray {
-        match part {
-            Part::Sram => &self.sram,
-            Part::Nvm => &self.nvm,
+    /// The part way `way` of a set belongs to.
+    fn part_of(&self, way: usize) -> Part {
+        if way < self.sram_ways {
+            Part::Sram
+        } else {
+            Part::Nvm
         }
-    }
-
-    fn part_mut(&mut self, part: Part) -> &mut WayArray {
-        match part {
-            Part::Sram => &mut self.sram,
-            Part::Nvm => &mut self.nvm,
-        }
-    }
-
-    /// Looks up a resident block.
-    fn find(&self, set: usize, block: u64) -> Option<(Part, usize)> {
-        if let Some(way) = self.sram.find(set, block) {
-            return Some((Part::Sram, way));
-        }
-        if let Some(way) = self.nvm.find(set, block) {
-            return Some((Part::Nvm, way));
-        }
-        None
     }
 
     /// True if `block` is currently resident (test/diagnostic helper).
     pub fn contains(&self, block: u64) -> bool {
-        self.find(set_index(block, self.sets), block).is_some()
+        self.ways.find(set_index(block, self.sets), block).is_some()
     }
 
     /// Where `block` currently lives, if resident.
     pub fn locate(&self, block: u64) -> Option<Part> {
-        self.find(set_index(block, self.sets), block)
-            .map(|(p, _)| p)
+        let way = self.ways.find(set_index(block, self.sets), block)?;
+        Some(self.part_of(way))
     }
 
     /// The resident line for `block`, if any (diagnostics; gathered by
     /// value from the metadata lanes).
     pub fn peek(&self, block: u64) -> Option<LineState> {
         let set = set_index(block, self.sets);
-        self.find(set, block)
-            .and_then(|(p, w)| self.part(p).get(set, w))
+        self.ways.get(set, self.ways.find(set, block)?)
     }
 
     fn maybe_epoch(&mut self, now: u64) {
@@ -266,131 +251,80 @@ impl HybridLlc {
         }
     }
 
-    /// Insertion target for the NVM-aware policies (Table II).
-    fn decide_part(&self, set: usize, line: &LineState) -> Part {
+    /// True if an NVM-aware policy inserts `line` into the NVM part
+    /// (Table II), false for SRAM.
+    fn goes_to_nvm(&self, set: usize, line: &LineState) -> bool {
         match self.policy {
-            Policy::Ca { .. } => {
-                if line.cb_size <= self.cp_th_for(set) {
-                    Part::Nvm
-                } else {
-                    Part::Sram
-                }
-            }
+            Policy::Ca { .. } => line.cb_size <= self.cp_th_for(set),
             Policy::CaRwr { .. } | Policy::CpSd { .. } => match line.reuse {
-                ReuseClass::Read => Part::Nvm,
-                ReuseClass::Write => Part::Sram,
-                ReuseClass::None => {
-                    if line.cb_size <= self.cp_th_for(set) {
-                        Part::Nvm
-                    } else {
-                        Part::Sram
-                    }
-                }
+                ReuseClass::Read => true,
+                ReuseClass::Write => false,
+                ReuseClass::None => line.cb_size <= self.cp_th_for(set),
             },
-            Policy::LHybrid => {
-                if line.reuse == ReuseClass::Read && !line.dirty {
-                    Part::Nvm
-                } else {
-                    Part::Sram
-                }
-            }
-            Policy::Tap { .. } => {
-                if line.reuse == ReuseClass::Read && !line.dirty {
-                    Part::Nvm
-                } else {
-                    Part::Sram
-                }
-            }
+            Policy::LHybrid | Policy::Tap { .. } => line.reuse == ReuseClass::Read && !line.dirty,
             Policy::Bh | Policy::BhCp => {
                 debug_assert!(
                     false,
                     "BH variants use global replacement, not part steering"
                 );
-                Part::Sram
+                false
             }
         }
     }
 
-    /// Fit-LRU victim selection in the NVM part: among the frames whose
-    /// effective capacity can hold `ecb` bytes, prefer an empty one,
-    /// otherwise the least-recently-used (§III-B1, [18]).
-    ///
-    /// With `fit_lru` disabled (ablation), the plain LRU frame is chosen
-    /// first and returned only if the block happens to fit it — modelling a
-    /// fault-oblivious replacement that wastes partially-disabled frames.
-    ///
-    /// Both sweeps are branch-light linear scans over the occupancy word
-    /// and the LRU stamp lane.
-    fn pick_nvm_way(&self, set: usize, ecb: usize) -> Option<usize> {
-        let array = self.array.as_ref()?;
-        // One bounds check per lane, then the sweep reads contiguous bytes.
-        let caps = array.capacity_lane(set);
-        let valid = self.nvm.valid_mask(set);
-        let stamps = self.nvm.lru_lane(set);
-        if !self.fit_lru {
-            let mut lru_way = None;
-            let mut lru_stamp = u64::MAX;
-            for (way, &cap) in caps.iter().enumerate() {
-                let cap = usize::from(cap);
-                if cap == 0 {
-                    continue; // dead frames are skipped even without Fit-LRU
-                }
-                if valid & (1u64 << way) == 0 {
-                    if ecb <= cap {
-                        return Some(way);
-                    }
-                    continue;
-                }
-                // way enumerates caps; the stamp lane has the same length.
-                let stamp = stamps[way];
-                if stamp < lru_stamp {
-                    lru_stamp = stamp;
-                    lru_way = Some(way);
-                }
-            }
-            // w was yielded by the enumerate over caps above.
-            return lru_way.filter(|&w| ecb <= usize::from(caps[w]));
+    /// Bytes `line` occupies in an NVM frame: its ECB under the compressing
+    /// policies, the whole frame otherwise.
+    fn ecb(&self, line: &LineState) -> usize {
+        if self.policy.uses_compression() {
+            line.ecb_size()
+        } else {
+            hllc_nvm::FRAME_BYTES // uncompressed policies rewrite the frame
         }
+    }
+
+    /// The one victim rule (Fit-LRU, §III-B1, [18]): among the ways of
+    /// `ways` the `ecb` bytes fit, the first empty one, else the
+    /// least-recently-used. SRAM ways fit any block; an NVM way fits up to
+    /// its frame's effective capacity.
+    ///
+    /// With `fit` false (the plain-LRU ablation) the LRU is taken over every
+    /// usable (non-dead) frame and kept only if the block happens to fit it,
+    /// modelling a fault-oblivious replacement that wastes
+    /// partially-disabled frames. Empty frames are still taken only when the
+    /// block fits.
+    fn victim(&self, set: usize, ways: Range<usize>, ecb: usize, fit: bool) -> Option<usize> {
+        // No array means no NVM ways (see `with_array`).
+        let caps = self
+            .array
+            .as_ref()
+            .map_or(&[][..], |a| a.capacity_lane(set));
+        // SRAM ways (below `sram_ways`) wrap past the lane and fit any block.
+        let capacity = |way: usize| {
+            caps.get(way.wrapping_sub(self.sram_ways))
+                .map_or(usize::MAX, |&cap| usize::from(cap))
+        };
+        let valid = self.ways.valid_mask(set);
+        let stamps = self.ways.lru_lane(set);
         let mut lru_way = None;
         let mut lru_stamp = u64::MAX;
-        for (way, &cap) in caps.iter().enumerate() {
-            if ecb > usize::from(cap) {
+        // `ways` lies within the set's ways, the length of its stamp lane.
+        for (way, &stamp) in ways.clone().zip(&stamps[ways]) {
+            let cap = capacity(way);
+            if cap == 0 || (fit && ecb > cap) {
                 continue;
             }
             if valid & (1u64 << way) == 0 {
-                return Some(way);
+                if ecb <= cap {
+                    return Some(way);
+                }
+                continue;
             }
-            let stamp = stamps[way];
             if stamp < lru_stamp {
                 lru_stamp = stamp;
                 lru_way = Some(way);
             }
         }
-        lru_way
-    }
-
-    /// Plain-LRU victim selection in the SRAM part: one sweep over the
-    /// occupancy word and the stamp lane.
-    fn pick_sram_way(&self, set: usize) -> Option<usize> {
-        let valid = self.sram.valid_mask(set);
-        let free = !valid & (((1u128 << self.sram_ways) - 1) as u64);
-        if free != 0 {
-            return Some(free.trailing_zeros() as usize);
-        }
-        let mut lru_way = None;
-        let mut lru_stamp = u64::MAX;
-        for (way, &stamp) in self.sram.lru_lane(set).iter().enumerate() {
-            if stamp < lru_stamp {
-                lru_stamp = stamp;
-                lru_way = Some(way);
-            }
-        }
-        lru_way
-    }
-
-    /// Removes a line and returns it.
-    fn take(&mut self, part: Part, set: usize, way: usize) -> Option<LineState> {
-        self.part_mut(part).take(set, way)
+        lru_way.filter(|&way| fit || ecb <= capacity(way))
     }
 
     /// Drops an evicted line, recording the writeback if it was dirty.
@@ -400,22 +334,34 @@ impl HybridLlc {
         }
     }
 
+    /// Drops a line no way could take.
+    fn bypass(&mut self, line: LineState) {
+        self.stats.bypasses += 1;
+        self.retire(line);
+    }
+
     fn bank_of(&self, set: usize) -> usize {
         set % self.bank_busy_until.len()
     }
 
-    /// Writes `line` into an NVM frame, with all accounting.
-    fn commit_nvm(&mut self, now: u64, set: usize, way: usize, line: LineState, migration: bool) {
-        let ecb = if self.policy.uses_compression() {
-            line.ecb_size()
-        } else {
-            hllc_nvm::FRAME_BYTES // uncompressed policies rewrite the frame
+    /// Writes `line` into `way`, retiring the line it displaces, with the
+    /// accounting of the way's part: an NVM write also wears its frame,
+    /// feeds Set Dueling and occupies its bank.
+    fn commit(&mut self, now: u64, set: usize, way: usize, line: LineState, migration: bool) {
+        if let Some(old) = self.ways.take(set, way) {
+            self.retire(old);
+        }
+        let Some(frame) = way.checked_sub(self.sram_ways) else {
+            self.stats.sram_inserts += 1;
+            self.ways.put(set, way, line);
+            return;
         };
+        let ecb = self.ecb(&line);
         let Some(array) = self.array.as_mut() else {
             debug_assert!(false, "NVM insert requires an array");
             return;
         };
-        array.note_write(set, way, ecb);
+        array.note_write(set, frame, ecb);
         let bytes = ecb as u64;
         self.stats.nvm_inserts += 1;
         self.stats.nvm_bytes_written += bytes;
@@ -433,32 +379,20 @@ impl HybridLlc {
             let busy = &mut self.bank_busy_until[bank];
             *busy = (*busy).max(clock) + u64::from(self.nvm_write_cycles);
         }
-        self.nvm.put(set, way, line);
+        self.ways.put(set, way, line);
     }
 
-    /// Writes `line` into an SRAM way, with accounting.
-    fn commit_sram(&mut self, set: usize, way: usize, line: LineState) {
-        self.stats.sram_inserts += 1;
-        self.sram.put(set, way, line);
-    }
-
-    /// Inserts into the NVM part via Fit-LRU. Falls back to SRAM when no
-    /// frame fits (`migration` victims are dropped instead — a migration
-    /// must not displace younger SRAM blocks).
+    /// Inserts into the NVM part via Fit-LRU (plain LRU under the
+    /// ablation). Falls back to SRAM when no frame fits; a `migration`
+    /// victim is dropped instead (it must not displace younger SRAM
+    /// blocks), and without SRAM ways the block bypasses the LLC.
     fn place_nvm(&mut self, now: u64, set: usize, line: LineState, migration: bool) {
-        let ecb = if self.policy.uses_compression() {
-            line.ecb_size()
-        } else {
-            hllc_nvm::FRAME_BYTES
-        };
-        match self.pick_nvm_way(set, ecb) {
-            Some(way) => {
-                if let Some(old) = self.take(Part::Nvm, set, way) {
-                    self.retire(old);
-                }
-                self.commit_nvm(now, set, way, line, migration);
-            }
+        let ecb = self.ecb(&line);
+        let nvm = self.sram_ways..self.ways.ways();
+        match self.victim(set, nvm, ecb, self.fit_lru) {
+            Some(way) => self.commit(now, set, way, line, migration),
             None if migration => self.retire(line),
+            None if self.sram_ways == 0 => self.bypass(line),
             None => self.place_sram(now, set, line),
         }
     }
@@ -466,42 +400,22 @@ impl HybridLlc {
     /// Inserts into the SRAM part, applying the policy's replacement and
     /// migration rules.
     fn place_sram(&mut self, now: u64, set: usize, line: LineState) {
-        if self.sram_ways == 0 {
-            // Asymmetric configurations without SRAM: try NVM, else bypass.
-            let ecb = line.ecb_size();
-            if self.pick_nvm_way(set, ecb).is_some() {
-                self.place_nvm(now, set, line, false);
-            } else {
-                self.stats.bypasses += 1;
-                self.retire(line);
-            }
-            return;
-        }
-
-        // LHybrid: migrate the most-recent loop-block out of SRAM first.
-        if self.policy == Policy::LHybrid {
-            if let Some(lb_way) = self.most_recent_lb_way(set) {
-                // Only migrate when SRAM is actually full.
-                let has_empty = (0..self.sram_ways).any(|w| !self.sram.is_valid(set, w));
-                if !has_empty {
-                    // most_recent_lb_way only returns valid ways.
-                    if let Some(lb) = self.take(Part::Sram, set, lb_way) {
-                        self.place_nvm(now, set, lb, true);
-                    } else {
-                        debug_assert!(false, "loop-block way must hold a line");
-                    }
-                    self.commit_sram(set, lb_way, line);
-                    return;
-                }
-            }
-        }
-
-        // sram_ways > 0 here (guarded above), so a way always exists.
-        let Some(way) = self.pick_sram_way(set) else {
-            debug_assert!(false, "SRAM part has ways");
-            return;
+        // Asymmetric configurations without SRAM: try NVM, else bypass.
+        let Some(way) = self.victim(set, 0..self.sram_ways, 0, true) else {
+            return self.place_nvm(now, set, line, false);
         };
-        if let Some(victim) = self.take(Part::Sram, set, way) {
+        // LHybrid with SRAM full (the victim holds a line): migrate the
+        // most-recent loop-block to NVM and take its way instead.
+        if self.policy == Policy::LHybrid && self.ways.is_valid(set, way) {
+            if let Some(lb_way) = self.most_recent_lb_way(set) {
+                // most_recent_lb_way only returns valid ways.
+                if let Some(lb) = self.ways.take(set, lb_way) {
+                    self.place_nvm(now, set, lb, true);
+                }
+                return self.commit(now, set, lb_way, line, false);
+            }
+        }
+        if let Some(victim) = self.ways.take(set, way) {
             let migrate = matches!(self.policy, Policy::CaRwr { .. } | Policy::CpSd { .. })
                 && victim.reuse == ReuseClass::Read;
             if migrate {
@@ -510,90 +424,24 @@ impl HybridLlc {
                 self.retire(victim);
             }
         }
-        self.commit_sram(set, way, line);
+        self.commit(now, set, way, line, false);
     }
 
     /// SRAM way holding the most-recently-used loop-block, if any.
     fn most_recent_lb_way(&self, set: usize) -> Option<usize> {
         let mut best: Option<(usize, u64)> = None;
         for way in 0..self.sram_ways {
-            if !self.sram.is_valid(set, way) {
+            if !self.ways.is_valid(set, way) {
                 continue;
             }
-            if self.sram.reuse(set, way) == ReuseClass::Read {
-                let stamp = self.sram.lru(set, way);
+            if self.ways.reuse(set, way) == ReuseClass::Read {
+                let stamp = self.ways.lru(set, way);
                 if best.is_none_or(|(_, s)| stamp > s) {
                     best = Some((way, stamp));
                 }
             }
         }
         best.map(|(w, _)| w)
-    }
-
-    /// Global (Fit-)LRU placement for the NVM-unaware BH/BH_CP policies:
-    /// the victim is the LRU block among all frames — SRAM or NVM — able to
-    /// hold the incoming block.
-    fn place_global(&mut self, now: u64, set: usize, line: LineState) {
-        let ecb = if self.policy.uses_compression() {
-            line.ecb_size()
-        } else {
-            hllc_nvm::FRAME_BYTES
-        };
-
-        let mut chosen: Option<(Part, usize)> = None;
-        let mut chosen_stamp = u64::MAX;
-        let mut empty: Option<(Part, usize)> = None;
-        for way in 0..self.sram_ways {
-            if !self.sram.is_valid(set, way) {
-                empty = Some((Part::Sram, way));
-                break;
-            }
-            let stamp = self.sram.lru(set, way);
-            if stamp < chosen_stamp {
-                chosen_stamp = stamp;
-                chosen = Some((Part::Sram, way));
-            }
-        }
-        if empty.is_none() {
-            // No array means no NVM ways (see `with_array`).
-            let caps = self
-                .array
-                .as_ref()
-                .map_or(&[][..], |a| a.capacity_lane(set));
-            for (way, &cap) in caps.iter().enumerate() {
-                if ecb > usize::from(cap) {
-                    continue;
-                }
-                if !self.nvm.is_valid(set, way) {
-                    empty = Some((Part::Nvm, way));
-                    break;
-                }
-                let stamp = self.nvm.lru(set, way);
-                if stamp < chosen_stamp {
-                    chosen_stamp = stamp;
-                    chosen = Some((Part::Nvm, way));
-                }
-            }
-        }
-
-        match empty.or(chosen) {
-            Some((Part::Sram, way)) => {
-                if let Some(old) = self.take(Part::Sram, set, way) {
-                    self.retire(old);
-                }
-                self.commit_sram(set, way, line);
-            }
-            Some((Part::Nvm, way)) => {
-                if let Some(old) = self.take(Part::Nvm, set, way) {
-                    self.retire(old);
-                }
-                self.commit_nvm(now, set, way, line, false);
-            }
-            None => {
-                self.stats.bypasses += 1;
-                self.retire(line);
-            }
-        }
     }
 }
 
@@ -605,23 +453,24 @@ impl LlcPort for HybridLlc {
             LlcReq::GetX => self.stats.getx += 1,
         }
         let set = set_index(block, self.sets);
-        let Some((part, way)) = self.find(set, block) else {
+        let Some(way) = self.ways.find(set, block) else {
             self.stats.misses += 1;
             return LlcResponse::miss();
         };
 
         self.stats.hits += 1;
-        match part {
-            Part::Sram => self.stats.sram_hits += 1,
-            Part::Nvm => self.stats.nvm_hits += 1,
+        let nvm = self.part_of(way) == Part::Nvm;
+        if nvm {
+            self.stats.nvm_hits += 1;
+        } else {
+            self.stats.sram_hits += 1;
         }
         if let Some(d) = &mut self.dueling {
             d.record_hit(set);
         }
 
         let stamp = self.next_stamp();
-        self.part_mut(part).bump_hits(set, way);
-        let dirty = self.part(part).dirty(set, way);
+        let dirty = self.ways.dirty(set, way);
         let tap_count = match self.policy {
             Policy::Tap { .. } => self.tap_observe(block, dirty, req),
             Policy::Bh
@@ -632,10 +481,8 @@ impl LlcPort for HybridLlc {
             | Policy::LHybrid => 0,
         };
         let reuse = self.classify_hit(dirty, req, tap_count);
-        let compressed = part == Part::Nvm
-            && self.policy.uses_compression()
-            && self.part(part).cb_size(set, way) < 64;
-        let extra_cycles = if part == Part::Nvm && self.nvm_write_cycles > 0 {
+        let compressed = nvm && self.policy.uses_compression() && self.ways.cb_size(set, way) < 64;
+        let extra_cycles = if nvm && self.nvm_write_cycles > 0 {
             self.clock = self.clock.max(now);
             // Wait for the in-flight write; capped at one write duration so
             // per-core clock skew cannot masquerade as queueing.
@@ -650,18 +497,17 @@ impl LlcPort for HybridLlc {
         match req {
             LlcReq::GetX => {
                 // Invalidate-on-hit: ownership moves to the private levels.
-                self.take(part, set, way);
+                self.ways.take(set, way);
             }
             LlcReq::GetS => {
-                let p = self.part_mut(part);
-                p.touch(set, way, stamp);
-                p.set_reuse(set, way, reuse);
+                self.ways.touch(set, way, stamp);
+                self.ways.set_reuse(set, way, reuse);
             }
         }
 
         LlcResponse {
             hit: true,
-            nvm: part == Part::Nvm,
+            nvm,
             compressed,
             reuse,
             extra_cycles,
@@ -679,16 +525,16 @@ impl LlcPort for HybridLlc {
         self.maybe_epoch(now);
         let set = set_index(block, self.sets);
 
-        if let Some((part, way)) = self.find(set, block) {
+        if let Some(way) = self.ways.find(set, block) {
             if !dirty {
                 // Clean copy already resident: refresh LRU only ("written if
                 // it was not there", §III-A).
                 let stamp = self.next_stamp();
-                self.part_mut(part).touch(set, way, stamp);
+                self.ways.touch(set, way, stamp);
                 return;
             }
             // Stale resident copy vs dirty incoming data: replace it.
-            let _ = self.take(part, set, way);
+            self.ways.take(set, way);
         }
 
         let cb_size = if self.policy.uses_compression() {
@@ -700,15 +546,25 @@ impl LlcPort for HybridLlc {
         let line = LineState::new(block, dirty, reuse, cb_size, stamp);
 
         match self.policy {
-            Policy::Bh | Policy::BhCp => self.place_global(now, set, line),
+            // Global Fit-LRU over all ways for the NVM-unaware baselines.
+            Policy::Bh | Policy::BhCp => {
+                let ecb = self.ecb(&line);
+                match self.victim(set, 0..self.ways.ways(), ecb, true) {
+                    Some(way) => self.commit(now, set, way, line, false),
+                    None => self.bypass(line),
+                }
+            }
             Policy::Ca { .. }
             | Policy::CaRwr { .. }
             | Policy::CpSd { .. }
             | Policy::LHybrid
-            | Policy::Tap { .. } => match self.decide_part(set, &line) {
-                Part::Nvm => self.place_nvm(now, set, line, false),
-                Part::Sram => self.place_sram(now, set, line),
-            },
+            | Policy::Tap { .. } => {
+                if self.goes_to_nvm(set, &line) {
+                    self.place_nvm(now, set, line, false);
+                } else {
+                    self.place_sram(now, set, line);
+                }
+            }
         }
     }
 
@@ -784,9 +640,10 @@ mod tests {
             }
             for block in 0u64..64 {
                 let set = set_index(block, SETS);
-                if let Some((Part::Nvm, way)) = llc.find(set, block) {
+                if llc.locate(block) == Some(Part::Nvm) {
                     let line = llc.peek(block).unwrap();
-                    let capacity = llc.array().unwrap().effective_capacity(set, way);
+                    let way = llc.ways.find(set, block).unwrap();
+                    let capacity = llc.array().unwrap().effective_capacity(set, way - 4);
                     prop_assert!(
                         line.ecb_size() <= capacity,
                         "block {block}: ECB {} bytes in a {capacity}-byte frame",

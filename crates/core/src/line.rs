@@ -6,7 +6,8 @@ use hllc_sim::ReuseClass;
 ///
 /// Lives in the (SRAM) tag array: block identity, coherence dirtiness,
 /// reuse tag, the block's compressed size (computed by the BDI compressor
-/// at insertion time), a hit counter (TAP), and the LRU stamp.
+/// at insertion time), and the LRU stamp. TAP's hit counts live in the
+/// LLC's hashed predictor, not per line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineState {
     /// Block address.
@@ -18,9 +19,6 @@ pub struct LineState {
     /// Compressed block (CB) size in bytes at insertion time (64 when the
     /// policy stores blocks uncompressed).
     pub cb_size: u8,
-    /// LLC hits this block has received since insertion (TAP's thrashing
-    /// detector).
-    pub hits: u32,
     /// LRU stamp: larger = more recently used.
     pub lru: u64,
 }
@@ -33,7 +31,6 @@ impl LineState {
             dirty,
             reuse,
             cb_size,
-            hits: 0,
             lru,
         }
     }

@@ -1,5 +1,6 @@
-//! Struct-of-arrays backing store for one part (SRAM or NVM) of the
-//! hybrid LLC.
+//! Struct-of-arrays backing store for the ways of the hybrid LLC: one
+//! lane set holds every way of a set, SRAM ways first, so a way's part
+//! follows from its index.
 //!
 //! The per-access hot path is dominated by way scans: a tag lookup on every
 //! request and an LRU sweep on every insert. With an array-of-structs
@@ -7,8 +8,7 @@
 //! touches every field; here the fields live in parallel flat arrays
 //! indexed by `set * ways + way`, so a tag probe reads one 8-byte occupancy
 //! word plus a contiguous run of 8-byte tags, and an LRU sweep reads only
-//! the stamp lane. Occupancy is a per-set bitmask, which also makes
-//! empty-way discovery a single `trailing_zeros`.
+//! the stamp lane. Occupancy is a per-set bitmask.
 //!
 //! [`LineState`] remains the API currency: lines are assembled from and
 //! scattered back into the lanes at the edges, so policy code keeps reading
@@ -33,8 +33,6 @@ pub(crate) struct WayArray {
     cb_size: Vec<u8>,
     /// Packed dirty bit (bit 0) and reuse class (bits 1–2).
     meta: Vec<u8>,
-    /// Per-line hit counters.
-    hits: Vec<u32>,
 }
 
 const DIRTY_BIT: u8 = 1;
@@ -71,8 +69,13 @@ impl WayArray {
             lru: vec![0; sets * ways],
             cb_size: vec![0; sets * ways],
             meta: vec![0; sets * ways],
-            hits: vec![0; sets * ways],
         }
+    }
+
+    /// Ways per set.
+    #[inline]
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
     }
 
     #[inline]
@@ -143,13 +146,6 @@ impl WayArray {
         self.meta[i] = (self.meta[i] & DIRTY_BIT) | (encode_reuse(reuse) << REUSE_SHIFT);
     }
 
-    /// Increments the hit counter of a resident line.
-    #[inline]
-    pub(crate) fn bump_hits(&mut self, set: usize, way: usize) {
-        let i = self.idx(set, way);
-        self.hits[i] += 1;
-    }
-
     /// True if the resident line at `way` is dirty.
     #[inline]
     pub(crate) fn dirty(&self, set: usize, way: usize) -> bool {
@@ -180,7 +176,6 @@ impl WayArray {
             dirty: self.meta[i] & DIRTY_BIT != 0,
             reuse: decode_reuse(self.meta[i] >> REUSE_SHIFT),
             cb_size: self.cb_size[i],
-            hits: self.hits[i],
             lru: self.lru[i],
         })
     }
@@ -192,7 +187,6 @@ impl WayArray {
         self.lru[i] = line.lru;
         self.cb_size[i] = line.cb_size;
         self.meta[i] = u8::from(line.dirty) | (encode_reuse(line.reuse) << REUSE_SHIFT);
-        self.hits[i] = line.hits;
         self.valid[set] |= 1u64 << way;
     }
 
@@ -255,12 +249,9 @@ mod tests {
         a.put(1, 0, line(5, 1));
         a.touch(1, 0, 99);
         a.set_reuse(1, 0, ReuseClass::Read);
-        a.bump_hits(1, 0);
-        a.bump_hits(1, 0);
         let l = a.get(1, 0).unwrap();
         assert_eq!(l.lru, 99);
         assert_eq!(l.reuse, ReuseClass::Read);
-        assert_eq!(l.hits, 2);
         assert!(l.dirty, "touch/set_reuse must not clobber the dirty bit");
     }
 

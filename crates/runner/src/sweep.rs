@@ -45,7 +45,8 @@ pub struct SweepSpec {
     pub threads: usize,
     /// Recorded trace replacing the synthetic mixes: every job replays
     /// these reference streams (and recorded block sizes) instead of
-    /// instantiating `mixes()[mix]`. `mixes` then only labels the grid.
+    /// instantiating `mixes()[mix]`. `mixes` then holds one entry, the
+    /// recording's mix, which labels the jobs.
     pub trace: Option<Arc<TraceContent>>,
 }
 
@@ -76,12 +77,18 @@ impl SweepSpec {
     }
 
     /// Checks that the grid can run: [`checked_job_count`](Self::checked_job_count),
-    /// mixes in range, and a trace (if any) that [`check_replay`] accepts
-    /// for every way split's system (the other axes leave the geometry as
-    /// it is).
+    /// mixes in range, and a trace (if any) with one mix entry that
+    /// [`check_replay`] accepts for every way split's system (the other
+    /// axes leave the geometry as it is).
     pub fn validate(&self) -> Result<(), String> {
         self.checked_job_count()?;
         if let Some(trace) = &self.trace {
+            if self.mixes.len() > 1 {
+                return Err(format!(
+                    "a trace sweep replays one recording, so it has one mix, not {}",
+                    self.mixes.len()
+                ));
+            }
             let factor = self.spec.system.nvm_latency_factor;
             for &split in &self.way_splits {
                 check_replay(trace, &self.job_experiment(split, factor))?;
@@ -473,6 +480,29 @@ mod tests {
         spec.trace = None;
         spec.mixes = vec![10];
         assert_eq!(spec.validate(), Err("mix index 10 out of range".into()));
+    }
+
+    #[test]
+    fn a_trace_grid_has_one_mix() {
+        let mut spec = tiny_spec(1);
+        spec.trace = Some(Arc::new(TraceContent {
+            header: hllc_traceio::TraceHeader {
+                cores: 1,
+                mix: 1,
+                seed: 42,
+                sets: 64,
+                cycles: 10_000.0,
+                policy: "bh".into(),
+                workload: "mix 1".into(),
+                spec_json: None,
+            },
+            accesses: vec![hllc_sim::Access::load(0, 0x40)],
+            sizes: Vec::new(),
+        }));
+        assert_eq!(spec.validate(), Ok(()));
+        spec.mixes = vec![0, 1];
+        let e = spec.validate().unwrap_err();
+        assert!(e.contains("one mix, not 2"), "{e}");
     }
 
     #[test]

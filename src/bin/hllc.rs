@@ -14,6 +14,7 @@
 //! hllc trace-info m1.trc                 inspect and verify a trace file
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hybrid_llc::cli::{
@@ -31,8 +32,29 @@ use hybrid_llc::trace::mixes;
 use hybrid_llc::traceio::{create_trace, open_trace, Chunk, VERSION};
 use serde_json::Value;
 
-fn cmd_policies() {
-    println!("available insertion policies (Table III):");
+/// Why a command stopped: a message for stderr, or a failed write to
+/// stdout (a closed pipe, a full disk).
+enum Failure {
+    Msg(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Msg(e)
+    }
+}
+
+/// `println!` that ends the command on a failed write to stdout instead of
+/// panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*).map_err(Failure::Stdout)?
+    };
+}
+
+fn cmd_policies() -> Result<(), Failure> {
+    say!("available insertion policies (Table III):");
     for (flag, desc) in [
         (
             "bh",
@@ -47,56 +69,63 @@ fn cmd_policies() {
         ("lhybrid", "loop-block aware state of the art"),
         ("tap", "thrashing-aware state of the art"),
     ] {
-        println!("  {flag:<10} {desc}");
-    }
-}
-
-fn cmd_mixes() {
-    println!("Table V workloads:");
-    for m in mixes() {
-        let names: Vec<&str> = m.apps.iter().map(|a| a.name).collect();
-        println!("  {:<7} {}", m.name, names.join(", "));
-    }
-}
-
-fn cmd_spec(args: &SpecArgs) -> Result<(), String> {
-    match &args.dump {
-        Some(path) => {
-            args.spec.store(path).map_err(|e| e.to_string())?;
-            println!("spec written to {path}");
-        }
-        None => print!("{}", args.spec.to_string_pretty()),
+        say!("  {flag:<10} {desc}");
     }
     Ok(())
 }
 
-fn print_stats(stats: &SessionStats, args: &Args) {
+fn cmd_mixes() -> Result<(), Failure> {
+    say!("Table V workloads:");
+    for m in mixes() {
+        let names: Vec<&str> = m.apps.iter().map(|a| a.name).collect();
+        say!("  {:<7} {}", m.name, names.join(", "));
+    }
+    Ok(())
+}
+
+fn cmd_spec(args: &SpecArgs) -> Result<(), Failure> {
+    match &args.dump {
+        Some(path) => {
+            args.spec.store(path).map_err(|e| e.to_string())?;
+            say!("spec written to {path}");
+        }
+        None => {
+            write!(io::stdout(), "{}", args.spec.to_string_pretty()).map_err(Failure::Stdout)?
+        }
+    }
+    Ok(())
+}
+
+fn print_stats(stats: &SessionStats, args: &Args) -> Result<(), Failure> {
     let s = stats.llc;
     let energy = EnergyModel::default_16nm().breakdown(
         &s,
         args.cycles(),
         args.spec.system_config().timing.freq_ghz,
     );
-    println!("  system IPC        {:.3}", stats.ipc);
-    println!(
+    say!("  system IPC        {:.3}", stats.ipc);
+    say!(
         "  LLC hit rate      {:.1}% ({} of {} requests)",
         100.0 * s.hit_rate(),
         s.hits,
         s.requests()
     );
-    println!("  hits SRAM/NVM     {} / {}", s.sram_hits, s.nvm_hits);
-    println!(
+    say!("  hits SRAM/NVM     {} / {}", s.sram_hits, s.nvm_hits);
+    say!(
         "  inserts SRAM/NVM  {} / {} (migrations {})",
-        s.sram_inserts, s.nvm_inserts, s.migrations
+        s.sram_inserts,
+        s.nvm_inserts,
+        s.migrations
     );
-    println!("  NVM bytes written {}", s.nvm_bytes_written);
-    println!("  LLC energy        {:.2} mJ", energy.total_mj());
+    say!("  NVM bytes written {}", s.nvm_bytes_written);
+    say!("  LLC energy        {:.2} mJ", energy.total_mj());
     if let Some(th) = stats.cp_th {
-        println!("  Set Dueling CP_th {th}");
+        say!("  Set Dueling CP_th {th}");
     }
     if let Some((total, retained)) = stats.dueling_epochs {
-        println!("  dueling epochs    {total} ({retained} retained)");
+        say!("  dueling epochs    {total} ({retained} retained)");
     }
+    Ok(())
 }
 
 /// A session's stats as sorted-key JSON: what `run --json` prints and
@@ -122,7 +151,7 @@ fn workload(args: &Args) -> String {
     }
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args) -> Result<(), Failure> {
     if !args.json {
         let action = match &args.trace {
             Some(t) => format!(
@@ -133,7 +162,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             ),
             None => format!("running {}", workload(args)),
         };
-        println!(
+        say!(
             "{action} under {} for {:.1}M cycles...",
             args.policy().name(),
             args.cycles() / 1e6
@@ -143,20 +172,20 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if args.json {
         // Sorted-key JSON only — the golden determinism tests diff this
         // output byte for byte, so nothing else may reach stdout.
-        println!(
+        say!(
             "{}",
             stats_text(&args.policy().name(), &workload(args), &stats)?
         );
     } else {
-        print_stats(&stats, args);
+        print_stats(&stats, args)?;
     }
     Ok(())
 }
 
-fn cmd_record(args: &RecordArgs) -> Result<(), String> {
+fn cmd_record(args: &RecordArgs) -> Result<(), Failure> {
     let header = recording_header(&args.run, args.cores);
     let writer = create_trace(&args.out, &header).map_err(|e| format!("{}: {e}", args.out))?;
-    println!(
+    say!(
         "recording {} under {} for {:.1}M cycles on {} cores -> {} ...",
         header.workload,
         header.policy,
@@ -165,33 +194,36 @@ fn cmd_record(args: &RecordArgs) -> Result<(), String> {
         args.out
     );
     let (stats, _) = record_session(&args.run, args.cores, writer)?;
-    print_stats(&stats, &args.run);
+    // Files first, so a closed stdout cannot lose them.
     if let Some(path) = &args.json {
         let text = stats_text(&header.policy, &header.workload, &stats)?;
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("stats written to {path}");
     }
-    println!("trace written to {}", args.out);
+    print_stats(&stats, &args.run)?;
+    if let Some(path) = &args.json {
+        say!("stats written to {path}");
+    }
+    say!("trace written to {}", args.out);
     Ok(())
 }
 
-fn cmd_trace_info(path: &str) -> Result<(), String> {
+fn cmd_trace_info(path: &str) -> Result<(), Failure> {
     let mut reader = open_trace(path).map_err(|e| format!("{path}: {e}"))?;
     let h = reader.header().clone();
-    println!("{path}:");
-    println!("  format        HLLCTRC (reader v{VERSION})");
-    println!("  cores         {}", h.cores);
-    println!("  workload      {} (mix {})", h.workload, h.mix);
-    println!("  policy        {}", h.policy);
-    println!("  seed          {}", h.seed);
-    println!("  llc sets      {}", h.sets);
-    println!("  cycle budget  {:.1}M", h.cycles / 1e6);
+    say!("{path}:");
+    say!("  format        HLLCTRC (reader v{VERSION})");
+    say!("  cores         {}", h.cores);
+    say!("  workload      {} (mix {})", h.workload, h.mix);
+    say!("  policy        {}", h.policy);
+    say!("  seed          {}", h.seed);
+    say!("  llc sets      {}", h.sets);
+    say!("  cycle budget  {:.1}M", h.cycles / 1e6);
     match &h.spec_json {
         Some(text) => match ExperimentSpec::from_str(text) {
-            Ok(spec) => println!("  spec          embedded ('{}', v2 header)", spec.name),
-            Err(e) => println!("  spec          embedded but unreadable: {e}"),
+            Ok(spec) => say!("  spec          embedded ('{}', v2 header)", spec.name),
+            Err(e) => say!("  spec          embedded but unreadable: {e}"),
         },
-        None => println!("  spec          none (v1 header)"),
+        None => say!("  spec          none (v1 header)"),
     }
     let mut chunks = 0u64;
     let mut sizes = 0u64;
@@ -211,22 +243,22 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
                 chunks += 1;
                 sizes += v.len() as u64;
             }
-            Err(e) => return Err(format!("{path}: {e}")),
+            Err(e) => return Err(format!("{path}: {e}").into()),
         }
     }
     let accesses: u64 = per_core.iter().sum();
-    println!("  chunks        {chunks}");
-    println!("  accesses      {accesses} ({stores} stores)");
+    say!("  chunks        {chunks}");
+    say!("  accesses      {accesses} ({stores} stores)");
     for (core, n) in per_core.iter().enumerate() {
-        println!("    core {core}      {n}");
+        say!("    core {core}      {n}");
     }
-    println!("  block sizes   {sizes}");
+    say!("  block sizes   {sizes}");
     Ok(())
 }
 
-fn cmd_forecast(args: &Args) -> Result<(), String> {
+fn cmd_forecast(args: &Args) -> Result<(), Failure> {
     let mix = &mixes()[args.mix_index()];
-    println!(
+    say!(
         "forecasting {} under {} (spec '{}', mu={:.0e} writes/frame)...",
         mix.name,
         args.policy().name(),
@@ -235,9 +267,9 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     );
     let series = Forecast::new(ForecastConfig::from_spec(&args.spec).with_policy(args.policy()))
         .run(mix, args.seed());
-    println!("{:>10} {:>10} {:>8}", "time [h]", "capacity", "IPC");
+    say!("{:>10} {:>10} {:>8}", "time [h]", "capacity", "IPC");
     for p in &series.points {
-        println!(
+        say!(
             "{:>10.2} {:>9.1}% {:>8.3}",
             p.time_seconds / 3600.0,
             p.capacity * 100.0,
@@ -247,30 +279,26 @@ fn cmd_forecast(args: &Args) -> Result<(), String> {
     match series.lifetime_seconds(0.5) {
         Some(s) => {
             let (mu, frames) = args.spec.paper_time_scale();
-            println!(
+            say!(
                 "=> 50% capacity after {:.2} simulated hours (~{:.0} at paper scale)",
                 s / 3600.0,
                 mu * frames * s / 3600.0
             )
         }
-        None => println!("=> never reached 50% capacity (SRAM-only or idle NVM)"),
+        None => say!("=> never reached 50% capacity (SRAM-only or idle NVM)"),
     }
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args) -> Result<(), Failure> {
     let workload = match &args.trace {
         Some(t) => format!("{} (trace {})", workload(args), t.path),
         None => workload(args),
     };
-    println!(
+    say!(
         "comparing all policies on {} ({:.1}M cycles each)...\n",
         workload,
         args.cycles() / 1e6
-    );
-    println!(
-        "{:<12} {:>8} {:>10} {:>14} {:>12}",
-        "policy", "IPC", "LLC hit%", "NVM bytes", "energy [mJ]"
     );
     // One job per policy; every job uses the same seed as the serial loop
     // did, and rows print in job order, so --jobs only changes wall-clock.
@@ -287,6 +315,17 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     .iter()
     .map(|p| parse_policy(p).unwrap())
     .collect();
+    let width = policies
+        .iter()
+        .fold("policy".len(), |w, p| w.max(p.name().len()));
+    say!(
+        "{:<width$} {:>8} {:>10} {:>14} {:>12}",
+        "policy",
+        "IPC",
+        "LLC hit%",
+        "NVM bytes",
+        "energy [mJ]"
+    );
     let rows = run_indexed(policies, args.jobs, |_, policy| {
         let mut job_args = args.clone();
         job_args.spec.hybrid.policy = policy.label();
@@ -297,7 +336,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             args.spec.system_config().timing.freq_ghz,
         );
         Ok::<_, String>(format!(
-            "{:<12} {:>8.3} {:>9.1}% {:>14} {:>12.2}",
+            "{:<width$} {:>8.3} {:>9.1}% {:>14} {:>12.2}",
             policy.name(),
             stats.ipc,
             100.0 * stats.llc.hit_rate(),
@@ -306,21 +345,21 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         ))
     });
     for row in rows {
-        println!("{}", row?);
+        say!("{}", row?);
     }
     Ok(())
 }
 
-fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
+fn cmd_sweep(args: &SweepArgs) -> Result<(), Failure> {
     let spec = &args.grid;
     if let (Some(content), Some(path)) = (&spec.trace, &args.trace) {
-        println!(
-            "replaying trace {path} ({} accesses) in every job; mixes only label the grid",
-            content.accesses.len()
+        say!(
+            "replaying trace {path} ({} accesses, {}) in every job, for its mix",
+            content.accesses.len(),
+            content.header.workload
         );
     }
-    println!(
-        "sweeping {} policies x {} capacities x {} way splits x {} latencies x {} mixes x {} seeds = {} jobs on {} threads...",
+    say!("sweeping {} policies x {} capacities x {} way splits x {} latencies x {} mixes x {} seeds = {} jobs on {} threads...",
         spec.policies.len(),
         spec.capacities.len(),
         spec.way_splits.len(),
@@ -331,10 +370,24 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
         spec.threads,
     );
     let report = report_json(&run_sweep(spec));
+    // The report file first, so a closed stdout cannot lose it.
+    if let Some(path) = &args.json {
+        let text = serde_json::to_string_pretty(&report)
+            .map_err(|e| format!("serializing report: {e}"))?;
+        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+    }
 
-    println!(
-        "\n{:<12} {:>9} {:>8} {:>10} {:>14}",
-        "policy", "capacity", "IPC", "LLC hit%", "NVM bytes"
+    let width = spec
+        .policies
+        .iter()
+        .fold("policy".len(), |w, (label, _)| w.max(label.len()));
+    say!(
+        "\n{:<width$} {:>9} {:>8} {:>10} {:>14}",
+        "policy",
+        "capacity",
+        "IPC",
+        "LLC hit%",
+        "NVM bytes"
     );
     let cells = report.get("summary").and_then(Value::as_array);
     for cell in cells.into_iter().flatten() {
@@ -344,8 +397,8 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
             .and_then(Value::as_str)
             .unwrap_or_default();
         let bytes = cell.get("total_nvm_bytes_written").and_then(Value::as_u64);
-        println!(
-            "{label:<12} {:>9.2} {:>8.3} {:>9.1}% {:>14}",
+        say!(
+            "{label:<width$} {:>9.2} {:>8.3} {:>9.1}% {:>14}",
             number("capacity"),
             number("mean_ipc"),
             100.0 * number("mean_hit_rate"),
@@ -354,16 +407,13 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), String> {
     }
 
     if let Some(path) = &args.json {
-        let text = serde_json::to_string_pretty(&report)
-            .map_err(|e| format!("serializing report: {e}"))?;
-        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nreport written to {path}");
+        say!("\nreport written to {path}");
     }
     Ok(())
 }
 
-fn cmd_figures() {
-    println!("paper tables and figures are regenerated by bench targets:");
+fn cmd_figures() -> Result<(), Failure> {
+    say!("paper tables and figures are regenerated by bench targets:");
     for (bench, what) in [
         ("table1", "Table I  — BDI compression encodings"),
         ("table3", "Table III — policy taxonomy"),
@@ -389,8 +439,9 @@ fn cmd_figures() {
         ("ablation_memory", "ablation — DRAM model"),
         ("micro", "Criterion microbenches"),
     ] {
-        println!("  cargo bench -p hllc-bench --bench {bench:<20} # {what}");
+        say!("  cargo bench -p hllc-bench --bench {bench:<20} # {what}");
     }
+    Ok(())
 }
 
 fn usage() -> String {
@@ -408,48 +459,51 @@ fn usage() -> String {
     )
 }
 
+/// Runs `cmd` with the arguments `rest`.
+fn dispatch(cmd: &str, rest: &[String]) -> Result<(), Failure> {
+    match cmd {
+        "policies" => cmd_policies(),
+        "mixes" => cmd_mixes(),
+        "figures" => cmd_figures(),
+        "spec" => cmd_spec(&parse_spec_args(rest)?),
+        "forecast" if rest.iter().any(|a| a == "--trace") => Err(
+            "forecast alternates synthetic phases; --trace is not supported"
+                .to_string()
+                .into(),
+        ),
+        "run" => cmd_run(&parse_args(rest)?),
+        "compare" => cmd_compare(&parse_args(rest)?),
+        "forecast" => cmd_forecast(&parse_args(rest)?),
+        "sweep" => cmd_sweep(&parse_sweep_args(rest)?),
+        "record" => cmd_record(&parse_record_args(rest)?),
+        "trace-info" => cmd_trace_info(&parse_trace_info_args(rest)?),
+        "-h" | "--help" | "help" => {
+            say!("{}", usage());
+            Ok(())
+        }
+        other => Err(format!("unknown command '{other}'").into()),
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let outcome = match cmd.as_str() {
-        "policies" => {
-            cmd_policies();
-            Ok(())
+    let outcome =
+        dispatch(cmd, &argv[1..]).and_then(|()| io::stdout().flush().map_err(Failure::Stdout));
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped reading (`hllc ... | head`) wants no more.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
         }
-        "mixes" => {
-            cmd_mixes();
-            Ok(())
+        Err(Failure::Msg(e)) => {
+            eprintln!("error: {e}\n{}", usage());
+            ExitCode::FAILURE
         }
-        "figures" => {
-            cmd_figures();
-            Ok(())
-        }
-        "spec" => parse_spec_args(&argv[1..]).and_then(|args| cmd_spec(&args)),
-        "forecast" if argv.iter().any(|a| a == "--trace") => {
-            Err("forecast alternates synthetic phases; --trace is not supported".into())
-        }
-        "run" | "forecast" | "compare" => {
-            parse_args(&argv[1..]).and_then(|args| match cmd.as_str() {
-                "run" => cmd_run(&args),
-                "compare" => cmd_compare(&args),
-                _ => cmd_forecast(&args),
-            })
-        }
-        "sweep" => parse_sweep_args(&argv[1..]).and_then(|args| cmd_sweep(&args)),
-        "record" => parse_record_args(&argv[1..]).and_then(|args| cmd_record(&args)),
-        "trace-info" => parse_trace_info_args(&argv[1..]).and_then(|path| cmd_trace_info(&path)),
-        "-h" | "--help" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    if let Err(e) = outcome {
-        eprintln!("error: {e}\n{}", usage());
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
 }

@@ -202,7 +202,11 @@ pub struct SweepArgs {
 /// must pass [`SweepSpec::validate`].
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     let ((mut grid, json), trace) = resolve(argv, |spec| edit_sweep(argv, spec))?;
-    grid.trace = trace.as_ref().map(|t| Arc::clone(&t.content));
+    if let Some(t) = &trace {
+        // A recording holds one mix's references: the mix axis is that mix.
+        grid.mixes = vec![trace_spec(&t.content)?.mix_index()];
+        grid.trace = Some(Arc::clone(&t.content));
+    }
     grid.validate()?;
     Ok(SweepArgs {
         grid,
@@ -217,6 +221,8 @@ fn edit_sweep(
     spec: ExperimentSpec,
 ) -> Result<(SweepSpec, Option<String>), String> {
     // The axes default to the base spec's point (no other flag moves it).
+    // A recording's sweep runs the base's own budget, a live one 2e5 cycles.
+    let traced = flag_value(argv, "--trace")?.is_some();
     let mut grid = SweepSpec {
         policies: parse_policy_list("bh,cp_sd").unwrap(),
         mixes: vec![0, 1, 2, 3],
@@ -226,7 +232,7 @@ fn edit_sweep(
         nvm_latency_factors: vec![spec.system.nvm_latency_factor],
         base_seed: 0,
         warmup_cycles: 0.0,
-        measure_cycles: 2.0e5,
+        measure_cycles: if traced { spec.run.cycles } else { 2.0e5 },
         threads: hllc_runner::default_threads(),
         trace: None,
         spec,
@@ -240,6 +246,10 @@ fn edit_sweep(
                 value()?; // read by resolve
             }
             "--policies" => grid.policies = parse_policy_list(value()?)?,
+            "--mixes" if traced => return Err(
+                "--mixes does not combine with --trace: the sweep replays the recording's own mix"
+                    .into(),
+            ),
             "--mixes" => grid.mixes = parse_mix_list(value()?)?,
             "--seeds" => {
                 grid.seeds = value()?
@@ -798,6 +808,28 @@ mod tests {
         // The sweep's axes default to the recording's point.
         let d = sweep("--nvm-latency 1.0,1.5").unwrap();
         assert_eq!(d.grid.way_splits, vec![(4, 12)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_trace_sweep_runs_the_recordings_mix_and_budget() {
+        let path = recording("sweep", "--policy bh --mix 3 --cycles 2e4");
+        let sweep = |flags: &str| parse_sweep_args(&argv(&format!("--trace {path} {flags}")));
+        let grid = sweep("").unwrap().grid;
+        assert_eq!(grid.job_count(), 2, "one job per default policy");
+        assert_eq!((grid.mixes, grid.measure_cycles), (vec![2], 2e4));
+        assert_eq!(sweep("--cycles 1e4").unwrap().grid.measure_cycles, 1e4);
+        // `--spec` replaces the base, budget included; the mix stays.
+        let grid = sweep("--spec scaled").unwrap().grid;
+        assert_eq!((grid.mixes, grid.measure_cycles), (vec![2], 2e6));
+        let e = sweep("--mixes 1,2").unwrap_err();
+        assert!(
+            e.starts_with("--mixes does not combine with --trace"),
+            "{e}"
+        );
+        // The live sweep keeps its defaults.
+        let live = parse_sweep_args(&[]).unwrap().grid;
+        assert_eq!((live.mixes, live.measure_cycles), (vec![0, 1, 2, 3], 2e5));
         std::fs::remove_file(&path).unwrap();
     }
 

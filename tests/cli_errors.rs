@@ -153,3 +153,38 @@ fn compare_on_a_trace_with_a_mismatched_spec_is_an_error_not_a_panic() {
     std::fs::remove_file(&path).unwrap();
     assert_fails_naming(&out, "llc_sets: spec 4096 vs recording 512");
 }
+
+/// Runs `hllc` with stdout on `stdout` and stderr captured.
+fn hllc_onto(args: &[&str], stdout: impl Into<Stdio>) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hllc"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("hllc runs")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v1_mix1.trc");
+    for args in [&["policies"][..], &["spec"], &["trace-info", fixture]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = hllc_onto(args, writer);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_failed_stdout_write_is_a_named_error() {
+    // Linux's full device fails every write with "no space left".
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = hllc_onto(&["policies"], full);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: writing to stdout: "), "{stderr}");
+}

@@ -81,16 +81,18 @@ fn compare_trace_runs_the_recorded_budget_and_matches_run_trace() {
         .get("nvm_bytes_written")
         .and_then(Value::as_u64)
         .unwrap();
-    let row = format!(
-        "{:<12} {:>8.3} {:>9.1}% {:>14}",
-        "BH",
-        number("ipc"),
-        100.0 * hit_rate,
-        bytes
-    );
+    let row = [
+        "BH".to_string(),
+        format!("{:.3}", number("ipc")),
+        format!("{:.1}%", 100.0 * hit_rate),
+        bytes.to_string(),
+    ];
     assert!(
-        table.lines().any(|l| l.starts_with(&row)),
-        "no '{row}' in\n{table}"
+        table.lines().any(|l| l
+            .split_whitespace()
+            .take(4)
+            .eq(row.iter().map(String::as_str))),
+        "no {row:?} row in\n{table}"
     );
     let rows = table.lines().skip_while(|l| !l.starts_with("policy"));
     for line in rows.skip(1) {
@@ -122,4 +124,25 @@ fn every_trace_command_names_the_same_geometry_mismatch() {
         assert!(stderr.contains(field), "{cmd} names no {field}: {stderr}");
     }
     std::fs::remove_file(&trace).unwrap();
+}
+
+#[test]
+fn compare_rows_line_up_under_the_header() {
+    let table = stdout(&hllc(&["compare", "--cycles", "2e4", "--jobs", "2"]));
+    let mut lines = table.lines().skip_while(|l| !l.starts_with("policy"));
+    let header = lines.next().expect("a header row");
+    // The IPC column is right-aligned: every value ends where "IPC" does.
+    let end = header.find("IPC").unwrap() + "IPC".len();
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), 8, "{table}");
+    for row in rows {
+        let head = row.get(..end).unwrap_or(row);
+        let cells: Vec<&str> = head.split_whitespace().collect();
+        assert_eq!(cells.len(), 2, "policy and IPC before column {end}: {row}");
+        assert!(cells[1].parse::<f64>().is_ok(), "{row}");
+        assert!(
+            row[end..].starts_with(' '),
+            "IPC overruns its column: {row}"
+        );
+    }
 }
