@@ -223,17 +223,23 @@ fn enumerate_jobs(spec: &SweepSpec) -> Vec<SweepJob> {
     jobs
 }
 
-fn run_job(spec: &SweepSpec, index: usize, job: SweepJob) -> JobResult {
+/// Runs one job: a replay of `replay`, the trace grid's recording and its
+/// size table (cloned per job), else the job's mix.
+fn run_job(
+    spec: &SweepSpec,
+    replay: Option<&(&TraceContent, TraceData)>,
+    index: usize,
+    job: SweepJob,
+) -> JobResult {
     let seed = job_seed(spec.base_seed, index);
     let exp = spec.job_experiment((job.sram_ways, job.nvm_ways), job.nvm_latency_factor);
     let setup =
         PhaseSetup::from_spec_for(&exp, job.policy, spec.warmup_cycles, spec.measure_cycles);
     let array = degraded_array(&setup.llc, job.capacity, seed);
-    let (m, _) = match &spec.trace {
-        Some(trace) => {
+    let (m, _) = match replay {
+        Some((trace, sizes)) => {
             let mut streams = ReplayStream::per_core(trace);
-            let data = TraceData::from_content(trace);
-            run_phase_streams(&setup, &mut streams, data, array)
+            run_phase_streams(&setup, &mut streams, sizes.clone(), array)
         }
         None => run_phase(&setup, &mixes()[job.mix], array, seed),
     };
@@ -264,7 +270,14 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepReport {
         panic!("{e}");
     }
     let jobs = enumerate_jobs(spec);
-    let results = run_indexed(jobs, spec.threads, |index, job| run_job(spec, index, job));
+    // A trace grid builds its recording's size table once.
+    let replay = spec
+        .trace
+        .as_deref()
+        .map(|t| (t, TraceData::from_content(t)));
+    let results = run_indexed(jobs, spec.threads, |index, job| {
+        run_job(spec, replay.as_ref(), index, job)
+    });
     SweepReport {
         spec: spec.clone(),
         results,

@@ -18,7 +18,7 @@ pub fn trace_spec(content: &TraceContent) -> Result<ExperimentSpec, String> {
         return ExperimentSpec::from_str(text)
             .map_err(|e| format!("embedded spec in trace header: {e}"));
     }
-    let mut spec = ExperimentSpec::preset("scaled").expect("builtin preset");
+    let mut spec = ExperimentSpec::preset("scaled").map_err(|e| format!("scaled preset: {e}"))?;
     spec.system.llc_sets = h.sets as usize;
     spec.workload.seed = h.seed;
     if (1..=10).contains(&usize::from(h.mix)) {

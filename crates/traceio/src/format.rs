@@ -122,51 +122,44 @@ impl TraceHeader {
     /// Decodes a header payload. The CRC has already been verified.
     pub fn decode(p: &[u8]) -> Result<Self, TraceError> {
         let bad = |what: &str| TraceError::HeaderCorrupt(what.to_string());
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], TraceError> {
-            let end = pos.checked_add(n).filter(|&e| e <= p.len());
-            let end = end.ok_or_else(|| bad("header payload too short"))?;
-            let s = &p[pos..end];
-            pos = end;
-            Ok(s)
-        };
-        let version = u16::from_le_bytes(take(2)?.try_into().unwrap());
+        let mut rest = p;
+        let version = u16::from_le_bytes(take(&mut rest)?);
         if version == 0 || version > VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let max_cores = if version == 1 { 8 } else { 16 };
-        let cores = take(1)?[0];
+        let [cores] = take(&mut rest)?;
         if cores == 0 || cores > max_cores {
             return Err(bad(&format!("core count must be 1..={max_cores}")));
         }
-        let mix = take(1)?[0];
-        let seed = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let sets = u32::from_le_bytes(take(4)?.try_into().unwrap());
+        let [mix] = take(&mut rest)?;
+        let seed = u64::from_le_bytes(take(&mut rest)?);
+        let sets = u32::from_le_bytes(take(&mut rest)?);
         if sets == 0 {
             return Err(bad("sets must be positive"));
         }
-        let cycles = f64::from_bits(u64::from_le_bytes(take(8)?.try_into().unwrap()));
+        let cycles = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
         if !cycles.is_finite() || cycles < 0.0 {
             return Err(bad("cycles must be finite and non-negative"));
         }
-        let mut strings = Vec::with_capacity(2);
-        for what in ["policy label", "workload label"] {
-            let len = take(1)?[0] as usize;
-            let bytes = take(len)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| bad(what))?;
-            strings.push(s.to_string());
-        }
-        let workload = strings.pop().unwrap();
-        let policy = strings.pop().unwrap();
+        let mut label = |what: &str| -> Result<String, TraceError> {
+            let [len] = take(&mut rest)?;
+            let bytes = take_slice(&mut rest, usize::from(len))?;
+            std::str::from_utf8(bytes)
+                .map(str::to_string)
+                .map_err(|_| bad(what))
+        };
+        let policy = label("policy label")?;
+        let workload = label("workload label")?;
         let spec_json = if version >= 2 {
-            let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-            if len as u32 > MAX_CHUNK_BYTES {
+            let len = u32::from_le_bytes(take(&mut rest)?);
+            if len > MAX_CHUNK_BYTES {
                 return Err(bad("spec blob length exceeds the chunk cap"));
             }
             if len == 0 {
                 None
             } else {
-                let bytes = take(len)?;
+                let bytes = take_slice(&mut rest, len as usize)?;
                 let s = std::str::from_utf8(bytes).map_err(|_| bad("spec blob"))?;
                 Some(s.to_string())
             }
@@ -184,6 +177,23 @@ impl TraceHeader {
             spec_json,
         })
     }
+}
+
+/// Splits the first `n` bytes off a header payload's unread `rest`.
+fn take_slice<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], TraceError> {
+    let (head, tail) = rest
+        .split_at_checked(n)
+        .ok_or_else(|| TraceError::HeaderCorrupt("header payload too short".into()))?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Splits a fixed-width field of `N` bytes off a header payload's unread
+/// `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], TraceError> {
+    let mut field = [0u8; N];
+    field.copy_from_slice(take_slice(rest, N)?);
+    Ok(field)
 }
 
 /// Frames `payload` as a chunk of `kind`: tag, length, payload, CRC.

@@ -25,6 +25,12 @@
 //! sees the same per-core reference streams re-interleaved by its own
 //! clocks — one recording, a level playing field for every policy.
 //!
+//! A replay reads the loaded [`TraceContent`] in place: each
+//! [`ReplayStream`] borrows its records and keeps only their positions.
+//! [`TraceData`] holds the recorded block sizes; build it once per loaded
+//! trace and clone it for each replay. A block the recording never sized
+//! is served as 64 B and counted ([`TraceData::fallbacks`]).
+//!
 //! [`trace_spec`] reads back the experiment a recording was made under, and
 //! [`check_replay`] is the one check that a replay's system fits it: every
 //! command that replays a trace resolves its experiment from the former

@@ -259,12 +259,21 @@ pub struct TraceContent {
 
 impl TraceContent {
     /// Checks that the header names 1..=`system_cores` cores and every
-    /// access one of those (as any trace from [`TraceReader`] does).
+    /// access one of those (as any trace from [`TraceReader`] does), and
+    /// that the trace holds no more records than a
+    /// [`ReplayStream`](crate::ReplayStream) indexes.
     pub(crate) fn check_cores(&self, system_cores: usize) -> Result<(), String> {
         let cores = self.header.cores;
         if cores == 0 || usize::from(cores) > system_cores {
             return Err(format!(
                 "trace has {cores} cores but the system has {system_cores}"
+            ));
+        }
+        if self.accesses.len() > u32::MAX as usize {
+            return Err(format!(
+                "trace has {} accesses, more than the {} a replay indexes",
+                self.accesses.len(),
+                u32::MAX
             ));
         }
         match self.accesses.iter().position(|a| a.core >= cores) {
@@ -274,25 +283,6 @@ impl TraceContent {
             )),
             None => Ok(()),
         }
-    }
-
-    /// Splits the global access order into per-core streams (index = core,
-    /// more than the header's if an access names a higher core), each in
-    /// program order and allocated once, at its exact length.
-    pub fn per_core(&self) -> Vec<Vec<Access>> {
-        let mut counts = vec![0usize; usize::from(self.header.cores)];
-        for a in &self.accesses {
-            let core = usize::from(a.core);
-            if core >= counts.len() {
-                counts.resize(core + 1, 0);
-            }
-            counts[core] += 1;
-        }
-        let mut streams: Vec<Vec<Access>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for a in &self.accesses {
-            streams[usize::from(a.core)].push(*a);
-        }
-        streams
     }
 }
 
@@ -309,7 +299,9 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], on_eof: TraceError) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::ReplayStream;
     use crate::writer::TraceWriter;
+    use hllc_trace::RefSource;
 
     fn header() -> TraceHeader {
         TraceHeader {
@@ -362,15 +354,17 @@ mod tests {
     fn per_core_preserves_program_order() {
         let (_, _, bytes) = sample_trace();
         let content = TraceReader::new(&bytes[..]).unwrap().read_to_end().unwrap();
-        let streams = content.per_core();
+        let mut streams = ReplayStream::per_core(&content);
         assert_eq!(streams.len(), 2);
         assert_eq!(
-            streams.iter().map(Vec::len).sum::<usize>(),
+            streams.iter().map(ReplayStream::remaining).sum::<usize>(),
             content.accesses.len()
         );
-        for (c, s) in streams.iter().enumerate() {
-            assert!(s.iter().all(|a| usize::from(a.core) == c));
-            assert_eq!(s.capacity(), s.len(), "core {c} stream over-allocated");
+        for (c, s) in streams.iter_mut().enumerate() {
+            let core = c as u8;
+            let want = content.accesses.iter().filter(|a| a.core == core);
+            let got = std::iter::from_fn(|| s.next_access(core));
+            assert!(want.copied().eq(got), "core {c} out of program order");
         }
         assert_eq!(content.check_cores(2), Ok(()));
         assert!(content.check_cores(1).is_err());
@@ -386,8 +380,9 @@ mod tests {
             accesses: vec![Access::load(0, 0x40), Access::load(1, 0x80)],
             sizes: Vec::new(),
         };
-        let streams = content.per_core();
-        assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1]);
+        let streams = ReplayStream::per_core(&content);
+        let lens: Vec<usize> = streams.iter().map(ReplayStream::remaining).collect();
+        assert_eq!(lens, [1, 1]);
         let e = content.check_cores(4).unwrap_err();
         assert!(e.contains("access 1 names core 1"), "{e}");
         let empty = TraceContent {

@@ -14,39 +14,58 @@ use hllc_trace::RefSource;
 
 use crate::reader::TraceContent;
 
-/// One core's recorded reference stream, consumed front to back.
+/// One core's recorded reference stream, read in place from the loaded
+/// trace and consumed front to back.
+///
+/// The stream copies no record: it holds the positions of its core's
+/// accesses in [`TraceContent::accesses`] (4 bytes each) and reads the
+/// record at the next position on every pull.
 #[derive(Clone, Debug)]
-pub struct ReplayStream {
-    accesses: Vec<Access>,
-    cursor: usize,
+pub struct ReplayStream<'a> {
+    accesses: &'a [Access],
+    /// Positions in `accesses` not yet replayed, in program order.
+    lane: std::vec::IntoIter<u32>,
 }
 
-impl ReplayStream {
-    /// Splits a trace into one replay stream per core (index = core).
-    pub fn per_core(content: &TraceContent) -> Vec<ReplayStream> {
-        content
-            .per_core()
+impl<'a> ReplayStream<'a> {
+    /// Splits a trace into one replay stream per core (index = core, more
+    /// than the header's if an access names a higher core), each in
+    /// program order, in one pass over the records.
+    ///
+    /// Positions are `u32`, so a trace longer than [`u32::MAX`] records
+    /// replays its first `u32::MAX`; [`check_replay`](crate::check_replay)
+    /// refuses such a trace.
+    pub fn per_core(content: &'a TraceContent) -> Vec<ReplayStream<'a>> {
+        let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); usize::from(content.header.cores)];
+        for (pos, a) in (0..u32::MAX).zip(&content.accesses) {
+            let core = usize::from(a.core);
+            if core >= lanes.len() {
+                lanes.resize_with(core + 1, Vec::new);
+            }
+            lanes[core].push(pos);
+        }
+        lanes
             .into_iter()
-            .map(|accesses| ReplayStream {
-                accesses,
-                cursor: 0,
+            .map(|lane| ReplayStream {
+                accesses: &content.accesses,
+                lane: lane.into_iter(),
             })
             .collect()
     }
 
     /// References not yet replayed.
     pub fn remaining(&self) -> usize {
-        self.accesses.len() - self.cursor
+        self.lane.len()
     }
 }
 
-impl RefSource for ReplayStream {
-    /// Pops the next recorded reference. The record keeps its recorded core
-    /// stamp; `core` is only sanity-checked in debug builds (the driver
-    /// indexes streams by core, so they always agree).
+impl RefSource for ReplayStream<'_> {
+    /// Reads the next recorded reference. The record keeps its recorded
+    /// core stamp; `core` is only sanity-checked in debug builds (the
+    /// driver indexes streams by core, so they always agree).
     fn next_access(&mut self, core: u8) -> Option<Access> {
-        let a = *self.accesses.get(self.cursor)?;
-        self.cursor += 1;
+        let pos = self.lane.next()?;
+        let a = *self.accesses.get(pos as usize)?;
         debug_assert_eq!(a.core, core, "replay stream driven as the wrong core");
         Some(a)
     }
@@ -109,6 +128,7 @@ mod tests {
     use super::*;
     use crate::format::TraceHeader;
     use hllc_sim::Op;
+    use proptest::prelude::*;
 
     fn content() -> TraceContent {
         let accesses = vec![
@@ -135,7 +155,8 @@ mod tests {
 
     #[test]
     fn streams_preserve_per_core_order() {
-        let mut streams = ReplayStream::per_core(&content());
+        let content = content();
+        let mut streams = ReplayStream::per_core(&content);
         assert_eq!(streams.len(), 2);
         assert_eq!(streams[0].remaining(), 2);
         let a = streams[1].next_access(1).unwrap();
@@ -157,5 +178,62 @@ mod tests {
         assert_eq!(d.fallbacks(), 0);
         assert_eq!(d.compressed_size(999), 64);
         assert_eq!(d.fallbacks(), 1);
+    }
+
+    /// The split `per_core` replaced: every core's records copied out in
+    /// program order, one vector per core up to the highest named.
+    fn copied_split(content: &TraceContent) -> Vec<Vec<Access>> {
+        let named = content.accesses.iter().map(|a| usize::from(a.core) + 1);
+        let cores = named.fold(usize::from(content.header.cores), usize::max);
+        (0..cores)
+            .map(|c| {
+                let mine = content.accesses.iter().filter(|a| usize::from(a.core) == c);
+                mine.copied().collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn per_core_replays_what_a_copying_split_holds(
+            header_cores in 1u8..=16,
+            // Mostly the first few cores (so others stay empty), sometimes
+            // any of 18, beyond the header's count too.
+            records in prop::collection::vec(
+                (prop_oneof![0u8..3, 0u8..18], any::<u64>(), any::<bool>()),
+                0..300,
+            ),
+        ) {
+            let mut content = content();
+            content.header.cores = header_cores;
+            content.accesses = records
+                .iter()
+                .map(|&(core, addr, store)| {
+                    let a = if store { Access::store(core, addr) } else { Access::load(core, addr) };
+                    a.with_gap(addr as u32 % 97)
+                })
+                .collect();
+            let oracle = copied_split(&content);
+            let mut streams = ReplayStream::per_core(&content);
+            prop_assert_eq!(streams.len(), oracle.len());
+            // Pull the streams round-robin, as the drivers interleave them.
+            let mut pulled = vec![0usize; oracle.len()];
+            let mut live = true;
+            while live {
+                live = false;
+                for (c, (stream, want)) in streams.iter_mut().zip(&oracle).enumerate() {
+                    prop_assert_eq!(stream.remaining(), want.len() - pulled[c]);
+                    let got = stream.next_access(c as u8);
+                    prop_assert_eq!(got, want.get(pulled[c]).copied());
+                    if got.is_some() {
+                        pulled[c] += 1;
+                        live = true;
+                    }
+                }
+            }
+            prop_assert!(streams.iter().all(|s| s.remaining() == 0));
+        }
     }
 }

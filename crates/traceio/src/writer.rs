@@ -22,7 +22,7 @@ const CHUNK_RECORDS: usize = 4096;
 /// [`TraceWriter::finish`] reports the stored error.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
-    sink: Option<W>,
+    sink: W,
     error: Option<TraceError>,
     /// Last address per core, for delta encoding.
     prev_addr: Vec<u64>,
@@ -43,7 +43,7 @@ impl<W: Write> TraceWriter<W> {
         sink.write_all(&payload)?;
         sink.write_all(&crc32(&payload).to_le_bytes())?;
         Ok(TraceWriter {
-            sink: Some(sink),
+            sink,
             error: None,
             prev_addr: vec![0; usize::from(header.cores)],
             access_buf: Vec::new(),
@@ -58,7 +58,7 @@ impl<W: Write> TraceWriter<W> {
     /// Appends one access record. Core numbers at or beyond the header's
     /// core count poison the writer (the file would not replay).
     pub fn push_access(&mut self, a: &Access) {
-        if self.error.is_some() || self.sink.is_none() {
+        if self.error.is_some() {
             return;
         }
         let core = usize::from(a.core);
@@ -91,7 +91,7 @@ impl<W: Write> TraceWriter<W> {
     /// Appends one data-model entry: the compressed size the simulated LLC
     /// observed for `block`. Entries flush alongside the access chunks.
     pub fn push_size(&mut self, block: u64, size: u8) {
-        if self.error.is_some() || self.sink.is_none() {
+        if self.error.is_some() {
             return;
         }
         self.data_buf.push((block, size));
@@ -117,10 +117,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn write_chunk(&mut self, kind: ChunkKind, payload: &[u8]) {
-        let Some(sink) = self.sink.as_mut() else {
-            return;
-        };
-        if let Err(e) = sink.write_all(&frame_chunk(kind, payload)) {
+        if let Err(e) = self.sink.write_all(&frame_chunk(kind, payload)) {
             self.error.get_or_insert(TraceError::Io(e));
             return;
         }
@@ -160,9 +157,8 @@ impl<W: Write> TraceWriter<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        let mut sink = self.sink.take().expect("sink present until finish");
-        sink.flush()?;
-        Ok(sink)
+        self.sink.flush()?;
+        Ok(self.sink)
     }
 }
 

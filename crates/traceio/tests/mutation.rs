@@ -7,9 +7,10 @@
 //! every input that reads, whether or not those checks accept it.
 //!
 //! Every mutated input must give `Ok` or a named error (a `TraceError`, or
-//! the recorded experiment's), never a panic, and the heap must stay within one chunk buffer at the 16 MiB cap
-//! plus a linear bound per input byte (the decoded records, their per-core
-//! copy and the size table at its worst case, DESIGN §10.10). Mutations are
+//! the recorded experiment's), never a panic, and the heap must stay within
+//! one chunk buffer at the 16 MiB cap plus a linear bound per input byte
+//! (the decoded records, the replay streams' position lanes and the size
+//! table at its worst case, DESIGN §10.10). Mutations are
 //! drawn by SplitMix64 from seeds the vendored proptest supplies.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,8 +93,9 @@ static ALLOCATOR: Counting = Counting;
 /// and costs 16 B in its chunk's vector, up to 32 B in the trace's (which
 /// doubles as it grows) and at most 184 B in the size table: 116 B per
 /// input byte. An access record takes at least 3 bytes and costs 16 B in
-/// its chunk's vector, up to 32 B in the trace's and 16 B in its per-core
-/// copy: 22 B per input byte. So 128 covers either.
+/// its chunk's vector, up to 32 B in the trace's and up to 8 B in its
+/// core's position lane (4 B, doubling as it grows): 19 B per input byte.
+/// So 128 covers either.
 const HEAP_PER_INPUT_BYTE: usize = 128;
 /// Small fixed allocations (header strings, per-core vectors, the
 /// recorded experiment, the error).

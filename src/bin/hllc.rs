@@ -25,11 +25,11 @@ use hybrid_llc::config::ExperimentSpec;
 use hybrid_llc::forecast::{Forecast, ForecastConfig};
 use hybrid_llc::runner::{report_json, run_indexed, run_sweep};
 use hybrid_llc::session::{
-    live_session, record_session, recording_header, replay_session_with, stats_json, SessionStats,
+    live_session, record_session, recording_header, replay_session_sized, stats_json, SessionStats,
 };
 use hybrid_llc::sim::{EnergyModel, Op};
 use hybrid_llc::trace::mixes;
-use hybrid_llc::traceio::{create_trace, open_trace, Chunk, VERSION};
+use hybrid_llc::traceio::{create_trace, open_trace, Chunk, TraceData, VERSION};
 use serde_json::Value;
 
 /// Why a command stopped: a message for stderr, or a failed write to
@@ -135,12 +135,43 @@ fn stats_text(policy: &str, workload: &str, stats: &SessionStats) -> Result<Stri
         .map_err(|e| format!("serializing stats: {e}"))
 }
 
-/// Runs `args`' experiment: a replay of its recording, else live.
-fn session(args: &Args) -> Result<SessionStats, String> {
+/// Runs `args`' experiment: a replay of its recording, else live. A replay
+/// sizes blocks from `sizes`, the recording's table when the caller built
+/// it already, and also returns how many size lookups the recording could
+/// not serve ([`TraceData::fallbacks`]).
+fn session(args: &Args, sizes: Option<TraceData>) -> Result<(SessionStats, u64), String> {
     match &args.trace {
-        Some(t) => replay_session_with(&t.content, &args.spec, args.policy(), None),
-        None => Ok(live_session(args)),
+        Some(t) => {
+            let mut data = sizes.unwrap_or_else(|| TraceData::from_content(&t.content));
+            let stats =
+                replay_session_sized(&t.content, &args.spec, args.policy(), None, &mut data)?;
+            Ok((stats, data.fallbacks()))
+        }
+        None => Ok((live_session(args), 0)),
     }
+}
+
+/// Says on stderr, in one line, that replays sized blocks the recording
+/// never sized, taking them as 64 B (as a `--policy bh` recording, which
+/// sizes no block, does under every compressing policy). `fallbacks` pairs
+/// each replayed policy with its count; nothing prints when all are 0.
+fn note_fallbacks(fallbacks: &[(String, u64)]) {
+    let missed: Vec<String> = fallbacks
+        .iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(policy, n)| format!("{policy} {n}"))
+        .collect();
+    if missed.is_empty() {
+        return;
+    }
+    let total: u64 = fallbacks.iter().map(|(_, n)| n).sum();
+    // A closed stderr loses the note, not the command.
+    let _ = writeln!(
+        io::stderr(),
+        "note: {total} block-size lookups found no size in the recording and took 64 B, \
+         as incompressible ({})",
+        missed.join(", ")
+    );
 }
 
 /// The workload `args` runs: the recording's label, else the mix's name.
@@ -168,7 +199,8 @@ fn cmd_run(args: &Args) -> Result<(), Failure> {
             args.cycles() / 1e6
         );
     }
-    let stats = session(args)?;
+    let (stats, fallbacks) = session(args, None)?;
+    note_fallbacks(&[(args.policy().name(), fallbacks)]);
     if args.json {
         // Sorted-key JSON only — the golden determinism tests diff this
         // output byte for byte, so nothing else may reach stdout.
@@ -326,27 +358,37 @@ fn cmd_compare(args: &Args) -> Result<(), Failure> {
         "NVM bytes",
         "energy [mJ]"
     );
+    // A replay builds the recording's size table once and clones it per job.
+    let sizes = args
+        .trace
+        .as_ref()
+        .map(|t| TraceData::from_content(&t.content));
     let rows = run_indexed(policies, args.jobs, |_, policy| {
         let mut job_args = args.clone();
         job_args.spec.hybrid.policy = policy.label();
-        let stats = session(&job_args)?;
+        let (stats, fallbacks) = session(&job_args, sizes.clone())?;
         let e = EnergyModel::default_16nm().breakdown(
             &stats.llc,
             args.cycles(),
             args.spec.system_config().timing.freq_ghz,
         );
-        Ok::<_, String>(format!(
+        let row = format!(
             "{:<width$} {:>8.3} {:>9.1}% {:>14} {:>12.2}",
             policy.name(),
             stats.ipc,
             100.0 * stats.llc.hit_rate(),
             stats.llc.nvm_bytes_written,
             e.total_mj()
-        ))
+        );
+        Ok::<_, String>((row, (policy.name(), fallbacks)))
     });
+    let mut fallbacks = Vec::new();
     for row in rows {
-        say!("{}", row?);
+        let (row, missed) = row?;
+        say!("{row}");
+        fallbacks.push(missed);
     }
+    note_fallbacks(&fallbacks);
     Ok(())
 }
 

@@ -162,9 +162,24 @@ pub fn replay_session_with(
     policy: Policy,
     cycles: Option<f64>,
 ) -> Result<SessionStats, String> {
+    let mut data = TraceData::from_content(content);
+    replay_session_sized(content, spec, policy, cycles, &mut data)
+}
+
+/// [`replay_session_with`], sizing blocks from `data`: the recording's
+/// table ([`TraceData::from_content`]), so that several replays of one
+/// recording build it once and clone it. Afterwards
+/// [`TraceData::fallbacks`] counts the size lookups the recording could
+/// not serve.
+pub fn replay_session_sized(
+    content: &TraceContent,
+    spec: &ExperimentSpec,
+    policy: Policy,
+    cycles: Option<f64>,
+    data: &mut TraceData,
+) -> Result<SessionStats, String> {
     check_replay(content, spec)?;
     let mut streams = ReplayStream::per_core(content);
-    let data = TraceData::from_content(content);
     let cycles = cycles.unwrap_or(spec.run.cycles);
     Ok(run_session(spec, policy, cycles, &mut streams, data))
 }

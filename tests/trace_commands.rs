@@ -146,3 +146,33 @@ fn compare_rows_line_up_under_the_header() {
         );
     }
 }
+
+#[test]
+fn a_replay_notes_the_block_sizes_its_recording_lacks() {
+    // BH compresses nothing, so its recording carries no block size.
+    let trace = record(
+        "unsized",
+        &["--policy", "bh", "--cycles", "1e5", "--cores", "2"],
+    );
+    let notes = |args: &[&str]| -> Vec<String> {
+        let out = hllc(&[args, &["--trace", &trace]].concat());
+        stdout(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("note: "))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(notes(&["run"]), Vec::<String>::new(), "the recorded BH");
+    let ca = notes(&["run", "--policy", "ca"]);
+    assert_eq!(ca.len(), 1, "{ca:?}");
+    assert!(ca[0].contains("took 64 B"), "{}", ca[0]);
+    assert!(ca[0].contains("(CA(cpth=58) "), "{}", ca[0]);
+    let compare = notes(&["compare", "--jobs", "2"]);
+    assert_eq!(compare.len(), 1, "{compare:?}");
+    for policy in ["BH_CP ", "CA(cpth=58) ", "CP_SD "] {
+        assert!(compare[0].contains(policy), "{policy}: {}", compare[0]);
+    }
+    std::fs::remove_file(&trace).unwrap();
+}
