@@ -218,24 +218,14 @@ fn bench_data(c: &mut Criterion) {
     }
 }
 
-/// The NVM array `HybridLlc::new` builds at the scaled geometry, over the
-/// shared endurance map (sampled once, before the timed loop).
+/// The NVM array `HybridLlc::new` builds at the scaled geometry: fault
+/// maps and capacity lanes only, since the endurance limits wait for their
+/// first read.
 fn bench_nvm_array(c: &mut Criterion) {
     let cfg = ExperimentSpec::preset("scaled")
         .expect("the scaled preset exists")
         .llc_config();
-    let granularity = cfg.policy.granularity();
-    c.bench_function("nvm/sampled_array", |b| {
-        b.iter(|| {
-            NvmArray::sampled(
-                cfg.sets,
-                cfg.nvm_ways,
-                &cfg.endurance,
-                granularity,
-                cfg.seed,
-            )
-        })
-    });
+    c.bench_function("nvm/sampled_array", |b| b.iter(|| cfg.sample_array()));
 }
 
 /// `degrade_to(0.5)` on the scaled NVM array under byte disabling (a
@@ -246,7 +236,7 @@ fn bench_nvm_degrade(c: &mut Criterion) {
         .expect("the scaled preset exists")
         .llc_config();
     let array = || {
-        NvmArray::sampled(
+        NvmArray::new(
             cfg.sets,
             cfg.nvm_ways,
             &cfg.endurance,

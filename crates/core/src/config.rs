@@ -36,9 +36,9 @@ pub struct HybridConfig {
     /// full-size sampler statistics).
     pub dueling_smoothing: f64,
     /// RNG seed for the endurance sampling. Every LLC with the same
-    /// geometry, endurance model and seed shares one endurance map (see
-    /// [`sample_array`](Self::sample_array)), so sweep replicates differ
-    /// in their workload and degrade draws, not in endurance.
+    /// geometry, endurance model and seed draws the same endurance limits
+    /// (see [`sample_array`](Self::sample_array)), so sweep replicates
+    /// differ in their workload and degrade draws, not in endurance.
     pub seed: u64,
     /// NVM data-array write latency in cycles (Table IV: 20). A read that
     /// arrives at a bank while a write is in flight waits out the
@@ -103,12 +103,13 @@ impl HybridConfig {
     }
 
     /// The pristine NVM array of this configuration, or `None` without NVM
-    /// ways: endurances drawn from `seed` ([`NvmArray::sampled`], which
-    /// shares one endurance map per geometry, model and seed, whatever the
-    /// policy) under the policy's disabling granularity.
+    /// ways, under the policy's disabling granularity. Its endurances are
+    /// drawn from `seed` ([`NvmArray::new`]) when something first reads
+    /// one, so the same limits whatever the policy, and no draw at all for
+    /// an array that is only simulated.
     pub fn sample_array(&self) -> Option<NvmArray> {
         (self.nvm_ways > 0).then(|| {
-            NvmArray::sampled(
+            NvmArray::new(
                 self.sets,
                 self.nvm_ways,
                 &self.endurance,

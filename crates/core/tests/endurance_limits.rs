@@ -1,0 +1,60 @@
+//! The endurance limits behind `HybridLlc::new`: the draws a seeded
+//! sample makes, in frame order, whatever the policy.
+
+use hllc_core::{HybridConfig, HybridLlc, Policy};
+use hllc_nvm::{EnduranceModel, NvmArray, FRAME_BYTES};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+fn config(sets: usize, nvm_ways: usize, cv: f64, seed: u64) -> HybridConfig {
+    HybridConfig::new(sets, 4, nvm_ways, Policy::cp_sd())
+        .with_endurance(1e6, cv)
+        .with_seed(seed)
+}
+
+/// Every limit of the array, in frame order, as bits.
+fn limits(a: &NvmArray) -> Vec<u64> {
+    (0..a.sets())
+        .flat_map(|s| (0..a.ways()).flat_map(move |w| *a.endurance(s, w)))
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// `model`'s draws from `StdRng::seed_from_u64(seed)`, one per byte of
+/// `frames` frames.
+fn draws(model: &EnduranceModel, seed: u64, frames: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..frames * FRAME_BYTES)
+        .map(|_| (model.sample(&mut rng) as f64).to_bits())
+        .collect()
+}
+
+fn llc_limits(cfg: &HybridConfig) -> Vec<u64> {
+    let a = HybridLlc::new(cfg)
+        .into_array()
+        .expect("the config has NVM ways");
+    limits(&a)
+}
+
+#[test]
+fn an_llc_draws_the_seeded_sample_in_frame_order() {
+    let base = config(16, 12, 0.2, 202);
+    for cfg in [
+        config(8, 12, 0.2, 202),
+        config(16, 6, 0.2, 202),
+        config(16, 12, 0.25, 202),
+        config(16, 12, 0.2, 203),
+        base.clone().with_endurance(2e6, 0.2),
+    ] {
+        let expected = draws(&cfg.endurance, cfg.seed, cfg.sets * cfg.nvm_ways);
+        assert_eq!(llc_limits(&cfg), expected, "{cfg:?}");
+    }
+    // The policy picks the granularity, not the limits.
+    let bh = HybridConfig {
+        policy: Policy::Bh,
+        ..base.clone()
+    };
+    let expected = draws(&base.endurance, base.seed, base.sets * base.nvm_ways);
+    assert_eq!(llc_limits(&base), expected);
+    assert_eq!(llc_limits(&bh), expected);
+}

@@ -23,7 +23,7 @@ fn for_each_live_frame(array: &NvmArray, mut visit: impl FnMut(usize, usize, &[f
             if array.is_disabled(set, way) {
                 continue;
             }
-            let live = array.frame(set, way).live_remaining(&mut remaining);
+            let live = array.live_remaining(set, way, &mut remaining);
             debug_assert!(live > 0, "a usable frame has a live byte");
             // live <= FRAME_BYTES, the buffer's length.
             let units = match granularity {
@@ -103,11 +103,7 @@ struct Bracket {
 impl Bracket {
     fn new(array: &NvmArray, bytes_per_second: &[f64], max_step_seconds: f64) -> Self {
         let mut settled = 0;
-        // At most one entry per frame and one per unit, reserved up front:
-        // growing them by doubling costs peak memory on every forecast
-        // step.
-        let mut open = Vec::with_capacity(array.sets() * array.ways());
-        let mut table = Vec::with_capacity(array.total_units());
+        let (mut open, mut table) = (Vec::new(), Vec::new());
         for_each_live_frame(array, |f, live, units| {
             let rate = bytes_per_second[f];
             // Survivor counts are at most live <= FRAME_BYTES.
@@ -116,6 +112,15 @@ impl Bracket {
             if at_lo == at_hi {
                 settled += usize::from(at_hi);
                 return;
+            }
+            if open.capacity() == 0 {
+                // At most one entry per frame and one per unit, reserved
+                // at once so the table never regrows, and only after the
+                // first read of a limit, which on a forecast's first step
+                // draws the array's limits: the table then sits above them
+                // in the heap, where the next step reuses it (DESIGN §10.5).
+                open.reserve_exact(array.sets() * array.ways());
+                table.reserve_exact(array.total_units());
             }
             open.push(Open {
                 rate,
@@ -261,6 +266,7 @@ mod tests {
                     continue;
                 }
                 let frame = array.frame(set, way);
+                let endurance = array.endurance(set, way);
                 let live = frame.live_bytes();
                 if live == 0 {
                     continue;
@@ -270,11 +276,11 @@ mod tests {
                 match array.granularity() {
                     DisableGranularity::Byte => {
                         live_units += bytes
-                            .filter(|&b| frame.remaining_writes(b) > per_byte)
+                            .filter(|&b| frame.remaining_writes(endurance, b) > per_byte)
                             .count();
                     }
                     DisableGranularity::Frame => {
-                        if bytes.all(|b| frame.remaining_writes(b) > per_byte) {
+                        if bytes.all(|b| frame.remaining_writes(endurance, b) > per_byte) {
                             live_units += 1;
                         }
                     }
@@ -307,7 +313,7 @@ mod tests {
     /// include zeros.
     fn aged(granularity: DisableGranularity, seed: u64) -> (NvmArray, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = NvmArray::new(16, 6, &EnduranceModel::new(1e4, 0.3), granularity, &mut rng);
+        let mut a = NvmArray::new(16, 6, &EnduranceModel::new(1e4, 0.3), granularity, seed);
         let n = 16 * 6;
         for f in 0..n {
             let wear = rng.gen_range(0.0..1.4) * 1e4 * FRAME_BYTES as f64;
@@ -332,13 +338,7 @@ mod tests {
     /// different wear, and some die of it. A third of the rates are zero.
     fn written(granularity: DisableGranularity, seed: u64) -> (NvmArray, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = NvmArray::new(
-            16,
-            6,
-            &EnduranceModel::new(300.0, 0.3),
-            granularity,
-            &mut rng,
-        );
+        let mut a = NvmArray::new(16, 6, &EnduranceModel::new(300.0, 0.3), granularity, seed);
         let n = 16 * 6;
         for f in 0..n {
             for _ in 0..rng.gen_range(0..400) {
@@ -405,18 +405,17 @@ mod tests {
             // The selective writes leave live bytes of one frame at
             // different wear: the table may not assume a shared value.
             let (a, _) = written(g, 0);
-            let frame = a.frame(0, 1);
+            let (frame, endurance) = (a.frame(0, 1), a.endurance(0, 1));
             let wear: Vec<f64> = frame
                 .fault_map()
                 .live_indices()
-                .map(|b| frame.endurance()[b] - frame.remaining_writes(b))
+                .map(|b| endurance[b] - frame.remaining_writes(endurance, b))
                 .collect();
             assert!(wear.iter().any(|&w| w != wear[0]), "{wear:?}");
             // Exact ties: with uniform endurance 100 and 66 B/s over 66 live
             // bytes, every byte's share reaches its limit at dt = 100 and
             // must die there, as in the full scan.
-            let mut rng = StdRng::seed_from_u64(1);
-            let flat = NvmArray::new(4, 2, &EnduranceModel::new(100.0, 0.0), g, &mut rng);
+            let flat = NvmArray::new(4, 2, &EnduranceModel::new(100.0, 0.0), g, 1);
             let rates = vec![66.0; 8];
             assert_eq!(capacity_by_scan(&flat, &rates, 100.0), 0.0);
             for dt in [99.0, 100.0, 101.0] {
@@ -459,10 +458,10 @@ mod tests {
                 .map(|f| (f / 6, f % 6))
                 .find(|&(s, w)| !a.is_disabled(s, w) && a.frame(s, w).live_bytes() > 0)
                 .expect("a live frame");
-            let frame = a.frame(set, way);
+            let (frame, endurance) = (a.frame(set, way), a.endurance(set, way));
             let weakest = (0..FRAME_BYTES)
                 .filter(|&b| !frame.fault_map().is_faulty(b))
-                .map(|b| frame.remaining_writes(b))
+                .map(|b| frame.remaining_writes(endurance, b))
                 .fold(f64::INFINITY, f64::min);
             // The one written frame loses its weakest unit at 3/4 of the
             // largest float: the bisection raises lo past half of it.
@@ -476,8 +475,7 @@ mod tests {
     }
 
     fn array(granularity: DisableGranularity, cv: f64) -> NvmArray {
-        let mut rng = StdRng::seed_from_u64(7);
-        NvmArray::new(8, 4, &EnduranceModel::new(1e6, cv), granularity, &mut rng)
+        NvmArray::new(8, 4, &EnduranceModel::new(1e6, cv), granularity, 7)
     }
 
     #[test]

@@ -1,30 +1,37 @@
 //! The NVM portion of the LLC data array.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::endurance::EnduranceModel;
 use crate::fault_map::FRAME_BYTES;
-use crate::frame::{sample_endurance, Frame};
+use crate::frame::Frame;
 
-/// The endurance limits of a whole array, one shared map per frame in
-/// `set * ways + way` order.
-type EnduranceMap = Arc<[Arc<[f64; FRAME_BYTES]>]>;
+/// An array's byte endurance limits: one lane of `[f64; FRAME_BYTES]` per
+/// frame, in frame order, drawn from `StdRng::seed_from_u64(seed)` frame by
+/// frame, byte 0 first, the first time anything reads a limit. Until then
+/// the array holds only the model and the seed: the simulation never reads
+/// a limit, so only the forecast's prediction steps pay for the draw.
+/// Clones share a drawn lane through the [`Arc`].
+#[derive(Clone, Debug)]
+struct Limits {
+    model: EnduranceModel,
+    seed: u64,
+    lane: OnceLock<Arc<[[f64; FRAME_BYTES]]>>,
+}
 
-/// What determines a seeded endurance map: `(sets, ways, mean bits, cv
-/// bits, seed)`.
-type MapKey = (usize, usize, u64, u64, u64);
-
-/// The most recently sampled seeded map ([`NvmArray::sampled`]). A single
-/// slot, so at most one map outlives the arrays built from it.
-static LAST_MAP: Mutex<Option<(MapKey, EnduranceMap)>> = Mutex::new(None);
-
-/// Draws the endurance limits of `frames` frames from `model`, frame by
-/// frame.
-fn sample_map<R: Rng + ?Sized>(frames: usize, model: &EnduranceModel, rng: &mut R) -> EnduranceMap {
-    (0..frames).map(|_| sample_endurance(model, rng)).collect()
+impl Limits {
+    /// The lane of `frames` frames, drawn on the first call.
+    fn get(&self, frames: usize) -> &[[f64; FRAME_BYTES]] {
+        self.lane.get_or_init(|| {
+            let rng = &mut StdRng::seed_from_u64(self.seed);
+            (0..frames)
+                .map(|_| std::array::from_fn(|_| self.model.sample(rng) as f64))
+                .collect()
+        })
+    }
 }
 
 /// `x % d` for a fixed divisor `d`, by multiplication instead of a
@@ -89,15 +96,6 @@ pub enum DisableGranularity {
     Byte,
 }
 
-/// Identifies a frame by its (set, way) coordinates within the NVM part.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FrameId {
-    /// Cache set index.
-    pub set: usize,
-    /// NVM way index within the set (0-based over the NVM ways only).
-    pub way: usize,
-}
-
 /// The NVM data array: `sets × ways` frames with per-byte wear state,
 /// write accounting for the aging forecast, and a disabling policy.
 ///
@@ -105,11 +103,9 @@ pub struct FrameId {
 ///
 /// ```
 /// use hllc_nvm::{DisableGranularity, EnduranceModel, NvmArray};
-/// use rand::SeedableRng;
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let arr = NvmArray::new(16, 12, &EnduranceModel::paper_default(),
-///                         DisableGranularity::Byte, &mut rng);
+///                         DisableGranularity::Byte, 1);
 /// assert_eq!(arr.capacity_fraction(), 1.0);
 /// assert_eq!(arr.effective_capacity(0, 0), 66);
 /// ```
@@ -119,6 +115,8 @@ pub struct NvmArray {
     ways: usize,
     granularity: DisableGranularity,
     frames: Vec<Frame>,
+    /// The frames' endurance limits, drawn when first read.
+    limits: Limits,
     /// Effective capacity of each frame in bytes, in frame order: its
     /// live-byte count, or 0 once the frame is disabled. This is the only
     /// record of which frames are usable; every mutator that changes a
@@ -130,34 +128,19 @@ pub struct NvmArray {
 }
 
 impl NvmArray {
-    /// Builds an array of `sets × ways` frames with endurances sampled from
-    /// `model`, frame by frame in `set * ways + way` order.
+    /// Builds a pristine array of `sets × ways` frames whose byte
+    /// endurances are drawn from `model` with `StdRng::seed_from_u64(seed)`,
+    /// frame by frame in `set * ways + way` order, byte 0 first. The draw
+    /// waits for the first read of a limit
+    /// ([`endurance`](Self::endurance), [`live_remaining`](Self::live_remaining),
+    /// [`record_write`](Self::record_write) or
+    /// [`apply_uniform_wear`](Self::apply_uniform_wear)); an array that is
+    /// only simulated, degraded or measured never draws.
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn new<R: Rng + ?Sized>(
-        sets: usize,
-        ways: usize,
-        model: &EnduranceModel,
-        granularity: DisableGranularity,
-        rng: &mut R,
-    ) -> Self {
-        assert!(sets > 0 && ways > 0, "array must have at least one frame");
-        let map = sample_map(sets * ways, model, rng);
-        Self::with_endurance(sets, ways, granularity, &map)
-    }
-
-    /// The array `new` builds from `StdRng::seed_from_u64(seed)`, with its
-    /// endurance map shared rather than resampled: the most recently drawn
-    /// map is memoised per `(sets, ways, model, seed)`, and every array
-    /// built from it holds the same immutable limits. Wear, fault maps and
-    /// disabling stay per array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` or `ways` is zero.
-    pub fn sampled(
+    pub fn new(
         sets: usize,
         ways: usize,
         model: &EnduranceModel,
@@ -165,48 +148,17 @@ impl NvmArray {
         seed: u64,
     ) -> Self {
         assert!(sets > 0 && ways > 0, "array must have at least one frame");
-        let key = (
-            sets,
-            ways,
-            model.mean().to_bits(),
-            model.cv().to_bits(),
-            seed,
-        );
-        let map = {
-            // The slot is only ever replaced whole, so a panic elsewhere
-            // cannot leave it half-written: a poisoned lock is safe to use.
-            let mut last = LAST_MAP.lock().unwrap_or_else(PoisonError::into_inner);
-            match &*last {
-                Some((k, map)) if *k == key => Arc::clone(map),
-                _ => {
-                    let map = sample_map(sets * ways, model, &mut StdRng::seed_from_u64(seed));
-                    *last = Some((key, Arc::clone(&map)));
-                    map
-                }
-            }
-        };
-        Self::with_endurance(sets, ways, granularity, &map)
-    }
-
-    /// A pristine array over per-frame endurance limits (`sets * ways` of
-    /// them, in frame order).
-    fn with_endurance(
-        sets: usize,
-        ways: usize,
-        granularity: DisableGranularity,
-        map: &[Arc<[f64; FRAME_BYTES]>],
-    ) -> Self {
-        let n = map.len();
-        debug_assert_eq!(n, sets * ways);
-        let frames = map
-            .iter()
-            .map(|e| Frame::with_endurance(Arc::clone(e)))
-            .collect();
+        let n = sets * ways;
         NvmArray {
             sets,
             ways,
             granularity,
-            frames,
+            frames: vec![Frame::new(); n],
+            limits: Limits {
+                model: *model,
+                seed,
+                lane: OnceLock::new(),
+            },
             capacity: vec![FRAME_BYTES as u8; n],
             pending_byte_writes: vec![0; n],
         }
@@ -241,6 +193,23 @@ impl NvmArray {
     pub fn frame(&self, set: usize, way: usize) -> &Frame {
         // idx() < sets * ways == frames.len().
         &self.frames[self.idx(set, way)]
+    }
+
+    /// A frame's byte endurance limits (drawing the array's limits if
+    /// nothing has read them yet).
+    pub fn endurance(&self, set: usize, way: usize) -> &[f64; FRAME_BYTES] {
+        let i = self.idx(set, way);
+        // i < sets * ways, the lane's length.
+        &self.limits.get(self.frames.len())[i]
+    }
+
+    /// A frame's [`Frame::live_remaining`]: the remaining writes of each
+    /// live byte, in ascending byte order, at the front of `out`; returns
+    /// their count.
+    pub fn live_remaining(&self, set: usize, way: usize, out: &mut [f64; FRAME_BYTES]) -> usize {
+        let i = self.idx(set, way);
+        // i < sets * ways, the length of every lane.
+        self.frames[i].live_remaining(&self.limits.get(self.frames.len())[i], out)
     }
 
     /// Re-derives frame `i`'s capacity entry after its fault map lost
@@ -301,7 +270,9 @@ impl NvmArray {
         if self.capacity[i] == 0 {
             return 0;
         }
-        let failed = self.frames[i].record_write(mask);
+        let limits = self.limits.get(self.frames.len());
+        // i < sets * ways, the length of every lane.
+        let failed = self.frames[i].record_write(&limits[i], mask);
         if failed > 0 {
             self.settle(i, self.frames[i].live_bytes());
         }
@@ -317,7 +288,9 @@ impl NvmArray {
         if self.capacity[i] == 0 {
             return 0;
         }
-        let failed = self.frames[i].apply_uniform_wear(byte_writes);
+        let limits = self.limits.get(self.frames.len());
+        // i < sets * ways, the length of every lane.
+        let failed = self.frames[i].apply_uniform_wear(&limits[i], byte_writes);
         if failed > 0 {
             self.settle(i, self.frames[i].live_bytes());
         }
@@ -387,7 +360,7 @@ impl NvmArray {
     /// disabling it then draws the index of one of the frame's live bytes,
     /// as `gen_range` would, and disables that byte, while under frame
     /// disabling it disables the frame. Both remainders are taken by
-    /// multiplication ([`FastMod`]) and the byte is found by a
+    /// multiplication (`FastMod`) and the byte is found by a
     /// constant-time select, so a step costs the same for any frame. The
     /// frame's live count is read from the capacity lane.
     pub fn degrade_to<R: Rng + ?Sized>(&mut self, target: f64, rng: &mut R) {
@@ -432,14 +405,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_array(granularity: DisableGranularity) -> NvmArray {
-        let mut rng = StdRng::seed_from_u64(5);
-        NvmArray::new(
-            4,
-            2,
-            &EnduranceModel::new(100.0, 0.0),
-            granularity,
-            &mut rng,
-        )
+        NvmArray::new(4, 2, &EnduranceModel::new(100.0, 0.0), granularity, 5)
     }
 
     #[test]
@@ -502,7 +468,7 @@ mod tests {
     fn degrade_to_reaches_target() {
         let mut rng = StdRng::seed_from_u64(8);
         for g in [DisableGranularity::Byte, DisableGranularity::Frame] {
-            let mut a = NvmArray::new(16, 4, &EnduranceModel::new(1e6, 0.2), g, &mut rng);
+            let mut a = NvmArray::new(16, 4, &EnduranceModel::new(1e6, 0.2), g, 8);
             a.degrade_to(0.8, &mut rng);
             assert!(a.capacity_fraction() <= 0.8);
             assert!(
@@ -535,6 +501,59 @@ mod tests {
         }
         for (d, m) in LIVE_MODS.iter().enumerate().skip(1) {
             assert_eq!(m.d, d as u64);
+        }
+    }
+
+    /// The limits `new` promises: `model`'s draws from the seeded RNG, in
+    /// frame order, byte 0 first.
+    fn drawn(sets: usize, ways: usize, model: &EnduranceModel, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..sets * ways * FRAME_BYTES)
+            .map(|_| (model.sample(&mut rng) as f64).to_bits())
+            .collect()
+    }
+
+    fn limits_of(a: &NvmArray) -> Vec<u64> {
+        (0..a.sets() * a.ways())
+            .flat_map(|f| *a.endurance(f / a.ways(), f % a.ways()))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn limits_are_drawn_at_the_first_read_only() {
+        let model = EnduranceModel::new(1e6, 0.2);
+        for g in [DisableGranularity::Byte, DisableGranularity::Frame] {
+            let expected = drawn(8, 3, &model, 21);
+            let mut a = NvmArray::new(8, 3, &model, g, 21);
+            a.degrade_to(0.9, &mut StdRng::seed_from_u64(2));
+            a.note_write(1, 2, 40);
+            let _ = a.take_pending_writes();
+            let _ = a.capacity_fraction();
+            a.disable_byte(0, 0, 7);
+            a.disable_frame(7, 2);
+            assert!(a.limits.lane.get().is_none(), "{g:?}: drawn before a read");
+            let copy = a.clone();
+
+            // A first `&self` read, as `choose_step` makes, draws the same
+            // lane as a first wear does.
+            let mut remaining = [0.0; FRAME_BYTES];
+            let live = a.live_remaining(0, 0, &mut remaining);
+            assert_eq!(live, a.frame(0, 0).live_bytes());
+            assert!(a.limits.lane.get().is_some());
+            let mut worn = copy.clone();
+            let _ = worn.apply_uniform_wear(3, 1, 1.0);
+            let mut written = copy.clone();
+            let _ = written.record_write(3, 1, 0b1);
+            for drew in [&a, &worn, &written] {
+                assert_eq!(limits_of(drew), expected, "{g:?}");
+            }
+            assert!(copy.limits.lane.get().is_none(), "clones draw apart");
+
+            // A clone taken after the draw shares the lane.
+            let shared = a.clone();
+            let (x, y) = (a.limits.lane.get(), shared.limits.lane.get());
+            assert!(matches!((x, y), (Some(x), Some(y)) if Arc::ptr_eq(x, y)));
         }
     }
 

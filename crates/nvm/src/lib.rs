@@ -13,6 +13,10 @@
 //! * an intra-frame wear-leveling rotation counter ([`WearLevelCounter`]);
 //! * the full NVM portion of the LLC data array with per-byte wear
 //!   accounting and frame- or byte-granularity disabling ([`NvmArray`]).
+//!   The array owns its endurance limits, one lane in frame order drawn
+//!   from its seed the first time a limit is read: only the aging
+//!   forecast's prediction steps read them, so an array that is only
+//!   simulated never draws.
 //!
 //! # Example
 //!
@@ -36,7 +40,7 @@ mod frame;
 pub mod rearrange;
 mod wear;
 
-pub use array::{DisableGranularity, FrameId, NvmArray};
+pub use array::{DisableGranularity, NvmArray};
 pub use endurance::EnduranceModel;
 pub use fault_map::{FaultMap, LiveIndices, FAULT_WORDS, FRAME_BYTES};
 pub use frame::Frame;

@@ -51,10 +51,11 @@ proptest! {
     /// non-increasing.
     #[test]
     fn wear_is_monotone(writes in prop::collection::vec(0.0f64..50.0, 1..20)) {
-        let mut f = Frame::with_uniform_endurance(100);
+        let limits = [100.0; FRAME_BYTES];
+        let mut f = Frame::new();
         let mut prev_live = f.live_bytes();
         for w in writes {
-            let _ = f.apply_uniform_wear(w * FRAME_BYTES as f64);
+            let _ = f.apply_uniform_wear(&limits, w * FRAME_BYTES as f64);
             let live = f.live_bytes();
             prop_assert!(live <= prev_live);
             prev_live = live;
@@ -65,9 +66,10 @@ proptest! {
     /// dies on exactly its k-th write when endurance is k.
     #[test]
     fn exact_wear_death_time(k in 1u64..50) {
-        let mut f = Frame::with_uniform_endurance(k);
+        let limits = [k as f64; FRAME_BYTES];
+        let mut f = Frame::new();
         for i in 1..=k {
-            let failed = f.record_write(0b100);
+            let failed = f.record_write(&limits, 0b100);
             if i < k {
                 prop_assert_eq!(failed, 0, "byte died early at write {}", i);
             } else {
@@ -145,9 +147,8 @@ proptest! {
         } else {
             DisableGranularity::Frame
         };
-        let mut rng = StdRng::seed_from_u64(seed);
         let model = EnduranceModel::new(100.0, 0.3);
-        let mut fast = NvmArray::new(sets, ways, &model, granularity, &mut rng);
+        let mut fast = NvmArray::new(sets, ways, &model, granularity, seed);
         for (f, &w) in wear.iter().take(sets * ways).enumerate() {
             let _ = fast.apply_uniform_wear(f / ways, f % ways, w * 100.0 * FRAME_BYTES as f64);
         }
@@ -215,9 +216,8 @@ proptest! {
         } else {
             DisableGranularity::Frame
         };
-        let mut rng = StdRng::seed_from_u64(seed);
         let model = EnduranceModel::new(6.0, 0.3);
-        let mut a = NvmArray::new(sets, ways, &model, granularity, &mut rng);
+        let mut a = NvmArray::new(sets, ways, &model, granularity, seed);
         let n = sets * ways;
         let mut retired = vec![false; n];
         for (kind, pick, lo, hi, amount) in ops {
@@ -286,9 +286,9 @@ struct EagerFrame {
 }
 
 impl EagerFrame {
-    fn new(frame: &Frame) -> Self {
+    fn new(frame: &Frame, endurance: [f64; FRAME_BYTES]) -> Self {
         EagerFrame {
-            endurance: **frame.endurance(),
+            endurance,
             wear: [0.0; FRAME_BYTES],
             faulty: std::array::from_fn(|i| frame.fault_map().is_faulty(i)),
         }
@@ -339,51 +339,65 @@ impl EagerFrame {
     }
 }
 
+/// A frame's byte endurances drawn from `model`, byte 0 first.
+fn sampled_limits(model: &EnduranceModel, seed: u64) -> [f64; FRAME_BYTES] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    std::array::from_fn(|_| model.sample(&mut rng) as f64)
+}
+
+/// Every byte's remaining writes, as bits.
+fn remaining_bits(frame: &Frame, limits: &[f64; FRAME_BYTES]) -> Vec<u64> {
+    (0..FRAME_BYTES)
+        .map(|i| frame.remaining_writes(limits, i).to_bits())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A frame whose wear lane is allocated on first write behaves exactly
-    /// like an eagerly allocated one: same failure counts, fault maps, remaining
-    /// writes (per byte and as `live_remaining`'s run) and total wear
-    /// (compared bit for bit) after every operation.
+    /// like an eagerly allocated one: same failure counts, fault maps and
+    /// remaining writes (per byte and as `live_remaining`'s run, compared
+    /// bit for bit) after every operation.
     #[test]
     fn lazy_wear_matches_an_eager_frame(
         seed in any::<u64>(),
         faults in prop::collection::btree_set(0usize..FRAME_BYTES, 0..4),
         ops in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>(), -20.0f64..400.0), 0..40),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut frame = Frame::sampled(&EnduranceModel::new(20.0, 0.3), &mut rng);
+        let limits = sampled_limits(&EnduranceModel::new(20.0, 0.3), seed);
+        let mut frame = Frame::new();
         for &b in &faults {
             frame.disable_byte(b);
         }
-        let mut eager = EagerFrame::new(&frame);
+        let mut eager = EagerFrame::new(&frame, limits);
         for (kind, lo, hi, amount) in ops {
             let (failed, expected) = match kind {
                 0 => {
                     let mask = u128::from(lo) | u128::from(hi) << 64;
-                    (frame.record_write(mask), eager.record_write(mask))
+                    (frame.record_write(&limits, mask), eager.record_write(mask))
                 }
                 1 => {
                     let sparse = u128::from(lo & hi) | u128::from(lo & hi & 0b11) << 64;
-                    (frame.record_write(sparse), eager.record_write(sparse))
+                    (frame.record_write(&limits, sparse), eager.record_write(sparse))
                 }
-                _ => (frame.apply_uniform_wear(amount), eager.apply_uniform_wear(amount)),
+                _ => (frame.apply_uniform_wear(&limits, amount), eager.apply_uniform_wear(amount)),
             };
             prop_assert_eq!(failed, expected.len());
             for i in 0..FRAME_BYTES {
                 prop_assert_eq!(frame.fault_map().is_faulty(i), eager.faulty[i]);
-                prop_assert_eq!(frame.remaining_writes(i).to_bits(), eager.remaining_writes(i).to_bits());
             }
+            let eager_bits: Vec<u64> = (0..FRAME_BYTES)
+                .map(|i| eager.remaining_writes(i).to_bits())
+                .collect();
+            prop_assert_eq!(remaining_bits(&frame, &limits), eager_bits);
             let mut remaining = [0.0; FRAME_BYTES];
-            let live = frame.live_remaining(&mut remaining);
+            let live = frame.live_remaining(&limits, &mut remaining);
             let expected: Vec<u64> = (0..FRAME_BYTES)
                 .filter(|&i| !eager.faulty[i])
                 .map(|i| eager.remaining_writes(i).to_bits())
                 .collect();
             prop_assert_eq!(remaining[..live].iter().map(|r| r.to_bits()).collect::<Vec<_>>(), expected);
-            let eager_total: f64 = eager.wear.iter().sum();
-            prop_assert_eq!(frame.total_wear().to_bits(), eager_total.to_bits());
         }
     }
 
@@ -391,16 +405,21 @@ proptest! {
     /// clones compare equal either way.
     #[test]
     fn pristine_frame_equals_its_zero_write(seed in any::<u64>(), fault in 0usize..FRAME_BYTES) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pristine = Frame::sampled(&EnduranceModel::new(1e6, 0.2), &mut rng);
+        let limits = sampled_limits(&EnduranceModel::new(1e6, 0.2), seed);
+        let mut pristine = Frame::new();
         pristine.disable_byte(fault);
         let mut zero_write = pristine.clone();
-        prop_assert_eq!(zero_write.record_write(0), 0);
-        prop_assert_eq!(zero_write.total_wear(), 0.0);
+        prop_assert_eq!(zero_write.record_write(&limits, 0), 0);
+        // No wear: each live byte has its whole limit left.
+        let mut unworn = limits;
+        unworn[fault] = 0.0;
+        let unworn: Vec<u64> = unworn.iter().map(|r| r.to_bits()).collect();
+        prop_assert_eq!(remaining_bits(&pristine, &limits), unworn.clone());
+        prop_assert_eq!(remaining_bits(&zero_write, &limits), unworn);
         prop_assert_eq!(&pristine, &zero_write);
         prop_assert_eq!(&zero_write, &pristine);
         let mut worn = pristine.clone();
-        let _ = worn.record_write(1 << ((fault + 1) % FRAME_BYTES));
+        let _ = worn.record_write(&limits, 1 << ((fault + 1) % FRAME_BYTES));
         prop_assert_ne!(&worn, &pristine);
         prop_assert_ne!(&pristine, &worn);
         prop_assert_eq!(&worn, &worn.clone());

@@ -165,6 +165,10 @@ pub struct JobResult {
     pub hit_rate: f64,
     /// NVM bytes written over the measured window.
     pub nvm_bytes_written: u64,
+    /// Block-size lookups a trace job's recording could not serve, taken
+    /// as 64 B ([`TraceData::fallbacks`]); 0 for a synthetic job. Not part
+    /// of the report.
+    pub fallbacks: u64,
 }
 
 /// A completed sweep: the spec it ran and its results in job order.
@@ -224,7 +228,8 @@ fn enumerate_jobs(spec: &SweepSpec) -> Vec<SweepJob> {
 }
 
 /// Runs one job: a replay of `replay`, the trace grid's recording and its
-/// size table (cloned per job), else the job's mix.
+/// size table (cloned per job, counting the job's fallbacks), else the
+/// job's mix.
 fn run_job(
     spec: &SweepSpec,
     replay: Option<&(&TraceContent, TraceData)>,
@@ -236,12 +241,14 @@ fn run_job(
     let setup =
         PhaseSetup::from_spec_for(&exp, job.policy, spec.warmup_cycles, spec.measure_cycles);
     let array = degraded_array(&setup.llc, job.capacity, seed);
-    let (m, _) = match replay {
+    let ((m, _), fallbacks) = match replay {
         Some((trace, sizes)) => {
             let mut streams = ReplayStream::per_core(trace);
-            run_phase_streams(&setup, &mut streams, sizes.clone(), array)
+            let mut sizes = sizes.clone();
+            let out = run_phase_streams(&setup, &mut streams, &mut sizes, array);
+            (out, sizes.fallbacks())
         }
-        None => run_phase(&setup, &mixes()[job.mix], array, seed),
+        None => (run_phase(&setup, &mixes()[job.mix], array, seed), 0),
     };
     JobResult {
         index,
@@ -256,6 +263,7 @@ fn run_job(
         ipc: m.ipc,
         hit_rate: m.hit_rate,
         nvm_bytes_written: m.llc.nvm_bytes_written,
+        fallbacks,
     }
 }
 

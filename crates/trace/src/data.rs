@@ -1,7 +1,7 @@
 //! The workload-backed data model: per-block compressed sizes from each
 //! block's sticky compressibility class.
 
-use hllc_compress::{Block, CompressorKind};
+use hllc_compress::CompressorKind;
 use hllc_sim::{BlockSizes, DataModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,17 +75,6 @@ impl WorkloadData {
     fn class_of(&self, block: u64) -> SynthClass {
         self.profile_of(block).sample_class(splitmix(block))
     }
-
-    /// Synthesizes a payload of `block`'s class (for functional examples
-    /// and round-trip tests; the hot path only needs the size).
-    pub fn synthesize_block(&mut self, block: u64) -> Block {
-        Profile::synthesize(self.class_of(block), &mut self.rng)
-    }
-
-    /// Number of memoized block sizes (diagnostics; always 0 under BDI).
-    pub fn memoized(&self) -> usize {
-        self.sizes.len()
-    }
 }
 
 impl DataModel for WorkloadData {
@@ -115,12 +104,12 @@ mod tests {
         let s = bdi.compressed_size(77);
         assert_eq!(bdi.compressed_size(77), s);
         assert_eq!(s, bdi.class_of(77).nominal_size());
-        assert_eq!(bdi.memoized(), 0, "BDI sizes are derived, not stored");
+        assert_eq!(bdi.sizes.len(), 0, "BDI sizes are derived, not stored");
 
         let mut fpc = WorkloadData::new(vec![p], CompressorKind::Fpc, 3);
         let s = fpc.compressed_size(77);
         assert_eq!(fpc.compressed_size(77), s);
-        assert_eq!(fpc.memoized(), 1);
+        assert_eq!(fpc.sizes.len(), 1);
     }
 
     /// The sizing recipe class-derived BDI sizes replace: synthesize a
@@ -218,15 +207,5 @@ mod tests {
         let mut fpc = WorkloadData::new(vec![p], CompressorKind::Fpc, 3);
         assert_eq!(bdi.compressed_size(9), 1); // BDI zero encoding
         assert_eq!(fpc.compressed_size(9), 6); // FPC: 16 prefixes
-    }
-
-    #[test]
-    fn synthesize_block_matches_class_size() {
-        let mut d = WorkloadData::new(vec![Profile::incompressible()], CompressorKind::Bdi, 1);
-        let b = d.synthesize_block(9);
-        assert_eq!(
-            hllc_compress::Compressor::new().compressed_size(&b),
-            SynthClass::Incompressible.nominal_size()
-        );
     }
 }

@@ -411,7 +411,16 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), Failure> {
         spec.job_count(),
         spec.threads,
     );
-    let report = report_json(&run_sweep(spec));
+    let report = run_sweep(spec);
+    let fallbacks: Vec<(String, u64)> = spec
+        .policies
+        .iter()
+        .map(|(label, policy)| {
+            let jobs = report.results.iter().filter(|r| &r.policy == label);
+            (policy.name(), jobs.map(|r| r.fallbacks).sum())
+        })
+        .collect();
+    let report = report_json(&report);
     // The report file first, so a closed stdout cannot lose it.
     if let Some(path) = &args.json {
         let text = serde_json::to_string_pretty(&report)
@@ -447,6 +456,7 @@ fn cmd_sweep(args: &SweepArgs) -> Result<(), Failure> {
             bytes.unwrap_or_default()
         );
     }
+    note_fallbacks(&fallbacks);
 
     if let Some(path) = &args.json {
         say!("\nreport written to {path}");

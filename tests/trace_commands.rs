@@ -23,6 +23,16 @@ fn stdout(out: &Output) -> String {
     text
 }
 
+/// The `note: ` lines a successful command printed on stderr.
+fn notes(out: &Output) -> Vec<String> {
+    stdout(out);
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter(|l| l.starts_with("note: "))
+        .map(str::to_string)
+        .collect()
+}
+
 /// A per-process path in the temp directory.
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hllc-trace-cmd-{}-{name}", std::process::id()))
@@ -154,16 +164,7 @@ fn a_replay_notes_the_block_sizes_its_recording_lacks() {
         "unsized",
         &["--policy", "bh", "--cycles", "1e5", "--cores", "2"],
     );
-    let notes = |args: &[&str]| -> Vec<String> {
-        let out = hllc(&[args, &["--trace", &trace]].concat());
-        stdout(&out);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        stderr
-            .lines()
-            .filter(|l| l.starts_with("note: "))
-            .map(str::to_string)
-            .collect()
-    };
+    let notes = |args: &[&str]| notes(&hllc(&[args, &["--trace", &trace]].concat()));
     assert_eq!(notes(&["run"]), Vec::<String>::new(), "the recorded BH");
     let ca = notes(&["run", "--policy", "ca"]);
     assert_eq!(ca.len(), 1, "{ca:?}");
@@ -174,5 +175,22 @@ fn a_replay_notes_the_block_sizes_its_recording_lacks() {
     for policy in ["BH_CP ", "CA(cpth=58) ", "CP_SD "] {
         assert!(compare[0].contains(policy), "{policy}: {}", compare[0]);
     }
+    std::fs::remove_file(&trace).unwrap();
+}
+
+#[test]
+fn a_trace_sweep_notes_the_block_sizes_its_recording_lacks() {
+    let trace = record(
+        "unsized_sweep",
+        &["--policy", "bh", "--cycles", "1e5", "--cores", "2"],
+    );
+    let notes =
+        |policies: &str| notes(&hllc(&["sweep", "--trace", &trace, "--policies", policies]));
+    assert_eq!(notes("bh"), Vec::<String>::new(), "the recorded BH");
+    let both = notes("bh,ca");
+    assert_eq!(both.len(), 1, "{both:?}");
+    assert!(both[0].contains("took 64 B"), "{}", both[0]);
+    assert!(both[0].contains("(CA(cpth=58) "), "{}", both[0]);
+    assert!(!both[0].contains("BH"), "{}", both[0]);
     std::fs::remove_file(&trace).unwrap();
 }

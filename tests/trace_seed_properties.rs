@@ -3,12 +3,22 @@
 //! must replay identical streams, different seeds must diverge.
 
 use hybrid_llc::compress::CompressorKind;
+use hybrid_llc::sim::DataModel;
 use hybrid_llc::trace::mixes;
 use proptest::prelude::*;
+
+/// The FPC sizes of 1024 consecutive blocks from `first`: under FPC a size
+/// depends on a payload drawn from the model's seeded RNG (BDI sizes
+/// follow from the block's class alone).
+fn fpc_sizes(seed: u64, first: u64) -> [u8; 1024] {
+    let mut data = mixes()[0].data_model_with(CompressorKind::Fpc, seed);
+    std::array::from_fn(|i| data.compressed_size(first.wrapping_add(i as u64)))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    #[test]
     fn equal_seeds_replay_identical_streams(seed in any::<u64>(), mix_idx in 0usize..10) {
         let mix = &mixes()[mix_idx];
         let mut a = mix.instantiate(0.05, seed);
@@ -23,6 +33,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn different_seeds_diverge(seed in any::<u64>(), delta in 1u64..1_000_000) {
         let mix = &mixes()[0];
         let mut a = mix.instantiate(0.05, seed);
@@ -33,20 +44,21 @@ proptest! {
         prop_assert!(diverged, "seeds {seed} and +{delta} replayed the same stream");
     }
 
-    fn equal_seeds_synthesize_identical_data(seed in any::<u64>(), block in any::<u64>()) {
-        let mix = &mixes()[0];
-        let mut a = mix.data_model_with(CompressorKind::Bdi, seed);
-        let mut b = mix.data_model_with(CompressorKind::Bdi, seed);
-        prop_assert_eq!(a.synthesize_block(block), b.synthesize_block(block));
-        // Memoization must not change the synthesized content either.
-        prop_assert_eq!(a.synthesize_block(block), b.synthesize_block(block));
+    #[test]
+    fn equal_seeds_size_identical_data(seed in any::<u64>(), first in any::<u64>()) {
+        let mut a = mixes()[0].data_model_with(CompressorKind::Fpc, seed);
+        let sizes = fpc_sizes(seed, first);
+        // Memoization must not change a size either.
+        for (i, &size) in sizes.iter().enumerate() {
+            prop_assert_eq!(a.compressed_size(first.wrapping_add(i as u64)), size);
+            prop_assert_eq!(a.compressed_size(first.wrapping_add(i as u64)), size);
+        }
+        prop_assert_eq!(fpc_sizes(seed, first), sizes);
     }
 
-    fn different_seeds_synthesize_different_data(seed in any::<u64>(), delta in 1u64..1_000_000) {
-        let mix = &mixes()[0];
-        let mut a = mix.data_model_with(CompressorKind::Bdi, seed);
-        let mut b = mix.data_model_with(CompressorKind::Bdi, seed.wrapping_add(delta));
-        let diverged = (0..64u64).any(|block| a.synthesize_block(block) != b.synthesize_block(block));
-        prop_assert!(diverged, "data models for {seed} and +{delta} agree on 64 blocks");
+    #[test]
+    fn different_seeds_size_different_data(seed in any::<u64>(), delta in 1u64..1_000_000) {
+        let diverged = fpc_sizes(seed, 0) != fpc_sizes(seed.wrapping_add(delta), 0);
+        prop_assert!(diverged, "data models for {seed} and +{delta} agree on 1024 blocks");
     }
 }
