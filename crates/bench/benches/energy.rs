@@ -8,16 +8,15 @@
 use hllc_bench::exp::ExpOpts;
 use hllc_bench::report::{banner, save_json, Table};
 use hllc_core::Policy;
-use hllc_sim::EnergyModel;
+use hllc_sim::EnergyBreakdown;
 
 fn main() {
     let opts = ExpOpts::from_env_or_exit();
     banner(
         "energy",
-        "LLC energy per policy (extension; coefficients in sim::EnergyModel)",
+        "LLC energy per policy (extension; coefficients in sim/src/energy.rs)",
         "Motivating context: TAP reports ~25% LLC energy reduction vs LRU.",
     );
-    let model = EnergyModel::default_16nm();
     let freq = opts.spec.system_config().timing.freq_ghz;
 
     let mut table = Table::new([
@@ -38,9 +37,9 @@ fn main() {
         Policy::LHybrid,
         Policy::tap(),
     ] {
-        let mut total = hllc_sim::EnergyBreakdown::default();
+        let mut total = EnergyBreakdown::default();
         for m in opts.measure(&opts.spec_for(policy), 1.0) {
-            let b = model.breakdown(&m.llc, m.measured_cycles, freq);
+            let b = EnergyBreakdown::of(&m.llc, m.measured_cycles, freq);
             total.sram_dynamic_mj += b.sram_dynamic_mj;
             total.nvm_dynamic_mj += b.nvm_dynamic_mj;
             total.leakage_mj += b.leakage_mj;

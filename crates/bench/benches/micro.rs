@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hllc_compress::{Block, Compressor, CompressorKind};
 use hllc_config::ExperimentSpec;
-use hllc_core::{HybridConfig, HybridLlc, Policy};
+use hllc_core::{HybridConfig, HybridLlc, Policy, ENDURANCE_SEED};
 use hllc_forecast::{advance_wear, choose_step, run_phase, ForecastConfig};
 use hllc_nvm::{rearrange, DisableGranularity, FaultMap, NvmArray};
 use hllc_sim::{Access, ConstSizeData, DataModel, Hierarchy, LlcPort, LlcReq, NullLlc, ReuseClass};
@@ -241,7 +241,7 @@ fn bench_nvm_degrade(c: &mut Criterion) {
             cfg.nvm_ways,
             &cfg.endurance,
             DisableGranularity::Byte,
-            cfg.seed,
+            ENDURANCE_SEED,
         )
     };
     let mut seed = 0u64;

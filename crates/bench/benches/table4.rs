@@ -2,6 +2,7 @@
 
 use hllc_bench::exp::ExpOpts;
 use hllc_bench::report::{banner, save_json, Table};
+use hllc_sim::{L2_HIT, LLC_SRAM_HIT, MEMORY, NVM_DECOMPRESS};
 
 fn main() {
     let opts = ExpOpts::from_env_or_exit();
@@ -34,7 +35,7 @@ fn main() {
             "{} KB, {}-way, load-use {} cyc",
             cfg.l2_sets * cfg.l2_ways * 64 / 1024,
             cfg.l2_ways,
-            t.l2_hit
+            L2_HIT
         ),
     ]);
     table.row([
@@ -44,16 +45,15 @@ fn main() {
             llc.llc_sets, llc.sram_ways, llc.nvm_ways
         ),
     ]);
-    table.row(["LLC SRAM load-use", &format!("{} cycles", t.llc_sram_hit)]);
+    table.row(["LLC SRAM load-use", &format!("{LLC_SRAM_HIT} cycles")]);
     table.row([
         "LLC NVM load-use",
         &format!(
-            "{} cycles (+{} for decompression/rearrangement)",
+            "{} cycles (+{NVM_DECOMPRESS} for decompression/rearrangement)",
             t.llc_nvm_hit(),
-            t.nvm_decompress
         ),
     ]);
-    table.row(["memory load-use", &format!("{} cycles", t.memory)]);
+    table.row(["memory load-use", &format!("{MEMORY} cycles")]);
     table.row([
         "endurance",
         &format!(

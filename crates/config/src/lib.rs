@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use hllc_compress::CompressorKind;
 use hllc_core::{HybridConfig, Policy};
-use hllc_sim::{DramConfig, SystemConfig};
+use hllc_sim::SystemConfig;
 use serde_json::{Number, Value};
 
 /// LLC sets of the paper's full-scale 4 MB configuration. Workload
@@ -539,7 +539,7 @@ impl ExperimentSpec {
             l2_sets: s.l2_sets,
             l2_ways: s.l2_ways,
             timing: Default::default(),
-            dram: s.dram.then(DramConfig::default),
+            dram: s.dram,
         };
         if s.nvm_latency_factor != 1.0 {
             cfg = cfg.with_nvm_latency_factor(s.nvm_latency_factor);
@@ -924,7 +924,7 @@ mod tests {
         assert_eq!(sys.cores, 4);
         assert_eq!((sys.l1_sets, sys.l1_ways), (64, 4));
         assert_eq!((sys.l2_sets, sys.l2_ways), (32, 16));
-        assert!(sys.dram.is_none());
+        assert!(!sys.dram);
         let llc = spec.llc_config();
         assert_eq!((llc.sets, llc.sram_ways, llc.nvm_ways), (512, 4, 12));
         assert_eq!(llc.policy, Policy::cp_sd());
@@ -947,6 +947,18 @@ mod tests {
         assert_eq!(llc.endurance.mean(), 1e10);
         assert_eq!(llc.epoch_cycles, hllc_core::DEFAULT_EPOCH_CYCLES);
         assert_eq!(llc.dueling_smoothing, 0.0);
+    }
+
+    /// The `paper` preset and the simulator's own Table IV defaults are
+    /// the same system.
+    #[test]
+    fn paper_preset_builds_the_table_iv_defaults() {
+        let spec = ExperimentSpec::preset("paper").unwrap();
+        assert_eq!(spec.system_config(), SystemConfig::paper_default());
+        assert_eq!(
+            spec.llc_config(),
+            HybridConfig::new(4096, 4, 12, Policy::cp_sd())
+        );
     }
 
     #[test]
@@ -1167,7 +1179,7 @@ mod tests {
     fn dram_flag_enables_the_model() {
         let mut spec = ExperimentSpec::preset("scaled").unwrap();
         spec.system.dram = true;
-        assert!(spec.system_config().dram.is_some());
+        assert!(spec.system_config().dram);
     }
 
     #[test]

@@ -5,6 +5,12 @@ use hllc_nvm::{EnduranceModel, NvmArray};
 use crate::dueling::DEFAULT_EPOCH_CYCLES;
 use crate::policy::Policy;
 
+/// RNG seed for the endurance sampling. Every LLC with the same geometry
+/// and endurance model draws the same endurance limits (see
+/// [`HybridConfig::sample_array`]), so sweep replicates differ in their
+/// workload and degrade draws, not in endurance.
+pub const ENDURANCE_SEED: u64 = 0xC0FFEE;
+
 /// Configuration of a [`HybridLlc`](crate::HybridLlc).
 ///
 /// # Example
@@ -12,9 +18,7 @@ use crate::policy::Policy;
 /// ```
 /// use hllc_core::{HybridConfig, Policy};
 ///
-/// let cfg = HybridConfig::new(4096, 4, 12, Policy::cp_sd())
-///     .with_endurance(1e10, 0.2)
-///     .with_seed(7);
+/// let cfg = HybridConfig::new(4096, 4, 12, Policy::cp_sd()).with_endurance(1e10, 0.2);
 /// assert_eq!(cfg.sets, 4096);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -35,17 +39,6 @@ pub struct HybridConfig {
     /// raw per-epoch counters; scaled-down simulations use ~0.6 to recover
     /// full-size sampler statistics).
     pub dueling_smoothing: f64,
-    /// RNG seed for the endurance sampling. Every LLC with the same
-    /// geometry, endurance model and seed draws the same endurance limits
-    /// (see [`sample_array`](Self::sample_array)), so sweep replicates
-    /// differ in their workload and degrade draws, not in endurance.
-    pub seed: u64,
-    /// NVM data-array write latency in cycles (Table IV: 20). A read that
-    /// arrives at a bank while a write is in flight waits out the
-    /// remainder; 0 disables contention modelling.
-    pub nvm_write_cycles: u32,
-    /// Number of LLC banks (Table IV: 4); banks interleave by set index.
-    pub banks: usize,
     /// Use Fit-LRU in the NVM part (the paper's design): the victim is the
     /// LRU block among the frames the incoming ECB fits in. Disabling this
     /// (ablation) picks the plain LRU frame and falls back to SRAM when the
@@ -71,9 +64,6 @@ impl HybridConfig {
             endurance: EnduranceModel::paper_default(),
             epoch_cycles: DEFAULT_EPOCH_CYCLES,
             dueling_smoothing: 0.0,
-            seed: 0xC0FFEE,
-            nvm_write_cycles: 20,
-            banks: 4,
             fit_lru: true,
         }
     }
@@ -81,12 +71,6 @@ impl HybridConfig {
     /// Overrides the endurance distribution.
     pub fn with_endurance(mut self, mean: f64, cv: f64) -> Self {
         self.endurance = EnduranceModel::new(mean, cv);
-        self
-    }
-
-    /// Overrides the endurance-sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -104,9 +88,9 @@ impl HybridConfig {
 
     /// The pristine NVM array of this configuration, or `None` without NVM
     /// ways, under the policy's disabling granularity. Its endurances are
-    /// drawn from `seed` ([`NvmArray::new`]) when something first reads
-    /// one, so the same limits whatever the policy, and no draw at all for
-    /// an array that is only simulated.
+    /// drawn from [`ENDURANCE_SEED`] ([`NvmArray::new`]) when something
+    /// first reads one, so the same limits whatever the policy, and no
+    /// draw at all for an array that is only simulated.
     pub fn sample_array(&self) -> Option<NvmArray> {
         (self.nvm_ways > 0).then(|| {
             NvmArray::new(
@@ -114,7 +98,7 @@ impl HybridConfig {
                 self.nvm_ways,
                 &self.endurance,
                 self.policy.granularity(),
-                self.seed,
+                ENDURANCE_SEED,
             )
         })
     }
@@ -128,8 +112,7 @@ mod tests {
     fn builders() {
         let cfg = HybridConfig::new(64, 3, 13, Policy::LHybrid)
             .with_endurance(1e8, 0.25)
-            .with_epoch_cycles(500)
-            .with_seed(1);
+            .with_epoch_cycles(500);
         assert_eq!(cfg.nvm_ways, 13);
         assert_eq!(cfg.endurance.cv(), 0.25);
         assert_eq!(cfg.epoch_cycles, 500);

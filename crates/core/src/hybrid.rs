@@ -50,10 +50,8 @@ pub struct HybridLlc {
     tap_table: Vec<u8>,
     fit_lru: bool,
     /// Per-bank cycle timestamps until which the NVM data array is busy
-    /// writing; reads arriving earlier wait out the difference (Table IV's
-    /// 20-cycle write latency).
-    bank_busy_until: Vec<u64>,
-    nvm_write_cycles: u32,
+    /// writing; reads arriving earlier wait out the difference.
+    bank_busy_until: [u64; BANKS],
     /// Monotone view of the cycle clock (per-core clocks jitter slightly;
     /// contention must not charge skew as wait time).
     clock: u64,
@@ -63,6 +61,14 @@ pub struct HybridLlc {
 
 /// Size of TAP's hashed predictor table.
 const TAP_TABLE_ENTRIES: usize = 1 << 16;
+
+/// LLC banks (Table IV: 4); banks interleave by set index.
+const BANKS: usize = 4;
+
+/// NVM data-array write latency in cycles (Table IV: 20). A read that
+/// arrives at a bank while a write is in flight waits out the remainder,
+/// capped at one write.
+const NVM_WRITE_CYCLES: u32 = 20;
 
 impl HybridLlc {
     /// Builds an LLC from a configuration with its pristine NVM array
@@ -115,8 +121,7 @@ impl HybridLlc {
             dueling,
             tap_table,
             fit_lru: cfg.fit_lru,
-            bank_busy_until: vec![0; cfg.banks.max(1)],
-            nvm_write_cycles: cfg.nvm_write_cycles,
+            bank_busy_until: [0; BANKS],
             clock: 0,
             stamp: 0,
             stats: LlcStats::default(),
@@ -340,10 +345,6 @@ impl HybridLlc {
         self.retire(line);
     }
 
-    fn bank_of(&self, set: usize) -> usize {
-        set % self.bank_busy_until.len()
-    }
-
     /// Writes `line` into `way`, retiring the line it displaces, with the
     /// accounting of the way's part: an NVM write also wears its frame,
     /// feeds Set Dueling and occupies its bank.
@@ -371,14 +372,9 @@ impl HybridLlc {
         if let Some(d) = &mut self.dueling {
             d.record_write(set, bytes);
         }
-        if self.nvm_write_cycles > 0 {
-            self.clock = self.clock.max(now);
-            let clock = self.clock;
-            let bank = self.bank_of(set);
-            // bank_of() reduces modulo bank_busy_until.len().
-            let busy = &mut self.bank_busy_until[bank];
-            *busy = (*busy).max(clock) + u64::from(self.nvm_write_cycles);
-        }
+        self.clock = self.clock.max(now);
+        let busy = &mut self.bank_busy_until[set % BANKS];
+        *busy = (*busy).max(self.clock) + u64::from(NVM_WRITE_CYCLES);
         self.ways.put(set, way, line);
     }
 
@@ -482,12 +478,12 @@ impl LlcPort for HybridLlc {
         };
         let reuse = self.classify_hit(dirty, req, tap_count);
         let compressed = nvm && self.policy.uses_compression() && self.ways.cb_size(set, way) < 64;
-        let extra_cycles = if nvm && self.nvm_write_cycles > 0 {
+        let extra_cycles = if nvm {
             self.clock = self.clock.max(now);
             // Wait for the in-flight write; capped at one write duration so
             // per-core clock skew cannot masquerade as queueing.
-            let wait = (self.bank_busy_until[self.bank_of(set)].saturating_sub(self.clock) as u32)
-                .min(self.nvm_write_cycles);
+            let wait = (self.bank_busy_until[set % BANKS].saturating_sub(self.clock) as u32)
+                .min(NVM_WRITE_CYCLES);
             self.stats.write_stall_cycles += u64::from(wait);
             wait
         } else {

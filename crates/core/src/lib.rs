@@ -39,7 +39,7 @@ mod line;
 mod policy;
 mod soa;
 
-pub use config::HybridConfig;
+pub use config::{HybridConfig, ENDURANCE_SEED};
 pub use dueling::{
     EpochRecord, SetDueling, CP_TH_CANDIDATES, DEFAULT_EPOCH_CYCLES, HISTORY_EPOCHS,
 };

@@ -1,15 +1,13 @@
-//! The endurance limits behind `HybridLlc::new`: the draws a seeded
-//! sample makes, in frame order, whatever the policy.
+//! The endurance limits behind `HybridLlc::new`: the draws a sample
+//! seeded with `ENDURANCE_SEED` makes, in frame order, whatever the policy.
 
-use hllc_core::{HybridConfig, HybridLlc, Policy};
+use hllc_core::{HybridConfig, HybridLlc, Policy, ENDURANCE_SEED};
 use hllc_nvm::{EnduranceModel, NvmArray, FRAME_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn config(sets: usize, nvm_ways: usize, cv: f64, seed: u64) -> HybridConfig {
-    HybridConfig::new(sets, 4, nvm_ways, Policy::cp_sd())
-        .with_endurance(1e6, cv)
-        .with_seed(seed)
+fn config(sets: usize, nvm_ways: usize, cv: f64) -> HybridConfig {
+    HybridConfig::new(sets, 4, nvm_ways, Policy::cp_sd()).with_endurance(1e6, cv)
 }
 
 /// Every limit of the array, in frame order, as bits.
@@ -20,10 +18,10 @@ fn limits(a: &NvmArray) -> Vec<u64> {
         .collect()
 }
 
-/// `model`'s draws from `StdRng::seed_from_u64(seed)`, one per byte of
-/// `frames` frames.
-fn draws(model: &EnduranceModel, seed: u64, frames: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// `model`'s draws from `StdRng::seed_from_u64(ENDURANCE_SEED)`, one per
+/// byte of `frames` frames.
+fn draws(model: &EnduranceModel, frames: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(ENDURANCE_SEED);
     (0..frames * FRAME_BYTES)
         .map(|_| (model.sample(&mut rng) as f64).to_bits())
         .collect()
@@ -38,15 +36,14 @@ fn llc_limits(cfg: &HybridConfig) -> Vec<u64> {
 
 #[test]
 fn an_llc_draws_the_seeded_sample_in_frame_order() {
-    let base = config(16, 12, 0.2, 202);
+    let base = config(16, 12, 0.2);
     for cfg in [
-        config(8, 12, 0.2, 202),
-        config(16, 6, 0.2, 202),
-        config(16, 12, 0.25, 202),
-        config(16, 12, 0.2, 203),
+        config(8, 12, 0.2),
+        config(16, 6, 0.2),
+        config(16, 12, 0.25),
         base.clone().with_endurance(2e6, 0.2),
     ] {
-        let expected = draws(&cfg.endurance, cfg.seed, cfg.sets * cfg.nvm_ways);
+        let expected = draws(&cfg.endurance, cfg.sets * cfg.nvm_ways);
         assert_eq!(llc_limits(&cfg), expected, "{cfg:?}");
     }
     // The policy picks the granularity, not the limits.
@@ -54,7 +51,7 @@ fn an_llc_draws_the_seeded_sample_in_frame_order() {
         policy: Policy::Bh,
         ..base.clone()
     };
-    let expected = draws(&base.endurance, base.seed, base.sets * base.nvm_ways);
+    let expected = draws(&base.endurance, base.sets * base.nvm_ways);
     assert_eq!(llc_limits(&base), expected);
     assert_eq!(llc_limits(&bh), expected);
 }

@@ -534,7 +534,10 @@ mod tests {
             .map(|i| {
                 let core = (i % 2) as u8;
                 let addr = (((i / 2) % 512) << 6) | (u64::from(core) << 32);
-                Access::load(core, addr).with_gap((i % 7) as u32)
+                Access {
+                    inst_gap: (i % 7) as u32,
+                    ..Access::load(core, addr)
+                }
             })
             .collect();
         let sizes: Vec<(u64, u8)> = accesses

@@ -49,12 +49,6 @@ impl Access {
         }
     }
 
-    /// Returns a copy with the given instruction gap.
-    pub fn with_gap(mut self, inst_gap: u32) -> Self {
-        self.inst_gap = inst_gap;
-        self
-    }
-
     /// Number of instructions this record accounts for (the gap plus the
     /// memory instruction itself).
     pub fn instructions(&self) -> u64 {
@@ -68,7 +62,10 @@ mod tests {
 
     #[test]
     fn constructors() {
-        let a = Access::load(2, 0x80).with_gap(9);
+        let a = Access {
+            inst_gap: 9,
+            ..Access::load(2, 0x80)
+        };
         assert_eq!(a.core, 2);
         assert_eq!(a.op, Op::Load);
         assert_eq!(a.instructions(), 10);

@@ -127,7 +127,7 @@ impl FromIterator<(u64, u8)> for BlockSizes {
     /// Entries of one page tend to arrive close together (a trace logs
     /// blocks as the LLC first sizes them), so the build keeps the page
     /// indices of recently written pages in a small direct-mapped record,
-    /// slot = page number mod [`RECENT_PAGES`], and probes the directory
+    /// slot = page number mod `RECENT_PAGES`, and probes the directory
     /// only on a miss. Inputs that keep missing it cost what one
     /// [`insert`](Self::insert) per entry does.
     fn from_iter<I: IntoIterator<Item = (u64, u8)>>(entries: I) -> Self {

@@ -7,42 +7,18 @@
 //! Latencies are expressed in core cycles (3.5 GHz: ~14 ns ≈ 50 cycles per
 //! DRAM timing step).
 
-/// DRAM timing and geometry parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DramConfig {
-    /// Number of banks in the channel.
-    pub banks: usize,
-    /// Blocks per row (a 2 KB row holds 32 64-byte blocks).
-    pub blocks_per_row: u64,
-    /// Core cycles for a row-buffer hit (CAS + bus).
-    pub row_hit_cycles: u32,
-    /// Core cycles for a closed-row access (activate + CAS + bus).
-    pub row_miss_cycles: u32,
-    /// Additional core cycles to precharge an open conflicting row.
-    pub precharge_cycles: u32,
-    /// Core cycles a bank stays busy per access (command occupancy).
-    pub bank_occupancy_cycles: u32,
-}
-
-impl DramConfig {
-    /// One DDR4-2400-ish channel at a 3.5 GHz core clock.
-    pub fn ddr4_single_channel() -> Self {
-        DramConfig {
-            banks: 16,
-            blocks_per_row: 32,
-            row_hit_cycles: 90,
-            row_miss_cycles: 160,
-            precharge_cycles: 50,
-            bank_occupancy_cycles: 24,
-        }
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> Self {
-        DramConfig::ddr4_single_channel()
-    }
-}
+/// Banks in the channel.
+const BANKS: usize = 16;
+/// Blocks per row (a 2 KB row holds 32 64-byte blocks).
+const BLOCKS_PER_ROW: u64 = 32;
+/// Core cycles for a row-buffer hit (CAS + bus).
+const ROW_HIT_CYCLES: u32 = 90;
+/// Core cycles for a closed-row access (activate + CAS + bus).
+const ROW_MISS_CYCLES: u32 = 160;
+/// Additional core cycles to precharge an open conflicting row.
+const PRECHARGE_CYCLES: u32 = 50;
+/// Core cycles a bank stays busy per access (command occupancy).
+const BANK_OCCUPANCY_CYCLES: u32 = 24;
 
 /// Per-bank open-row state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -51,89 +27,66 @@ struct Bank {
     busy_until: u64,
 }
 
-/// The DRAM channel: open-page row buffers plus bank queueing.
+/// The DRAM channel: open-page row buffers plus bank queueing, one
+/// DDR4-2400-ish channel at a 3.5 GHz core clock.
 ///
 /// # Example
 ///
 /// ```
-/// use hllc_sim::{Dram, DramConfig};
+/// use hllc_sim::Dram;
 ///
-/// let mut d = Dram::new(DramConfig::ddr4_single_channel());
+/// let mut d = Dram::default();
 /// let first = d.access(0, 0);   // row miss
 /// let second = d.access(1, 1_000); // same row: row hit, cheaper
 /// assert!(second < first);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Dram {
-    cfg: DramConfig,
-    banks: Vec<Bank>,
+    banks: [Bank; BANKS],
     row_hits: u64,
     row_misses: u64,
     conflicts: u64,
 }
 
+/// The (bank, row) of a block address.
+fn locate(block: u64) -> (usize, u64) {
+    let row = block / BLOCKS_PER_ROW;
+    // XOR-fold the row into the bank index to spread streams.
+    let bank = ((row ^ (row >> 7)) as usize) % BANKS;
+    (bank, row)
+}
+
 impl Dram {
-    /// Creates a channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no banks or empty rows.
-    pub fn new(cfg: DramConfig) -> Self {
-        assert!(cfg.banks > 0, "need at least one bank");
-        assert!(cfg.blocks_per_row > 0, "rows must hold blocks");
-        Dram {
-            cfg,
-            banks: vec![Bank::default(); cfg.banks],
-            row_hits: 0,
-            row_misses: 0,
-            conflicts: 0,
-        }
-    }
-
-    fn locate(&self, block: u64) -> (usize, u64) {
-        let row = block / self.cfg.blocks_per_row;
-        // XOR-fold the row into the bank index to spread streams.
-        let bank = ((row ^ (row >> 7)) as usize) % self.cfg.banks;
-        (bank, row)
-    }
-
     /// Services one block access at time `now`, returning its latency in
     /// core cycles (including any wait for the bank).
     pub fn access(&mut self, block: u64, now: u64) -> u32 {
-        let (bank_idx, row) = self.locate(block);
-        // locate() reduces the bank index modulo cfg.banks == banks.len().
+        let (bank_idx, row) = locate(block);
+        // locate() reduces the bank index modulo BANKS == banks.len().
         let bank = &mut self.banks[bank_idx];
 
         let queue_wait = bank.busy_until.saturating_sub(now) as u32;
         let service = match bank.open_row {
             Some(open) if open == row => {
                 self.row_hits += 1;
-                self.cfg.row_hit_cycles
+                ROW_HIT_CYCLES
             }
             Some(_) => {
                 self.conflicts += 1;
-                self.cfg.precharge_cycles + self.cfg.row_miss_cycles
+                PRECHARGE_CYCLES + ROW_MISS_CYCLES
             }
             None => {
                 self.row_misses += 1;
-                self.cfg.row_miss_cycles
+                ROW_MISS_CYCLES
             }
         };
         bank.open_row = Some(row);
-        bank.busy_until = now.max(bank.busy_until) + u64::from(self.cfg.bank_occupancy_cycles);
+        bank.busy_until = now.max(bank.busy_until) + u64::from(BANK_OCCUPANCY_CYCLES);
         queue_wait + service
     }
 
     /// (row hits, row misses, row conflicts) served so far.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.row_hits, self.row_misses, self.conflicts)
-    }
-
-    /// Resets the row-locality statistics (open rows are kept).
-    pub fn reset_stats(&mut self) {
-        self.row_hits = 0;
-        self.row_misses = 0;
-        self.conflicts = 0;
     }
 }
 
@@ -142,7 +95,7 @@ mod tests {
     use super::*;
 
     fn dram() -> Dram {
-        Dram::new(DramConfig::ddr4_single_channel())
+        Dram::default()
     }
 
     #[test]
@@ -156,20 +109,19 @@ mod tests {
 
     #[test]
     fn row_conflicts_pay_precharge() {
-        let cfg = DramConfig::ddr4_single_channel();
-        let mut d = Dram::new(cfg);
-        let (bank0, row0) = d.locate(0);
+        let mut d = dram();
+        let (bank0, row0) = locate(0);
         d.access(0, 0);
         // Find a block in the same bank but a different row.
         let block = (1..)
-            .map(|r| r * cfg.blocks_per_row)
+            .map(|r| r * BLOCKS_PER_ROW)
             .find(|&b| {
-                let (bank, row) = d.locate(b);
+                let (bank, row) = locate(b);
                 bank == bank0 && row != row0
             })
             .unwrap();
         let lat = d.access(block, 1_000_000); // bank idle by then
-        assert_eq!(lat, cfg.precharge_cycles + cfg.row_miss_cycles);
+        assert_eq!(lat, PRECHARGE_CYCLES + ROW_MISS_CYCLES);
         assert_eq!(d.stats().2, 1, "must count one conflict");
     }
 
@@ -179,8 +131,25 @@ mod tests {
         let l1 = d.access(0, 0);
         // Immediate second access to the same bank waits out the occupancy.
         let l2 = d.access(1, 0);
-        assert!(l2 > d.cfg.row_hit_cycles, "queued access must wait: {l2}");
+        assert!(l2 > ROW_HIT_CYCLES, "queued access must wait: {l2}");
         let _ = l1;
+    }
+
+    /// Row-hit, row-miss, conflict and queued-access latencies, in core
+    /// cycles.
+    #[test]
+    fn latencies_are_pinned() {
+        let mut d = dram();
+        assert_eq!(d.access(0, 0), 160, "row miss");
+        assert_eq!(d.access(1, 1_000), 90, "row hit");
+        assert_eq!(d.access(2, 1_000), 24 + 90, "queued row hit");
+        let (bank0, row0) = locate(0);
+        let conflict = (1..)
+            .map(|r| r * 32)
+            .find(|&b| locate(b).0 == bank0 && locate(b).1 != row0)
+            .unwrap();
+        assert_eq!(d.access(conflict, 1_000_000), 50 + 160, "row conflict");
+        assert_eq!(d.stats(), (2, 1, 1));
     }
 
     #[test]

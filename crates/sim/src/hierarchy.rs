@@ -56,7 +56,7 @@ use crate::data::DataModel;
 use crate::dram::Dram;
 use crate::llc::{LlcPort, LlcReq, ReuseClass};
 use crate::stats::HierarchyStats;
-use crate::timing::{ServiceLevel, TimingModel};
+use crate::timing::{stall_cycles, ServiceLevel, TimingModel, CPI_BASE};
 
 #[derive(Clone, Copy, Debug)]
 struct L2Meta {
@@ -126,7 +126,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
             llc,
             data,
             timing: cfg.timing,
-            dram: cfg.dram.map(Dram::new),
+            dram: cfg.dram.then(Dram::default),
             stats: HierarchyStats::new(cfg.cores),
             clocks: vec![0.0; cfg.cores],
         }
@@ -198,7 +198,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         let core = a.core as usize;
         let block = block_of(a.addr);
 
-        self.clocks[core] += a.instructions() as f64 * self.timing.cpi_base;
+        self.clocks[core] += a.instructions() as f64 * CPI_BASE;
         self.stats.instructions[core] += a.instructions();
         match a.op {
             Op::Load => self.stats.loads += 1,
@@ -210,7 +210,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         // level_slot maps every ServiceLevel into 0..SERVICE_LEVELS.
         self.stats.services[HierarchyStats::level_slot(level)] += 1;
 
-        let stall = self.timing.stall_cycles(a.op, f64::from(raw_latency));
+        let stall = stall_cycles(a.op, f64::from(raw_latency));
         self.clocks[core] += stall;
         stall
     }
@@ -693,7 +693,10 @@ mod tests {
     fn clocks_advance_with_stalls() {
         let mut h = h();
         let before = h.core_clock(0);
-        h.access(&Access::load(0, 0).with_gap(10));
+        h.access(&Access {
+            inst_gap: 10,
+            ..Access::load(0, 0)
+        });
         assert!(h.core_clock(0) > before);
         assert!(h.ipc(0) > 0.0);
         // Other core untouched.

@@ -54,9 +54,9 @@ pub use block_sizes::BlockSizes;
 pub use cache::{Cache, Entry, Evicted, Slot};
 pub use config::SystemConfig;
 pub use data::{ConstSizeData, DataModel};
-pub use dram::{Dram, DramConfig};
-pub use energy::{EnergyBreakdown, EnergyModel};
+pub use dram::Dram;
+pub use energy::EnergyBreakdown;
 pub use hierarchy::Hierarchy;
 pub use llc::{LlcPort, LlcReq, LlcResponse, LlcStats, NullLlc, ReuseClass};
 pub use stats::HierarchyStats;
-pub use timing::TimingModel;
+pub use timing::{TimingModel, L2_HIT, LLC_SRAM_HIT, MEMORY, NVM_DECOMPRESS};

@@ -32,33 +32,35 @@ pub enum ServiceLevel {
     RemoteL2,
 }
 
-/// Latency and CPI parameters.
+/// Cycles per non-memory instruction of the 8-wide OoO core.
+pub(crate) const CPI_BASE: f64 = 0.25;
+/// L2 hit load-use latency (Table IV: 12 cycles).
+pub const L2_HIT: u32 = 12;
+/// LLC SRAM-way load-use latency (Table IV: 28 cycles).
+pub const LLC_SRAM_HIT: u32 = 28;
+/// Interconnect + tag portion of an NVM-way hit. Fixed: the tag array is
+/// SRAM regardless of the data technology.
+const LLC_NVM_TAG: u32 = 24;
+/// NVM data-array portion of an NVM-way hit, before scaling (Table IV: 8
+/// of the 32 load-use cycles).
+const LLC_NVM_ARRAY: u32 = 8;
+/// Extra cycles for BDI decompression + block rearrangement (§III-B3).
+pub const NVM_DECOMPRESS: u32 = 2;
+/// Main-memory load-use latency (cycles).
+pub const MEMORY: u32 = 180;
+/// Fraction of a load miss's latency that stalls the core.
+const LOAD_MLP: f64 = 0.6;
+/// Fraction of a store miss's latency that stalls the core.
+const STORE_MLP: f64 = 0.15;
+
+/// The timing parameters an experiment varies; the Table IV latencies
+/// and stall fractions they scale are this module's constants.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingModel {
-    /// Cycles per non-memory instruction of the 8-wide OoO core.
-    pub cpi_base: f64,
-    /// L2 hit load-use latency (cycles).
-    pub l2_hit: u32,
-    /// LLC SRAM-way load-use latency (28 cycles, Table IV).
-    pub llc_sram_hit: u32,
-    /// Interconnect + tag portion of an NVM-way hit (cycles). Fixed: the
-    /// tag array is SRAM regardless of the data technology.
-    pub llc_nvm_tag: u32,
-    /// NVM data-array portion of an NVM-way hit (cycles), before scaling.
-    /// Table IV: 8 of the 32 load-use cycles.
-    pub llc_nvm_array: u32,
     /// Scale applied to the NVM data array only (the Figure 11b
     /// sensitivity axis). The effective NVM-hit latency is
     /// [`TimingModel::llc_nvm_hit`].
     pub nvm_latency_factor: f64,
-    /// Extra cycles for BDI decompression + block rearrangement.
-    pub nvm_decompress: u32,
-    /// Main-memory load-use latency (cycles).
-    pub memory: u32,
-    /// Fraction of a load miss's latency that stalls the core.
-    pub load_mlp: f64,
-    /// Fraction of a store miss's latency that stalls the core.
-    pub store_mlp: f64,
     /// Core frequency in GHz (Table IV: 3.5 GHz), used to convert cycles to
     /// wall-clock time in the aging forecast.
     pub freq_ghz: f64,
@@ -68,16 +70,7 @@ impl TimingModel {
     /// Table IV defaults.
     pub fn paper_default() -> Self {
         TimingModel {
-            cpi_base: 0.25,
-            l2_hit: 12,
-            llc_sram_hit: 28,
-            llc_nvm_tag: 24,
-            llc_nvm_array: 8,
             nvm_latency_factor: 1.0,
-            nvm_decompress: 2,
-            memory: 180,
-            load_mlp: 0.6,
-            store_mlp: 0.15,
             freq_ghz: 3.5,
         }
     }
@@ -86,35 +79,29 @@ impl TimingModel {
     /// data array (32 cycles at factor 1.0, Table IV; 36 at the ×1.5 of
     /// Figure 11b).
     pub fn llc_nvm_hit(&self) -> u32 {
-        self.llc_nvm_tag + (f64::from(self.llc_nvm_array) * self.nvm_latency_factor).round() as u32
+        LLC_NVM_TAG + (f64::from(LLC_NVM_ARRAY) * self.nvm_latency_factor).round() as u32
     }
 
     /// Raw load-use latency of a service level.
     pub fn latency(&self, level: ServiceLevel) -> u32 {
         match level {
             ServiceLevel::L1 => 0,
-            ServiceLevel::L2 => self.l2_hit,
-            ServiceLevel::LlcSram => self.llc_sram_hit,
+            ServiceLevel::L2 => L2_HIT,
+            ServiceLevel::LlcSram => LLC_SRAM_HIT,
             ServiceLevel::LlcNvm => self.llc_nvm_hit(),
-            ServiceLevel::LlcNvmCompressed => self.llc_nvm_hit() + self.nvm_decompress,
-            ServiceLevel::Memory => self.memory,
-            ServiceLevel::RemoteL2 => self.llc_sram_hit + self.l2_hit,
+            ServiceLevel::LlcNvmCompressed => self.llc_nvm_hit() + NVM_DECOMPRESS,
+            ServiceLevel::Memory => MEMORY,
+            ServiceLevel::RemoteL2 => LLC_SRAM_HIT + L2_HIT,
         }
     }
+}
 
-    /// Effective stall cycles charged to the core for an access of kind
-    /// `op` served at `level`.
-    pub fn stall(&self, op: Op, level: ServiceLevel) -> f64 {
-        self.stall_cycles(op, f64::from(self.latency(level)))
-    }
-
-    /// Effective stall for a raw latency (used when the latency is
-    /// variable: DRAM bank state, NVM write contention).
-    pub fn stall_cycles(&self, op: Op, raw_latency: f64) -> f64 {
-        match op {
-            Op::Load => raw_latency * self.load_mlp,
-            Op::Store => raw_latency * self.store_mlp,
-        }
+/// Effective stall cycles charged to the core for an access of kind `op`
+/// whose load-use latency was `raw_latency`.
+pub(crate) fn stall_cycles(op: Op, raw_latency: f64) -> f64 {
+    match op {
+        Op::Load => raw_latency * LOAD_MLP,
+        Op::Store => raw_latency * STORE_MLP,
     }
 }
 
@@ -146,15 +133,13 @@ mod tests {
         assert_eq!(t.llc_nvm_hit(), 32);
         t.nvm_latency_factor = 1.5;
         assert_eq!(t.llc_nvm_hit(), 36);
-        // Scaling acts on the stored base, so re-deriving is idempotent
-        // and survives prior timing customization.
-        t.llc_nvm_tag = 30;
-        assert_eq!(t.llc_nvm_hit(), 42);
+        assert_eq!(t.latency(ServiceLevel::LlcNvmCompressed), 38);
     }
 
     #[test]
     fn stores_stall_less_than_loads() {
         let t = TimingModel::paper_default();
-        assert!(t.stall(Op::Store, ServiceLevel::Memory) < t.stall(Op::Load, ServiceLevel::Memory));
+        let memory = f64::from(t.latency(ServiceLevel::Memory));
+        assert!(stall_cycles(Op::Store, memory) < stall_cycles(Op::Load, memory));
     }
 }

@@ -320,8 +320,10 @@ mod tests {
         let accesses: Vec<Access> = (0..10_000u64)
             .map(|i| {
                 let core = (i % 2) as u8;
-                let a =
-                    Access::load(core, (i * 64) ^ (u64::from(core) << 40)).with_gap(i as u32 % 37);
+                let a = Access {
+                    inst_gap: i as u32 % 37,
+                    ..Access::load(core, (i * 64) ^ (u64::from(core) << 40))
+                };
                 if i % 3 == 0 {
                     Access { op: Op::Store, ..a }
                 } else {

@@ -133,7 +133,10 @@ mod tests {
     fn content() -> TraceContent {
         let accesses = vec![
             Access::load(0, 0x40),
-            Access::store(1, 0x80).with_gap(3),
+            Access {
+                inst_gap: 3,
+                ..Access::store(1, 0x80)
+            },
             Access::load(0, 0xC0),
             Access::load(1, 0x100),
         ];
@@ -212,7 +215,10 @@ mod tests {
                 .iter()
                 .map(|&(core, addr, store)| {
                     let a = if store { Access::store(core, addr) } else { Access::load(core, addr) };
-                    a.with_gap(addr as u32 % 97)
+                    Access {
+                        inst_gap: addr as u32 % 97,
+                        ..a
+                    }
                 })
                 .collect();
             let oracle = copied_split(&content);

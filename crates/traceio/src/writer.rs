@@ -13,7 +13,7 @@ const CHUNK_RECORDS: usize = 4096;
 
 /// Streams a trace to any [`Write`] sink: the header goes out immediately,
 /// access records and data-model entries accumulate into CRC-framed chunks
-/// that flush every [`CHUNK_RECORDS`] records, and [`TraceWriter::finish`]
+/// that flush every `CHUNK_RECORDS` records, and [`TraceWriter::finish`]
 /// seals the file with the end marker.
 ///
 /// The push methods are infallible so they can sit inside the simulator's

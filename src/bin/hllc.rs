@@ -27,7 +27,7 @@ use hybrid_llc::runner::{report_json, run_indexed, run_sweep};
 use hybrid_llc::session::{
     live_session, record_session, recording_header, replay_session_sized, stats_json, SessionStats,
 };
-use hybrid_llc::sim::{EnergyModel, Op};
+use hybrid_llc::sim::{EnergyBreakdown, Op};
 use hybrid_llc::trace::mixes;
 use hybrid_llc::traceio::{create_trace, open_trace, Chunk, TraceData, VERSION};
 use serde_json::Value;
@@ -98,11 +98,7 @@ fn cmd_spec(args: &SpecArgs) -> Result<(), Failure> {
 
 fn print_stats(stats: &SessionStats, args: &Args) -> Result<(), Failure> {
     let s = stats.llc;
-    let energy = EnergyModel::default_16nm().breakdown(
-        &s,
-        args.cycles(),
-        args.spec.system_config().timing.freq_ghz,
-    );
+    let energy = EnergyBreakdown::of(&s, args.cycles(), args.spec.system_config().timing.freq_ghz);
     say!("  system IPC        {:.3}", stats.ipc);
     say!(
         "  LLC hit rate      {:.1}% ({} of {} requests)",
@@ -143,8 +139,7 @@ fn session(args: &Args, sizes: Option<TraceData>) -> Result<(SessionStats, u64),
     match &args.trace {
         Some(t) => {
             let mut data = sizes.unwrap_or_else(|| TraceData::from_content(&t.content));
-            let stats =
-                replay_session_sized(&t.content, &args.spec, args.policy(), None, &mut data)?;
+            let stats = replay_session_sized(&t.content, &args.spec, args.policy(), &mut data)?;
             Ok((stats, data.fallbacks()))
         }
         None => Ok((live_session(args), 0)),
@@ -367,7 +362,7 @@ fn cmd_compare(args: &Args) -> Result<(), Failure> {
         let mut job_args = args.clone();
         job_args.spec.hybrid.policy = policy.label();
         let (stats, fallbacks) = session(&job_args, sizes.clone())?;
-        let e = EnergyModel::default_16nm().breakdown(
+        let e = EnergyBreakdown::of(
             &stats.llc,
             args.cycles(),
             args.spec.system_config().timing.freq_ghz,

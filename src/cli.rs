@@ -132,8 +132,9 @@ fn resolve<T>(
 }
 
 /// Parses the flags of `hllc run|forecast|compare`: `--policy`, `--mix`,
-/// `--cycles` and `--seed` edit the base experiment [`resolve`] picks,
-/// exactly as they edit a live run's. A `--trace` recording must pass
+/// `--cycles` and `--seed` edit the base experiment (the `--spec` preset
+/// or file, else a `--trace` recording's own, else `scaled`), exactly as
+/// they edit a live run's. A `--trace` recording must pass
 /// [`check_replay`] on the result.
 pub fn parse_args(argv: &[String]) -> Result<Args, String> {
     let (mut args, trace) = resolve(argv, |spec| edit_run(argv, spec))?;
@@ -198,8 +199,8 @@ pub struct SweepArgs {
 }
 
 /// Parses the flags of `hllc sweep`: the axes and `--sets`, `--seed` and
-/// `--cycles` edit the base experiment [`resolve`] picks, and the grid
-/// must pass [`SweepSpec::validate`].
+/// `--cycles` edit the base experiment (picked as [`parse_args`] picks
+/// it), and the grid must pass [`SweepSpec::validate`].
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     let ((mut grid, json), trace) = resolve(argv, |spec| edit_sweep(argv, spec))?;
     if let Some(t) = &trace {

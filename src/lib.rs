@@ -23,7 +23,7 @@
 //! | [`config`] | `hllc-config` | experiment specifications and presets |
 //! | [`forecast`] | `hllc-forecast` | the aging forecast procedure |
 //! | [`runner`] | `hllc-runner` | deterministic parallel experiment runner |
-//! | [`bench`] | `hllc-bench` | figure/table harnesses and Criterion microbenches |
+//! | [`bench`](mod@bench) | `hllc-bench` | figure/table harnesses and Criterion microbenches |
 //!
 //! # Quickstart
 //!

@@ -150,38 +150,35 @@ pub fn replay_session(
     policy: Policy,
     cycles: Option<f64>,
 ) -> Result<SessionStats, String> {
-    let spec = trace_spec(content)?;
-    replay_session_with(content, &spec, policy, cycles)
-}
-
-/// Replays a loaded trace on `spec`'s system under `policy` for `cycles`
-/// (the spec's `run.cycles` when `None`), once [`check_replay`] accepts it.
-pub fn replay_session_with(
-    content: &TraceContent,
-    spec: &ExperimentSpec,
-    policy: Policy,
-    cycles: Option<f64>,
-) -> Result<SessionStats, String> {
+    let mut spec = trace_spec(content)?;
+    if let Some(cycles) = cycles {
+        spec.run.cycles = cycles;
+    }
     let mut data = TraceData::from_content(content);
-    replay_session_sized(content, spec, policy, cycles, &mut data)
+    replay_session_sized(content, &spec, policy, &mut data)
 }
 
-/// [`replay_session_with`], sizing blocks from `data`: the recording's
-/// table ([`TraceData::from_content`]), so that several replays of one
-/// recording build it once and clone it. Afterwards
-/// [`TraceData::fallbacks`] counts the size lookups the recording could
-/// not serve.
+/// Replays a loaded trace on `spec`'s system under `policy` for the spec's
+/// `run.cycles`, once [`check_replay`] accepts it, sizing blocks from
+/// `data`: the recording's table ([`TraceData::from_content`]), so that
+/// several replays of one recording build it once and clone it.
+/// Afterwards [`TraceData::fallbacks`] counts the size lookups the
+/// recording could not serve.
 pub fn replay_session_sized(
     content: &TraceContent,
     spec: &ExperimentSpec,
     policy: Policy,
-    cycles: Option<f64>,
     data: &mut TraceData,
 ) -> Result<SessionStats, String> {
     check_replay(content, spec)?;
     let mut streams = ReplayStream::per_core(content);
-    let cycles = cycles.unwrap_or(spec.run.cycles);
-    Ok(run_session(spec, policy, cycles, &mut streams, data))
+    Ok(run_session(
+        spec,
+        policy,
+        spec.run.cycles,
+        &mut streams,
+        data,
+    ))
 }
 
 /// Renders session stats as JSON with sorted keys — two sessions are
@@ -277,7 +274,8 @@ mod tests {
             accesses: vec![Access::load(0, 0x40), Access::load(1, 0x80)],
             sizes: Vec::new(),
         };
-        let e = replay_session_with(&content, &a.spec, Policy::Bh, None).unwrap_err();
+        let mut data = TraceData::from_content(&content);
+        let e = replay_session_sized(&content, &a.spec, Policy::Bh, &mut data).unwrap_err();
         assert!(e.contains("access 1 names core 1"), "{e}");
     }
 
@@ -351,11 +349,12 @@ mod tests {
         other.system.llc_sets = 1024;
         other.system.sram_ways = 3;
         other.system.nvm_ways = 13;
-        let e = replay_session_with(&content, &other, Policy::Bh, None).unwrap_err();
+        let mut data = TraceData::from_content(&content);
+        let e = replay_session_sized(&content, &other, Policy::Bh, &mut data).unwrap_err();
         assert!(e.contains("geometry mismatch"), "{e}");
         assert!(e.contains("llc_sets: spec 1024 vs recording 512"), "{e}");
         assert!(e.contains("sram_ways"), "{e}");
         // A matching spec replays fine.
-        assert!(replay_session_with(&content, &a.spec, Policy::Bh, None).is_ok());
+        assert!(replay_session_sized(&content, &a.spec, Policy::Bh, &mut data).is_ok());
     }
 }

@@ -6,9 +6,9 @@
 use hybrid_llc::cli::Args;
 use hybrid_llc::llc::Policy;
 use hybrid_llc::session::{
-    record_session, recording_header, replay_session_with, stats_json, trace_spec,
+    record_session, recording_header, replay_session_sized, stats_json, trace_spec,
 };
-use hybrid_llc::traceio::{TraceContent, TraceReader, TraceWriter};
+use hybrid_llc::traceio::{TraceContent, TraceData, TraceReader, TraceWriter};
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -35,7 +35,13 @@ fn v1_fixture_replays_bit_identically() {
     assert_eq!(spec.policy(), Policy::cp_sd());
     assert_eq!(spec.run.cycles, 4e4);
 
-    let stats = replay_session_with(&content, &spec, Policy::cp_sd(), None).unwrap();
+    let stats = replay_session_sized(
+        &content,
+        &spec,
+        Policy::cp_sd(),
+        &mut TraceData::from_content(&content),
+    )
+    .unwrap();
     // The recording ran 2 streams on a 4-core system, and its binary
     // counted the 2 idle cores: zero instructions, and a quarter of the
     // summed IPC where the replay reports half. Both scalings are by
@@ -95,12 +101,24 @@ fn mismatched_spec_fails_naming_the_geometry() {
     let mut other = a.spec.clone();
     other.system.llc_sets = 1024;
     other.validate().unwrap();
-    let e = replay_session_with(&content, &other, Policy::cp_sd(), None).unwrap_err();
+    let e = replay_session_sized(
+        &content,
+        &other,
+        Policy::cp_sd(),
+        &mut TraceData::from_content(&content),
+    )
+    .unwrap_err();
     assert!(e.contains("geometry mismatch"), "{e}");
     assert!(e.contains("llc_sets: spec 1024 vs recording 512"), "{e}");
 
     // The recording's own spec replays fine.
-    replay_session_with(&content, &a.spec, Policy::cp_sd(), None).unwrap();
+    replay_session_sized(
+        &content,
+        &a.spec,
+        Policy::cp_sd(),
+        &mut TraceData::from_content(&content),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -111,7 +129,13 @@ fn v1_replay_rejects_an_explicit_mismatched_spec_too() {
     spec.system.sram_ways = 3;
     spec.system.nvm_ways = 13;
     spec.validate().unwrap();
-    let e = replay_session_with(&content, &spec, Policy::cp_sd(), None).unwrap_err();
+    let e = replay_session_sized(
+        &content,
+        &spec,
+        Policy::cp_sd(),
+        &mut TraceData::from_content(&content),
+    )
+    .unwrap_err();
     assert!(e.contains("geometry mismatch"), "{e}");
     assert!(e.contains("sram_ways"), "{e}");
 }
