@@ -25,6 +25,9 @@
 //!   (default: all cores). Every harness writes the same output for any
 //!   value.
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 pub mod exp;
 pub mod report;
 pub mod stats;

@@ -116,9 +116,9 @@ impl CompressionStats {
     }
 
     /// Records an already-compressed block.
+    #[expect(clippy::indexing_slicing, reason = "ce() < 16 == per_encoding.len()")]
     pub fn observe_compressed(&mut self, cb: &CompressedBlock) {
         let e = cb.encoding();
-        // ce() < 16 == per_encoding.len() (4-bit encoding id).
         self.per_encoding[e.ce() as usize] += 1;
         self.classes.record(classify(cb.size()));
         self.total_uncompressed_bytes += 64;
@@ -126,8 +126,8 @@ impl CompressionStats {
     }
 
     /// Number of blocks observed with `encoding`.
+    #[expect(clippy::indexing_slicing, reason = "ce() < 16 == per_encoding.len()")]
     pub fn count(&self, encoding: Encoding) -> u64 {
-        // ce() < 16 == per_encoding.len().
         self.per_encoding[encoding.ce() as usize]
     }
 

@@ -56,8 +56,8 @@ impl CompressedBlock {
     }
 
     /// The raw payload bytes (base followed by deltas).
+    #[expect(clippy::indexing_slicing, reason = "compressed_size() <= 64")]
     pub fn payload(&self) -> &[u8] {
-        // compressed_size() <= 64 == payload.len().
         &self.payload[..self.encoding.compressed_size() as usize]
     }
 
@@ -70,7 +70,17 @@ impl CompressedBlock {
                 Block::from_u64_lanes([v; 8])
             }
             Encoding::Uncompressed => Block::new(self.payload),
-            e => decompress_base_delta(e, self.payload()),
+            e @ (Encoding::B8D1
+            | Encoding::B8D2
+            | Encoding::B8D3
+            | Encoding::B8D4
+            | Encoding::B8D5
+            | Encoding::B8D6
+            | Encoding::B8D7
+            | Encoding::B4D1
+            | Encoding::B4D2
+            | Encoding::B4D3
+            | Encoding::B2D1) => decompress_base_delta(e, self.payload()),
         }
     }
 
@@ -78,10 +88,10 @@ impl CompressedBlock {
     /// e.g. after reading an ECB back from an NVM frame.
     ///
     /// Returns `None` if the payload length does not match the encoding.
+    #[expect(clippy::indexing_slicing, reason = "payload.len() == CB size <= 64")]
     pub fn from_parts(encoding: Encoding, payload: &[u8]) -> Option<Self> {
         if payload.len() == encoding.compressed_size() as usize {
             let mut inline = [0u8; BLOCK_SIZE];
-            // payload.len() == compressed_size() <= 64 (checked above).
             inline[..payload.len()].copy_from_slice(payload);
             Some(CompressedBlock {
                 encoding,
@@ -139,7 +149,17 @@ impl Compressor {
             Encoding::Zeros => {}
             Encoding::Repeated => payload[..8].copy_from_slice(&block.bytes()[..8]),
             Encoding::Uncompressed => payload.copy_from_slice(block.bytes()),
-            e => encode_base_delta(e, block, &mut payload),
+            e @ (Encoding::B8D1
+            | Encoding::B8D2
+            | Encoding::B8D3
+            | Encoding::B8D4
+            | Encoding::B8D5
+            | Encoding::B8D6
+            | Encoding::B8D7
+            | Encoding::B4D1
+            | Encoding::B4D2
+            | Encoding::B4D3
+            | Encoding::B2D1) => encode_base_delta(e, block, &mut payload),
         }
         CompressedBlock { encoding, payload }
     }
@@ -163,6 +183,7 @@ impl Compressor {
     /// because Table I sizes are pairwise distinct the smallest applicable
     /// encoding is unique, so this equals the exhaustive per-encoding
     /// search (proven by property test).
+    #[expect(clippy::indexing_slicing, reason = "d8 in 1..=7, d4 in 1..=3 there")]
     pub fn probe(&self, bytes: &[u8; BLOCK_SIZE]) -> Encoding {
         let mut lanes = [0u64; 8];
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -216,12 +237,10 @@ impl Compressor {
         }
         let d8 = min_delta_width(min8, max8);
         if d8 <= 7 {
-            // d8 in 1..=7, so the index is in 0..=6.
             best = smaller(best, B8_BY_WIDTH[usize::from(d8) - 1]);
         }
         let d4 = min_delta_width(min4, max4);
         if d4 <= 3 {
-            // d4 in 1..=3, so the index is in 0..=2.
             best = smaller(best, B4_BY_WIDTH[usize::from(d4) - 1]);
         }
         if min_delta_width(min2, max2) == 1 {
@@ -257,6 +276,7 @@ fn min_delta_width(min: i64, max: i64) -> u8 {
 /// Writes `base || deltas` for a base/delta encoding into `out` without any
 /// intermediate lane buffer: each lane is read from the block bytes, its
 /// delta computed, and the truncated little-endian bytes stored directly.
+#[expect(clippy::indexing_slicing, reason = "base_w <= 8, off + delta_w <= 64")]
 fn encode_base_delta(encoding: Encoding, block: &Block, out: &mut [u8; BLOCK_SIZE]) {
     let (Some(base_w), Some(delta_w)) = (encoding.base_width(), encoding.delta_width()) else {
         debug_assert!(false, "encode_base_delta only sees base/delta encodings");
@@ -264,13 +284,11 @@ fn encode_base_delta(encoding: Encoding, block: &Block, out: &mut [u8; BLOCK_SIZ
     };
     let (base_w, delta_w) = (base_w as usize, delta_w as usize);
     let bytes = block.bytes();
-    // base_w <= 8 <= BLOCK_SIZE, the length of both buffers.
     out[..base_w].copy_from_slice(&bytes[..base_w]);
     let base = read_lane(bytes, 0, base_w);
     let mut off = base_w;
     for lane in 1..BLOCK_SIZE / base_w {
         let d = read_lane(bytes, lane, base_w).wrapping_sub(base);
-        // The payload fits the block: off + delta_w <= CB size <= BLOCK_SIZE.
         out[off..off + delta_w].copy_from_slice(&d.to_le_bytes()[..delta_w]);
         off += delta_w;
     }
@@ -290,6 +308,7 @@ fn read_lane(bytes: &[u8; BLOCK_SIZE], lane: usize, width: usize) -> i64 {
     }
 }
 
+#[expect(clippy::indexing_slicing, reason = "payload holds the encoding's CB")]
 fn decompress_base_delta(encoding: Encoding, payload: &[u8]) -> Block {
     let (Some(base_w), Some(delta_w)) = (encoding.base_width(), encoding.delta_width()) else {
         debug_assert!(
@@ -358,24 +377,19 @@ mod tests {
                 .iter()
                 .all(|&v| matches!(v.wrapping_sub(base), d if d >= min && d <= max))
         }
-        match encoding {
-            Encoding::Uncompressed => true,
-            Encoding::Zeros => block.is_zero(),
-            Encoding::Repeated => {
-                let lanes = block.u64_lanes();
-                lanes.iter().all(|&v| v == lanes[0])
-            }
-            e => {
-                let delta = i64::from(e.delta_width().unwrap());
-                let max = (1i64 << (8 * delta - 1)) - 1;
-                let min = -(1i64 << (8 * delta - 1));
-                match e.base_width().unwrap() {
-                    8 => fits::<8>(&block.u64_lanes().map(|v| v as i64), min, max),
-                    4 => fits::<16>(&block.u32_lanes().map(|v| i64::from(v as i32)), min, max),
-                    2 => fits::<32>(&block.u16_lanes().map(|v| i64::from(v as i16)), min, max),
-                    _ => unreachable!(),
-                }
-            }
+        let (Some(base), Some(delta)) = (encoding.base_width(), encoding.delta_width()) else {
+            let lanes = block.u64_lanes();
+            return encoding == Encoding::Uncompressed
+                || (encoding == Encoding::Zeros && block.is_zero())
+                || (encoding == Encoding::Repeated && lanes.iter().all(|&v| v == lanes[0]));
+        };
+        let max = (1i64 << (8 * delta - 1)) - 1;
+        let min = -(1i64 << (8 * delta - 1));
+        match base {
+            8 => fits::<8>(&block.u64_lanes().map(|v| v as i64), min, max),
+            4 => fits::<16>(&block.u32_lanes().map(|v| i64::from(v as i32)), min, max),
+            // The one other base width, 2.
+            _ => fits::<32>(&block.u16_lanes().map(|v| i64::from(v as i16)), min, max),
         }
     }
 

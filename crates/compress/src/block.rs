@@ -48,30 +48,30 @@ impl Block {
     }
 
     /// Builds a block from eight little-endian 64-bit lanes.
+    #[expect(clippy::indexing_slicing, reason = "(i + 1) * 8 <= BLOCK_SIZE")]
     pub fn from_u64_lanes(lanes: [u64; 8]) -> Self {
         let mut bytes = [0u8; BLOCK_SIZE];
         for (i, lane) in lanes.iter().enumerate() {
-            // (i + 1) * 8 <= 8 * 8 == BLOCK_SIZE.
             bytes[i * 8..(i + 1) * 8].copy_from_slice(&lane.to_le_bytes());
         }
         Block(bytes)
     }
 
     /// Builds a block from sixteen little-endian 32-bit lanes.
+    #[expect(clippy::indexing_slicing, reason = "(i + 1) * 4 <= BLOCK_SIZE")]
     pub fn from_u32_lanes(lanes: [u32; 16]) -> Self {
         let mut bytes = [0u8; BLOCK_SIZE];
         for (i, lane) in lanes.iter().enumerate() {
-            // (i + 1) * 4 <= 16 * 4 == BLOCK_SIZE.
             bytes[i * 4..(i + 1) * 4].copy_from_slice(&lane.to_le_bytes());
         }
         Block(bytes)
     }
 
     /// Builds a block from thirty-two little-endian 16-bit lanes.
+    #[expect(clippy::indexing_slicing, reason = "(i + 1) * 2 <= BLOCK_SIZE")]
     pub fn from_u16_lanes(lanes: [u16; 32]) -> Self {
         let mut bytes = [0u8; BLOCK_SIZE];
         for (i, lane) in lanes.iter().enumerate() {
-            // (i + 1) * 2 <= 32 * 2 == BLOCK_SIZE.
             bytes[i * 2..(i + 1) * 2].copy_from_slice(&lane.to_le_bytes());
         }
         Block(bytes)

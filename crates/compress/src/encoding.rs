@@ -127,7 +127,17 @@ impl Encoding {
             Encoding::Zeros => 1,
             Encoding::Repeated => 8,
             Encoding::Uncompressed => 64,
-            _ => {
+            Encoding::B8D1
+            | Encoding::B8D2
+            | Encoding::B8D3
+            | Encoding::B8D4
+            | Encoding::B8D5
+            | Encoding::B8D6
+            | Encoding::B8D7
+            | Encoding::B4D1
+            | Encoding::B4D2
+            | Encoding::B4D3
+            | Encoding::B2D1 => {
                 let (Some(base), Some(delta), Some(lanes)) =
                     (self.base_width(), self.delta_width(), self.lanes())
                 else {

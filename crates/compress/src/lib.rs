@@ -22,6 +22,12 @@
 //! assert_eq!(compressed.decompress(), block);
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod analysis;
 mod bdi;
 mod block;

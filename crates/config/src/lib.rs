@@ -15,6 +15,11 @@
 //! or missing fields are structured [`SpecError`]s naming the offending
 //! field, not silent defaults.
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 
 use hllc_compress::CompressorKind;
@@ -375,7 +380,7 @@ impl ExperimentSpec {
                 })
             }
         };
-        spec.validate().expect("presets must validate");
+        spec.validate()?;
         Ok(spec)
     }
 
@@ -552,6 +557,7 @@ impl ExperimentSpec {
     /// # Panics
     ///
     /// Panics if `hybrid.policy` does not parse — validate first.
+    #[expect(clippy::panic, reason = "documented; validate() rejects it")]
     pub fn policy(&self) -> Policy {
         Policy::parse(&self.hybrid.policy)
             .unwrap_or_else(|| panic!("unvalidated spec: bad policy '{}'", self.hybrid.policy))
@@ -562,6 +568,7 @@ impl ExperimentSpec {
     /// # Panics
     ///
     /// Panics if `hybrid.compressor` does not parse — validate first.
+    #[expect(clippy::panic, reason = "documented; validate() rejects it")]
     pub fn compressor(&self) -> CompressorKind {
         parse_compressor(&self.hybrid.compressor).unwrap_or_else(|| {
             panic!(
@@ -688,6 +695,7 @@ impl ExperimentSpec {
 
     /// Pretty-printed JSON, trailing newline included (the `--dump` and
     /// `specs/` file format).
+    #[expect(clippy::expect_used, reason = "writing a JSON value cannot fail")]
     pub fn to_string_pretty(&self) -> String {
         serde_json::to_string_pretty(&self.to_json()).expect("spec serialization cannot fail")
             + "\n"
@@ -833,7 +841,11 @@ impl<'a> Fields<'a> {
                 prefix,
                 seen: std::cell::RefCell::new(Vec::new()),
             }),
-            _ => Err(invalid(
+            Value::Null
+            | Value::Bool(_)
+            | Value::Number(_)
+            | Value::String(_)
+            | Value::Array(_) => Err(invalid(
                 if prefix.is_empty() { "(root)" } else { prefix },
                 "expected a JSON object",
             )),
@@ -865,7 +877,11 @@ impl<'a> Fields<'a> {
     fn bool(&self, key: &'static str) -> Result<bool, SpecError> {
         match self.get(key)? {
             Value::Bool(b) => Ok(*b),
-            _ => Err(invalid(&self.path(key), "expected true or false")),
+            Value::Null
+            | Value::Number(_)
+            | Value::String(_)
+            | Value::Array(_)
+            | Value::Object(_) => Err(invalid(&self.path(key), "expected true or false")),
         }
     }
 
@@ -881,7 +897,12 @@ impl<'a> Fields<'a> {
             Value::Number(Number::F64(v)) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2e18 => {
                 Ok(*v as u64)
             }
-            _ => Err(invalid(&self.path(key), "expected a non-negative integer")),
+            Value::Number(Number::I64(_) | Number::F64(_))
+            | Value::Null
+            | Value::Bool(_)
+            | Value::String(_)
+            | Value::Array(_)
+            | Value::Object(_) => Err(invalid(&self.path(key), "expected a non-negative integer")),
         }
     }
 

@@ -32,13 +32,13 @@ pub struct EpochRecord {
 impl EpochRecord {
     /// Candidate index with the most hits this epoch (ties: smaller
     /// `CP_th`), or `None` if the epoch saw no sampler hits.
+    #[expect(clippy::indexing_slicing, reason = "k, best < hits.len()")]
     pub fn max_hits_candidate(&self) -> Option<usize> {
         if self.hits.iter().all(|&h| h == 0) {
             return None;
         }
         let mut best = 0;
         for k in 1..self.hits.len() {
-            // k and best stay below hits.len().
             if self.hits[k] > self.hits[best] {
                 best = k;
             }
@@ -137,20 +137,22 @@ impl SetDueling {
     }
 
     /// The `CP_th` a given set must use right now.
+    #[expect(clippy::indexing_slicing, reason = "k, winner are candidate indices")]
     pub fn cp_th_for_set(&self, set: usize) -> u8 {
         match self.candidate_of_set(set) {
             Some(k) => CP_TH_CANDIDATES[k],
-            // winner is always a candidate index (see select_winner).
             None => CP_TH_CANDIDATES[self.winner],
         }
     }
 
     /// Current follower `CP_th`.
+    #[expect(clippy::indexing_slicing, reason = "winner is a candidate index")]
     pub fn current_cp_th(&self) -> u8 {
         CP_TH_CANDIDATES[self.winner]
     }
 
     /// Records an LLC hit in a sampler set.
+    #[expect(clippy::indexing_slicing, reason = "k is a candidate index")]
     pub fn record_hit(&mut self, set: usize) {
         if let Some(k) = self.candidate_of_set(set) {
             self.hits[k] += 1;
@@ -158,6 +160,7 @@ impl SetDueling {
     }
 
     /// Records NVM bytes written in a sampler set.
+    #[expect(clippy::indexing_slicing, reason = "k is a candidate index")]
     pub fn record_write(&mut self, set: usize, bytes: u64) {
         if let Some(k) = self.candidate_of_set(set) {
             self.writes[k] += bytes;
@@ -166,6 +169,7 @@ impl SetDueling {
 
     /// Rolls the epoch over if `now` has passed the epoch boundary,
     /// re-evaluating the winner. Returns true if an epoch ended.
+    #[expect(clippy::indexing_slicing, reason = "k < CP_TH_CANDIDATES.len()")]
     pub fn maybe_epoch(&mut self, now: u64) -> bool {
         if now < self.epoch_end {
             return false;
@@ -201,13 +205,13 @@ impl SetDueling {
     /// counters: start from the max-hits candidate `i`; with `Th > 0`,
     /// choose the smallest-`CP_th` candidate `j` with
     /// `H(j) > H(i)·(1 − Th/100)` and `W(j) < W(i)·(1 − Tw/100)`.
+    #[expect(clippy::indexing_slicing, reason = "i, j, k < CP_TH_CANDIDATES.len()")]
     fn select_winner(&self) -> usize {
         if self.hits_acc.iter().all(|&h| h == 0.0) {
             return self.winner; // idle epoch: keep the previous choice
         }
         let mut i = 0;
         for k in 1..CP_TH_CANDIDATES.len() {
-            // k, i < CP_TH_CANDIDATES.len() == hits_acc.len().
             if self.hits_acc[k] > self.hits_acc[i] {
                 i = k;
             }
@@ -218,7 +222,6 @@ impl SetDueling {
         let h_floor = self.hits_acc[i] * (1.0 - self.th / 100.0);
         let w_ceiling = self.writes_acc[i] * (1.0 - self.tw / 100.0);
         for j in 0..CP_TH_CANDIDATES.len() {
-            // j < CP_TH_CANDIDATES.len() == hits_acc.len() == writes_acc.len().
             if self.hits_acc[j] > h_floor && self.writes_acc[j] < w_ceiling {
                 return j;
             }
@@ -229,11 +232,10 @@ impl SetDueling {
     /// The retained per-epoch sampler history in chronological order —
     /// the last [`HISTORY_EPOCHS`] epochs at most (see
     /// [`epochs_total`](Self::epochs_total) for the lifetime count).
+    #[expect(clippy::indexing_slicing, reason = "history_head <= history.len()")]
     pub fn history(&self) -> Vec<EpochRecord> {
         let mut out = Vec::with_capacity(self.history.len());
-        // history_head <= history.len() (it indexes or appends).
         out.extend_from_slice(&self.history[self.history_head..]);
-        // Same bound as the slice above.
         out.extend_from_slice(&self.history[..self.history_head]);
         out
     }

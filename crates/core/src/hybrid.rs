@@ -219,10 +219,10 @@ impl HybridLlc {
 
     /// Updates TAP's thrashing predictor on a hit to a line with dirtiness
     /// `dirty` and returns the block's cumulative (hashed) hit count.
+    #[expect(clippy::indexing_slicing, reason = "slot < tap_table.len() under TAP")]
     fn tap_observe(&mut self, block: u64, dirty: bool, req: LlcReq) -> u32 {
         let slot = Self::tap_slot(block);
         if req == LlcReq::GetS && !dirty {
-            // slot < TAP_TABLE_ENTRIES == tap_table.len() under TAP.
             self.tap_table[slot] = self.tap_table[slot].saturating_add(1);
         }
         u32::from(self.tap_table[slot])
@@ -246,11 +246,11 @@ impl HybridLlc {
             },
             Policy::LHybrid => match req {
                 LlcReq::GetS if !dirty => ReuseClass::Read,
-                _ => ReuseClass::None,
+                LlcReq::GetS | LlcReq::GetX => ReuseClass::None,
             },
             Policy::Tap { hit_threshold } => match req {
                 LlcReq::GetS if !dirty && tap_count >= hit_threshold => ReuseClass::Read,
-                _ => ReuseClass::None,
+                LlcReq::GetS | LlcReq::GetX => ReuseClass::None,
             },
             Policy::Bh | Policy::BhCp | Policy::Ca { .. } => ReuseClass::None,
         }
@@ -297,6 +297,7 @@ impl HybridLlc {
     /// modelling a fault-oblivious replacement that wastes
     /// partially-disabled frames. Empty frames are still taken only when the
     /// block fits.
+    #[expect(clippy::indexing_slicing, reason = "ways lies within the set's ways")]
     fn victim(&self, set: usize, ways: Range<usize>, ecb: usize, fit: bool) -> Option<usize> {
         // No array means no NVM ways (see `with_array`).
         let caps = self
@@ -312,7 +313,6 @@ impl HybridLlc {
         let stamps = self.ways.lru_lane(set);
         let mut lru_way = None;
         let mut lru_stamp = u64::MAX;
-        // `ways` lies within the set's ways, the length of its stamp lane.
         for (way, &stamp) in ways.clone().zip(&stamps[ways]) {
             let cap = capacity(way);
             if cap == 0 || (fit && ecb > cap) {
@@ -348,6 +348,7 @@ impl HybridLlc {
     /// Writes `line` into `way`, retiring the line it displaces, with the
     /// accounting of the way's part: an NVM write also wears its frame,
     /// feeds Set Dueling and occupies its bank.
+    #[expect(clippy::indexing_slicing, reason = "set % BANKS < BANKS")]
     fn commit(&mut self, now: u64, set: usize, way: usize, line: LineState, migration: bool) {
         if let Some(old) = self.ways.take(set, way) {
             self.retire(old);
@@ -442,6 +443,7 @@ impl HybridLlc {
 }
 
 impl LlcPort for HybridLlc {
+    #[expect(clippy::indexing_slicing, reason = "set % BANKS < BANKS")]
     fn request(&mut self, now: u64, block: u64, req: LlcReq) -> LlcResponse {
         self.maybe_epoch(now);
         match req {

@@ -86,21 +86,21 @@ impl WayArray {
 
     /// True if `way` of `set` holds a line.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets == valid.len()")]
     pub(crate) fn is_valid(&self, set: usize, way: usize) -> bool {
-        // set < sets == valid.len(); callers pass in-range sets.
         self.valid[set] & (1u64 << way) != 0
     }
 
     /// The way holding `block` in `set`, if resident: one occupancy-word
     /// load plus a linear sweep over the set's contiguous tag lane.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn find(&self, set: usize, block: u64) -> Option<usize> {
         let mask = self.valid[set];
         if mask == 0 {
             return None;
         }
         let base = set * self.ways;
-        // base + ways <= sets * ways == tags.len().
         let tags = &self.tags[base..base + self.ways];
         for (way, &tag) in tags.iter().enumerate() {
             if tag == block && mask & (1u64 << way) != 0 {
@@ -112,13 +112,14 @@ impl WayArray {
 
     /// The LRU stamp of `way` (only meaningful when valid).
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn lru(&self, set: usize, way: usize) -> u64 {
-        // idx() < sets * ways == lru.len().
         self.lru[self.idx(set, way)]
     }
 
     /// The occupancy word of `set` (bit `w` set ⇔ way `w` holds a line).
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets == valid.len()")]
     pub(crate) fn valid_mask(&self, set: usize) -> u64 {
         self.valid[set]
     }
@@ -126,6 +127,7 @@ impl WayArray {
     /// The contiguous LRU-stamp lane of `set` — lets victim sweeps iterate
     /// a slice instead of paying an index computation per way.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "base + ways <= sets * ways")]
     pub(crate) fn lru_lane(&self, set: usize) -> &[u64] {
         let base = set * self.ways;
         &self.lru[base..base + self.ways]
@@ -133,14 +135,15 @@ impl WayArray {
 
     /// Incrementally refreshes the LRU stamp of a resident line.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn touch(&mut self, set: usize, way: usize, stamp: u64) {
         let i = self.idx(set, way);
-        // i = idx() < sets * ways == lru.len().
         self.lru[i] = stamp;
     }
 
     /// Sets the reuse class of a resident line.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn set_reuse(&mut self, set: usize, way: usize, reuse: ReuseClass) {
         let i = self.idx(set, way);
         self.meta[i] = (self.meta[i] & DIRTY_BIT) | (encode_reuse(reuse) << REUSE_SHIFT);
@@ -148,24 +151,28 @@ impl WayArray {
 
     /// True if the resident line at `way` is dirty.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn dirty(&self, set: usize, way: usize) -> bool {
         self.meta[self.idx(set, way)] & DIRTY_BIT != 0
     }
 
     /// The reuse class of the resident line at `way`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn reuse(&self, set: usize, way: usize) -> ReuseClass {
         decode_reuse(self.meta[self.idx(set, way)] >> REUSE_SHIFT)
     }
 
     /// The compressed size of the resident line at `way`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn cb_size(&self, set: usize, way: usize) -> u8 {
         self.cb_size[self.idx(set, way)]
     }
 
     /// Gathers the lanes of `way` back into a [`LineState`], or `None` if
     /// the way is empty.
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn get(&self, set: usize, way: usize) -> Option<LineState> {
         if !self.is_valid(set, way) {
             return None;
@@ -181,6 +188,7 @@ impl WayArray {
     }
 
     /// Scatters `line` into the lanes of `way`, marking it occupied.
+    #[expect(clippy::indexing_slicing, reason = "set < sets and way < ways")]
     pub(crate) fn put(&mut self, set: usize, way: usize, line: LineState) {
         let i = self.idx(set, way);
         self.tags[i] = line.block;
@@ -191,6 +199,7 @@ impl WayArray {
     }
 
     /// Removes and returns the line at `way`, if any.
+    #[expect(clippy::indexing_slicing, reason = "set < sets == valid.len()")]
     pub(crate) fn take(&mut self, set: usize, way: usize) -> Option<LineState> {
         let line = self.get(set, way)?;
         self.valid[set] &= !(1u64 << way);

@@ -1,13 +1,13 @@
 //! Behavioural tests for every insertion policy of Table III.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hllc_core::{HybridConfig, HybridLlc, Part, Policy, CP_TH_CANDIDATES};
 use hllc_sim::{ConstSizeData, DataModel, LlcPort, LlcReq, ReuseClass};
 
 /// Data model with per-block compressed sizes.
 #[derive(Default)]
-struct MapData(HashMap<u64, u8>);
+struct MapData(BTreeMap<u64, u8>);
 
 impl MapData {
     fn with(mut self, block: u64, size: u8) -> Self {

@@ -2,7 +2,7 @@
 //! reference-model equivalence check: BH on a fresh cache must behave as a
 //! textbook 16-way LRU.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hllc_core::{HybridConfig, HybridLlc, Policy};
 use hllc_sim::{DataModel, LlcPort, LlcReq, ReuseClass};
@@ -123,8 +123,8 @@ proptest! {
         let mut data = HashSizeData;
 
         // Reference: per-set LRU lists of capacity 16.
-        let mut model: HashMap<usize, Vec<u64>> = HashMap::new();
-        let touch = |model: &mut HashMap<usize, Vec<u64>>, block: u64| -> bool {
+        let mut model: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        let touch = |model: &mut BTreeMap<usize, Vec<u64>>, block: u64| -> bool {
             let set = (block as usize) % SETS;
             let list = model.entry(set).or_default();
             if let Some(pos) = list.iter().position(|&b| b == block) {

@@ -21,6 +21,11 @@
 //! println!("50% capacity after {:?} s", series.lifetime_seconds(0.5));
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod phase;
 mod predict;
 mod procedure;

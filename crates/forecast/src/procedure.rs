@@ -57,6 +57,7 @@ impl ForecastConfig {
     /// policies are preserved because failure times are linear in μ
     /// (DESIGN.md substitution #4); `ExperimentSpec::paper_time_scale`
     /// gives the factor (about 800) to paper-equivalent time.
+    #[expect(clippy::expect_used, reason = "the built-in preset validates")]
     pub fn scaled(policy: Policy) -> Self {
         Self::from_spec(&ExperimentSpec::preset("scaled").expect("builtin preset"))
             .with_policy(policy)

@@ -103,6 +103,7 @@ impl ForecastSeries {
     /// # Panics
     ///
     /// Panics if `runs` is empty or any run is empty.
+    #[expect(clippy::expect_used, reason = "documented: every run is non-empty")]
     pub fn average(label: impl Into<String>, runs: &[ForecastSeries], grid_points: usize) -> Self {
         assert!(!runs.is_empty(), "need at least one run");
         let horizon = runs.iter().map(|r| r.end_time()).fold(0.0, f64::max);
@@ -131,10 +132,11 @@ impl ForecastSeries {
 
     /// Time-weighted mean IPC up to `until_seconds` (or the whole series).
     pub fn mean_ipc(&self, until_seconds: Option<f64>) -> Option<f64> {
+        let last = self.points.last()?;
         if self.points.len() < 2 {
-            return self.points.first().map(|p| p.ipc);
+            return Some(last.ipc);
         }
-        let horizon = until_seconds.unwrap_or(self.points.last().unwrap().time_seconds);
+        let horizon = until_seconds.unwrap_or(last.time_seconds);
         let mut weighted = 0.0;
         let mut span = 0.0;
         for w in self.points.windows(2) {

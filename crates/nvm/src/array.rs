@@ -71,11 +71,11 @@ impl FastMod {
 }
 
 /// One [`FastMod`] per possible live-byte count of a frame (index 0 unused).
+#[expect(clippy::indexing_slicing, reason = "d <= FRAME_BYTES < mods.len()")]
 const LIVE_MODS: [FastMod; FRAME_BYTES + 1] = {
     let mut mods = [FastMod::new(1); FRAME_BYTES + 1];
     let mut d = 1;
     while d <= FRAME_BYTES {
-        // d <= FRAME_BYTES < mods.len().
         mods[d] = FastMod::new(d as u64);
         d += 1;
     }
@@ -190,25 +190,25 @@ impl NvmArray {
 
     /// Immutable access to a frame.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn frame(&self, set: usize, way: usize) -> &Frame {
-        // idx() < sets * ways == frames.len().
         &self.frames[self.idx(set, way)]
     }
 
     /// A frame's byte endurance limits (drawing the array's limits if
     /// nothing has read them yet).
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn endurance(&self, set: usize, way: usize) -> &[f64; FRAME_BYTES] {
         let i = self.idx(set, way);
-        // i < sets * ways, the lane's length.
         &self.limits.get(self.frames.len())[i]
     }
 
     /// A frame's [`Frame::live_remaining`]: the remaining writes of each
     /// live byte, in ascending byte order, at the front of `out`; returns
     /// their count.
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn live_remaining(&self, set: usize, way: usize, out: &mut [f64; FRAME_BYTES]) -> usize {
         let i = self.idx(set, way);
-        // i < sets * ways, the length of every lane.
         self.frames[i].live_remaining(&self.limits.get(self.frames.len())[i], out)
     }
 
@@ -216,8 +216,8 @@ impl NvmArray {
     /// bytes, leaving `live` of them, under the disabling granularity:
     /// under frame disabling the first fault disables the frame, and a dead
     /// frame is disabled under either. A disabled frame stays disabled.
+    #[expect(clippy::indexing_slicing, reason = "i < sets * ways = lane length")]
     fn settle(&mut self, i: usize, live: usize) {
-        // i < sets * ways, the length of every lane.
         let usable = self.capacity[i] != 0
             && (self.granularity == DisableGranularity::Byte || live == FRAME_BYTES);
         // live <= FRAME_BYTES < 256.
@@ -227,6 +227,7 @@ impl NvmArray {
     /// Effective capacity of a frame in bytes, under the array's disabling
     /// granularity: 0 for a disabled frame, otherwise the live-byte count.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn effective_capacity(&self, set: usize, way: usize) -> usize {
         usize::from(self.capacity[self.idx(set, way)])
     }
@@ -234,10 +235,10 @@ impl NvmArray {
     /// The contiguous effective-capacity lane of `set`, one byte per way —
     /// victim sweeps read this instead of querying each frame.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "base + ways <= sets * ways")]
     pub fn capacity_lane(&self, set: usize) -> &[u8] {
         assert!(set < self.sets, "set {set} out of range");
         let base = set * self.ways;
-        // base + ways <= sets * ways == capacity.len() (set checked above).
         &self.capacity[base..base + self.ways]
     }
 
@@ -247,6 +248,7 @@ impl NvmArray {
     /// is accumulated per frame and applied later by the forecast's
     /// prediction phase (`apply_uniform_wear`).
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn note_write(&mut self, set: usize, way: usize, ecb_len: usize) {
         let i = self.idx(set, way);
         debug_assert!(self.capacity[i] != 0, "writing a disabled frame");
@@ -265,13 +267,13 @@ impl NvmArray {
     /// ([`Frame::record_write`]), honouring the disabling granularity.
     /// Returns the number of newly failed bytes (0 for a disabled frame,
     /// which absorbs no wear).
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn record_write(&mut self, set: usize, way: usize, mask: u128) -> usize {
         let i = self.idx(set, way);
         if self.capacity[i] == 0 {
             return 0;
         }
         let limits = self.limits.get(self.frames.len());
-        // i < sets * ways, the length of every lane.
         let failed = self.frames[i].record_write(&limits[i], mask);
         if failed > 0 {
             self.settle(i, self.frames[i].live_bytes());
@@ -283,13 +285,13 @@ impl NvmArray {
     /// ([`Frame::apply_uniform_wear`]), honouring the disabling
     /// granularity. Returns the number of newly failed bytes (0 for a
     /// disabled frame, which absorbs no wear).
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn apply_uniform_wear(&mut self, set: usize, way: usize, byte_writes: f64) -> usize {
         let i = self.idx(set, way);
         if self.capacity[i] == 0 {
             return 0;
         }
         let limits = self.limits.get(self.frames.len());
-        // i < sets * ways, the length of every lane.
         let failed = self.frames[i].apply_uniform_wear(&limits[i], byte_writes);
         if failed > 0 {
             self.settle(i, self.frames[i].live_bytes());
@@ -303,6 +305,7 @@ impl NvmArray {
     /// # Panics
     ///
     /// Panics if `byte >= FRAME_BYTES`.
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn disable_byte(&mut self, set: usize, way: usize, byte: usize) {
         let i = self.idx(set, way);
         self.frames[i].disable_byte(byte);
@@ -311,6 +314,7 @@ impl NvmArray {
 
     /// Administratively disables a whole frame (fault injection, tests,
     /// and the frame-disabling policies' reaction to tag-array faults).
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn disable_frame(&mut self, set: usize, way: usize) {
         let i = self.idx(set, way);
         self.capacity[i] = 0;
@@ -319,6 +323,7 @@ impl NvmArray {
     /// True if the frame has been disabled: a dead frame, a frame with a
     /// fault under frame disabling, or one given to
     /// [`disable_frame`](Self::disable_frame).
+    #[expect(clippy::indexing_slicing, reason = "idx() < sets * ways = lane length")]
     pub fn is_disabled(&self, set: usize, way: usize) -> bool {
         self.capacity[self.idx(set, way)] == 0
     }
@@ -363,13 +368,13 @@ impl NvmArray {
     /// multiplication (`FastMod`) and the byte is found by a
     /// constant-time select, so a step costs the same for any frame. The
     /// frame's live count is read from the capacity lane.
+    #[expect(clippy::indexing_slicing, reason = "rem(x) is below its divisor")]
     pub fn degrade_to<R: Rng + ?Sized>(&mut self, target: f64, rng: &mut R) {
         assert!((0.0..=1.0).contains(&target), "target must be a fraction");
         let frames = FastMod::new(self.frames.len() as u64);
         let mut live = self.live_units();
         let target_live = (target * self.total_units() as f64).floor() as usize;
         while live > target_live {
-            // rem < frames.len(), the length of every lane.
             let i = frames.rem(rng.next_u64()) as usize;
             let in_frame = usize::from(self.capacity[i]);
             if in_frame == 0 {

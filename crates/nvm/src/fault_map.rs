@@ -15,6 +15,7 @@ const WORD_MASKS: [u64; FAULT_WORDS] = [u64::MAX, (1u64 << (FRAME_BYTES - 64)) -
 
 /// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit (0-based) of
 /// byte `b`, for `r` below its popcount.
+#[expect(clippy::indexing_slicing, reason = "b < 256 and r <= bit < 8")]
 const SELECT_IN_BYTE: [[u8; 8]; 256] = {
     let mut table = [[0u8; 8]; 256];
     let mut b = 0;
@@ -22,7 +23,6 @@ const SELECT_IN_BYTE: [[u8; 8]; 256] = {
         let (mut bit, mut r) = (0, 0);
         while bit < 8 {
             if b >> bit & 1 == 1 {
-                // b < 256 and r <= bit < 8.
                 table[b][r] = bit as u8;
                 r += 1;
             }
@@ -41,6 +41,7 @@ const SELECT_IN_BYTE: [[u8; 8]; 256] = {
 /// is at most `k` (which names the byte holding the bit), and a table
 /// finishes inside that byte.
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "in_byte < 256, k - before < 8")]
 fn select64(x: u64, k: usize) -> Result<usize, usize> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
@@ -116,9 +117,9 @@ impl FaultMap {
     ///
     /// Panics if `i >= FRAME_BYTES`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "i < FRAME_BYTES, so i >> 6 < 2")]
     pub fn is_faulty(&self, i: usize) -> bool {
         assert!(i < FRAME_BYTES, "byte index {i} out of range");
-        // i >> 6 < FAULT_WORDS since i < FRAME_BYTES.
         self.words[i >> 6] >> (i & 63) & 1 == 1
     }
 
@@ -128,6 +129,7 @@ impl FaultMap {
     ///
     /// Panics if `i >= FRAME_BYTES`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "i < FRAME_BYTES, so i >> 6 < 2")]
     pub fn mark_faulty(&mut self, i: usize) {
         assert!(i < FRAME_BYTES, "byte index {i} out of range");
         self.words[i >> 6] |= 1 << (i & 63);
@@ -165,10 +167,10 @@ impl FaultMap {
     /// The packed *live* words (bit set = usable byte), complementing
     /// [`words`](Self::words) within the frame range.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "w < FAULT_WORDS = every length")]
     pub fn live_words(&self) -> [u64; FAULT_WORDS] {
         let mut live = [0u64; FAULT_WORDS];
         for (w, l) in live.iter_mut().enumerate() {
-            // w enumerates live, which has the same length as words.
             *l = !self.words[w] & WORD_MASKS[w];
         }
         live
@@ -198,6 +200,7 @@ impl FaultMap {
     /// [`FRAME_BYTES`]) and wrapping around — the circular scan order of
     /// the rearrangement circuitry. Word-granular: each step pops the next
     /// set bit of the live mask via `trailing_zeros`.
+    #[expect(clippy::indexing_slicing, reason = "w < FAULT_WORDS = every length")]
     pub fn live_indices_from(&self, offset: usize) -> LiveIndices {
         let offset = offset % FRAME_BYTES;
         let live = self.live_words();
@@ -242,9 +245,9 @@ pub struct LiveIndices {
 impl Iterator for LiveIndices {
     type Item = usize;
 
+    #[expect(clippy::indexing_slicing, reason = "segment < 2 == segments.len()")]
     fn next(&mut self) -> Option<usize> {
         while self.segment < 2 {
-            // segment < 2 == segments.len() inside the loop.
             let words = &mut self.segments[self.segment];
             for (w, word) in words.iter_mut().enumerate() {
                 if *word != 0 {

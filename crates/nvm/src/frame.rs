@@ -79,12 +79,12 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if `i >= FRAME_BYTES`.
+    #[expect(clippy::indexing_slicing, reason = "i < FRAME_BYTES (asserted)")]
     pub fn remaining_writes(&self, endurance: &[f64; FRAME_BYTES], i: usize) -> f64 {
         assert!(i < FRAME_BYTES);
         if self.fault_map.is_faulty(i) {
             0.0
         } else {
-            // i < FRAME_BYTES (asserted above), the length of both lanes.
             (endurance[i] - self.wear()[i]).max(0.0)
         }
     }
@@ -94,6 +94,7 @@ impl Frame {
     /// count): the values [`remaining_writes`](Self::remaining_writes)
     /// gives for `fault_map().live_indices()`, read straight from the
     /// endurance and wear lanes.
+    #[expect(clippy::indexing_slicing, reason = "i is a live bit, n < live count")]
     pub fn live_remaining(
         &self,
         endurance: &[f64; FRAME_BYTES],
@@ -106,7 +107,6 @@ impl Frame {
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // i < FRAME_BYTES (a live bit) and n < the live count.
                 out[n] = (endurance[i] - wear[i]).max(0.0);
                 n += 1;
             }
@@ -118,6 +118,7 @@ impl Frame {
     /// byte `i` written), as produced by the rearrangement circuitry, against
     /// the frame's `endurance` limits. Returns the number of bytes that
     /// failed as a result.
+    #[expect(clippy::indexing_slicing, reason = "w < 2 == live.len(), i is live")]
     pub fn record_write(&mut self, endurance: &[f64; FRAME_BYTES], mask: u128) -> usize {
         // Faulty bytes absorb no wear: drop them from the mask a whole
         // word at a time, then walk the surviving bits.
@@ -126,7 +127,6 @@ impl Frame {
         let wear = self.wear.get_or_insert_with(|| Box::new(NO_WEAR));
         let mut failed = 0;
         for (w, &word) in mask_words.iter().enumerate() {
-            // w < 2 == live.len() (both arrays cover FRAME_BYTES bits).
             let mut bits = word & live[w];
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
@@ -145,6 +145,7 @@ impl Frame {
     /// the aggregate effect of the rotating wear-leveling counter over a
     /// long interval — against the frame's `endurance` limits. Returns the
     /// number of bytes that failed.
+    #[expect(clippy::indexing_slicing, reason = "i < FRAME_BYTES: i is a live bit")]
     pub fn apply_uniform_wear(
         &mut self,
         endurance: &[f64; FRAME_BYTES],

@@ -33,6 +33,12 @@
 //! assert_eq!(mask.count_ones() as usize, ecb.len());
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod array;
 mod endurance;
 mod fault_map;

@@ -31,6 +31,7 @@ fn assert_fits(fault_map: &FaultMap, ecb_len: usize) {
 /// # Panics
 ///
 /// Panics if `ecb_len` exceeds the frame's live-byte count.
+#[expect(clippy::indexing_slicing, reason = "live positions are < FRAME_BYTES")]
 pub fn index_vector(
     fault_map: &FaultMap,
     offset: usize,
@@ -43,7 +44,6 @@ pub fn index_vector(
         .take(ecb_len)
         .enumerate()
     {
-        // live_indices_from yields positions < FRAME_BYTES.
         iv[pos] = Some(ecb_byte as u8);
     }
     iv
@@ -56,6 +56,7 @@ pub fn index_vector(
 /// # Panics
 ///
 /// Panics if the ECB does not fit in the frame's live bytes.
+#[expect(clippy::indexing_slicing, reason = "live positions are < FRAME_BYTES")]
 pub fn scatter(ecb: &[u8], fault_map: &FaultMap, offset: usize) -> ([u8; FRAME_BYTES], u128) {
     assert_fits(fault_map, ecb.len());
     let mut recb = [0u8; FRAME_BYTES];
@@ -75,6 +76,7 @@ pub fn scatter(ecb: &[u8], fault_map: &FaultMap, offset: usize) -> ([u8; FRAME_B
 /// # Panics
 ///
 /// Panics if `ecb.len()` exceeds the frame's live-byte count.
+#[expect(clippy::indexing_slicing, reason = "live positions are < FRAME_BYTES")]
 pub fn gather_into(recb: &[u8; FRAME_BYTES], fault_map: &FaultMap, offset: usize, ecb: &mut [u8]) {
     assert_fits(fault_map, ecb.len());
     for (byte, pos) in ecb.iter_mut().zip(fault_map.live_indices_from(offset)) {

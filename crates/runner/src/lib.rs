@@ -20,6 +20,11 @@
 //! executor any harness can refactor onto, and [`run_sweep`] is the
 //! ready-made `policy × mix × seed × capacity` sweep behind `hllc sweep`.
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod pool;
 mod seed;
 mod sweep;

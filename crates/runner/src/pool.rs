@@ -28,6 +28,11 @@ pub fn default_threads() -> usize {
 /// # Panics
 ///
 /// Propagates the first panicking job (the scope joins all workers first).
+#[expect(
+    clippy::expect_used,
+    reason = "each index is claimed once and reported unless its job panicked, and the scope \
+              re-raises that panic before any result is read"
+)]
 pub fn run_indexed<T, R, F>(jobs: Vec<T>, threads: usize, run: F) -> Vec<R>
 where
     T: Send,
@@ -58,11 +63,10 @@ where
                 if i >= n {
                     break;
                 }
-                let job = slots[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("job dispatched twice");
+                // The cursor hands out each index once, so the slot is full.
+                let Some(job) = slots[i].lock().ok().and_then(|mut slot| slot.take()) else {
+                    break;
+                };
                 if tx.send((i, run(i, job))).is_err() {
                     break;
                 }

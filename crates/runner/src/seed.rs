@@ -31,7 +31,7 @@ mod tests {
 
     #[test]
     fn distinct_across_jobs_and_bases() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for base in [0u64, 1, 42, u64::MAX] {
             for i in 0..256 {
                 assert!(

@@ -273,6 +273,7 @@ fn run_job(
 /// # Panics
 ///
 /// Panics if [`SweepSpec::validate`] fails; call it first.
+#[expect(clippy::panic, reason = "documented: callers validate first")]
 pub fn run_sweep(spec: &SweepSpec) -> SweepReport {
     if let Err(e) = spec.validate() {
         panic!("{e}");

@@ -2,8 +2,6 @@
 //! the recorder's first-seen set and the FPC memo. A lookup hashes a small
 //! page directory and reads one byte.
 
-use std::collections::HashMap;
-
 /// log2 of the blocks per page.
 const PAGE_SHIFT: u32 = 6;
 /// Blocks per page: one bit of [`Page::present`] each.
@@ -39,13 +37,18 @@ struct Page {
 /// assert_eq!(t.len(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the page directory of the one block-size table (replay sizes, the recorder's \
+              first-seen set, the FPC memo) is keyed SipHash because its keys come from trace \
+              files; it is only probed and inserted, never iterated, so no order reaches any output"
+)]
 pub struct BlockSizes {
     /// Page number (`block >> 6`) → index into `pages`. Std's randomly
     /// keyed SipHash, because blocks come from outside input (trace files):
     /// with an unkeyed or invertible hash a crafted file could send every
-    /// page to one probe sequence and make building quadratic. The map is
-    /// only probed, never iterated, so its order reaches no output.
-    dir: HashMap<u64, usize>,
+    /// page to one probe sequence and make building quadratic.
+    dir: std::collections::HashMap<u64, usize>,
     pages: Vec<Page>,
 }
 
@@ -71,6 +74,7 @@ impl BlockSizes {
 
     /// The size stored for `block`, if any.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "slot < PAGE_BLOCKS by SLOT_MASK")]
     pub fn get(&self, block: u64) -> Option<u8> {
         let &index = self.dir.get(&(block >> PAGE_SHIFT))?;
         let page = self.pages.get(index)?;
@@ -78,7 +82,6 @@ impl BlockSizes {
         if page.present >> slot & 1 == 0 {
             return None;
         }
-        // slot < PAGE_BLOCKS by the mask above.
         Some(page.sizes[slot])
     }
 
@@ -103,16 +106,15 @@ impl BlockSizes {
 
     /// Stores `size` for `block` in `pages[index]`, the page holding it,
     /// and returns the size it replaces, if any.
+    #[expect(clippy::indexing_slicing, reason = "slot < PAGE_BLOCKS by SLOT_MASK")]
     fn set(&mut self, index: usize, block: u64, size: u8) -> Option<u8> {
         // index < pages.len(): every directory value is the index of the
         // page pushed with it, and pages are never removed.
         let page = &mut self.pages[index];
         let slot = (block & SLOT_MASK) as usize;
         let bit = 1u64 << slot;
-        // slot < PAGE_BLOCKS by the mask above.
         let old = (page.present & bit != 0).then_some(page.sizes[slot]);
         page.present |= bit;
-        // slot < PAGE_BLOCKS by the mask above.
         page.sizes[slot] = size;
         old
     }
@@ -130,6 +132,7 @@ impl FromIterator<(u64, u8)> for BlockSizes {
     /// slot = page number mod `RECENT_PAGES`, and probes the directory
     /// only on a miss. Inputs that keep missing it cost what one
     /// [`insert`](Self::insert) per entry does.
+    #[expect(clippy::indexing_slicing, reason = "the remainder is < RECENT_PAGES")]
     fn from_iter<I: IntoIterator<Item = (u64, u8)>>(entries: I) -> Self {
         let mut table = BlockSizes::new();
         // `block >> PAGE_SHIFT` never reaches u64::MAX, so it marks an
@@ -137,7 +140,6 @@ impl FromIterator<(u64, u8)> for BlockSizes {
         let mut recent = [(u64::MAX, 0usize); RECENT_PAGES];
         for (block, size) in entries {
             let page = block >> PAGE_SHIFT;
-            // The remainder is < RECENT_PAGES.
             let slot = &mut recent[(page % RECENT_PAGES as u64) as usize];
             if slot.0 != page {
                 *slot = (page, table.page_index(page));

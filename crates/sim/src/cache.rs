@@ -97,12 +97,12 @@ impl<T> Cache<T> {
     /// Scans `block`'s set once: `Ok(index)` of its entry on a hit, else
     /// `Err(index)` of the victim way — the first empty way, otherwise the
     /// least recently used entry. This is the only placement rule.
+    #[expect(clippy::indexing_slicing, reason = "set_index < sets, len sets * ways")]
     fn scan(&self, block: u64) -> Result<usize, usize> {
         let start = set_index(block, self.sets) * self.ways;
         let mut empty = None;
         let mut lru_way = 0;
         let mut lru_stamp = u64::MAX;
-        // The set is in bounds: set_index(_, sets) < sets, len == sets * ways.
         for (way, slot) in self.entries[start..start + self.ways].iter().enumerate() {
             match slot {
                 Some(e) if e.block == block => return Ok(start + way),
@@ -132,11 +132,11 @@ impl<T> Cache<T> {
 
     /// Looks a block up, updating LRU order. Returns the entry on a hit, or
     /// on a miss the [`Slot`] a [`Cache::fill`] of the block would take.
+    #[expect(clippy::indexing_slicing, reason = "scan's indices lie in the set")]
     pub fn lookup(&mut self, block: u64) -> Result<&mut Entry<T>, Slot> {
         self.stamp += 1;
         let stamp = self.stamp;
         let hit = self.scan(block).map_err(Slot)?;
-        // scan returns indices inside the block's set, Ok only when occupied.
         let e = self.entries[hit].as_mut().ok_or(Slot(hit))?;
         e.lru = stamp;
         Ok(e)
@@ -145,16 +145,16 @@ impl<T> Cache<T> {
     /// Mutable access to a block's entry without touching LRU order — for
     /// coherence actions (downgrades) performed *on* a cache rather than
     /// *by* it.
+    #[expect(clippy::indexing_slicing, reason = "scan's indices lie in the set")]
     pub fn entry_mut(&mut self, block: u64) -> Option<&mut Entry<T>> {
         let i = self.find(block)?;
-        // find returns indices from scan, inside the block's set.
         self.entries[i].as_mut()
     }
 
     /// Looks a block up without touching LRU order.
+    #[expect(clippy::indexing_slicing, reason = "scan's indices lie in the set")]
     pub fn peek(&self, block: u64) -> Option<&Entry<T>> {
         let i = self.find(block)?;
-        // find returns indices from scan (see `entry_mut`).
         self.entries[i].as_ref()
     }
 
@@ -169,6 +169,7 @@ impl<T> Cache<T> {
     ///
     /// Panics if `slot` came from a cache with more entries; in debug
     /// builds, also if it lies outside the block's set.
+    #[expect(clippy::indexing_slicing, reason = "scan's indices lie in the set")]
     pub fn fill(&mut self, slot: Slot, block: u64, aux: T) -> Option<Evicted<T>> {
         debug_assert_eq!(
             slot.0 / self.ways,
@@ -183,7 +184,6 @@ impl<T> Cache<T> {
             aux,
             lru: self.stamp,
         };
-        // slot.0 came from scan of this cache, inside the block's set.
         self.entries[slot.0].replace(entry).map(|e| Evicted {
             block: e.block,
             aux: e.aux,
@@ -204,9 +204,9 @@ impl<T> Cache<T> {
     }
 
     /// Removes a block if present, returning it.
+    #[expect(clippy::indexing_slicing, reason = "scan's indices lie in the set")]
     pub fn invalidate(&mut self, block: u64) -> Option<Evicted<T>> {
         let i = self.find(block)?;
-        // find returns indices from scan (see `entry_mut`).
         self.entries[i].take().map(|e| Evicted {
             block: e.block,
             aux: e.aux,

@@ -320,14 +320,13 @@ const fn key(requester: CacheState, others: OthersClass, req: ReqKind) -> usize 
 
 /// Dense index from configuration key to table row, built at compile time.
 /// A duplicate table entry is a compile error.
+#[expect(clippy::indexing_slicing, reason = "i < table len; key() < KEY_SPACE")]
 const LUT: [Option<u8>; KEY_SPACE] = {
     let mut lut: [Option<u8>; KEY_SPACE] = [None; KEY_SPACE];
     let mut i = 0;
     while i < TRANSITION_TABLE.len() {
-        // i is bounded by the loop; key() < KEY_SPACE for all enum values.
         let r = &TRANSITION_TABLE[i];
         let k = key(r.requester, r.others, r.req);
-        // k < KEY_SPACE as above.
         assert!(lut[k].is_none(), "duplicate transition-table entry");
         lut[k] = Some(i as u8);
         i += 1;
@@ -339,10 +338,9 @@ const LUT: [Option<u8>; KEY_SPACE] = {
 /// configurations the protocol proves unreachable (e.g. a requester in `M`
 /// alongside a remote owner) — hitting `None` at runtime is a protocol
 /// bug, and `check-protocol` verifies the reachable set is fully covered.
+#[expect(clippy::indexing_slicing, reason = "key() < KEY_SPACE; LUT holds rows")]
 pub const fn step(requester: CacheState, others: OthersClass, req: ReqKind) -> Option<Transition> {
-    // key() < KEY_SPACE for all enum values; LUT stores table indices.
     match LUT[key(requester, others, req)] {
-        // i came out of LUT, which only holds valid row indices.
         Some(i) => Some(TRANSITION_TABLE[i as usize].action),
         None => None,
     }
@@ -351,6 +349,7 @@ pub const fn step(requester: CacheState, others: OthersClass, req: ReqKind) -> O
 /// Like [`step`], but returns the index of the matching
 /// [`TRANSITION_TABLE`] row — the checker uses this to prove every entry
 /// reachable.
+#[expect(clippy::indexing_slicing, reason = "key() < KEY_SPACE")]
 pub const fn step_index(requester: CacheState, others: OthersClass, req: ReqKind) -> Option<usize> {
     match LUT[key(requester, others, req)] {
         Some(i) => Some(i as usize),
@@ -483,13 +482,13 @@ pub mod model {
         /// (only meaningful for `Evict` and dirty-forward writebacks).
         ///
         /// Returns the index of the [`TRANSITION_TABLE`] row applied.
+        #[expect(clippy::indexing_slicing, reason = "core < cores.len(); idx is a row")]
         pub fn apply(
             &mut self,
             core: usize,
             req: ReqKind,
             insert_kept: bool,
         ) -> Result<usize, ProtocolError> {
-            // The caller picks `core` from 0..cores.len().
             let requester = self.cores[core];
             if req == ReqKind::Evict && requester == CacheState::I {
                 return Err(ProtocolError::BadRequest { core, req });
@@ -502,7 +501,6 @@ pub mod model {
                     req,
                 });
             };
-            // step_index only returns valid table rows.
             let t = TRANSITION_TABLE[idx].action;
 
             // Remote copies.

@@ -59,9 +59,9 @@ fn locate(block: u64) -> (usize, u64) {
 impl Dram {
     /// Services one block access at time `now`, returning its latency in
     /// core cycles (including any wait for the bank).
+    #[expect(clippy::indexing_slicing, reason = "locate() reduces modulo BANKS")]
     pub fn access(&mut self, block: u64, now: u64) -> u32 {
         let (bank_idx, row) = locate(block);
-        // locate() reduces the bank index modulo BANKS == banks.len().
         let bank = &mut self.banks[bank_idx];
 
         let queue_wait = bank.busy_until.saturating_sub(now) as u32;

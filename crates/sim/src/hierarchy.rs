@@ -65,10 +65,13 @@ struct L2Meta {
     reuse: ReuseClass,
 }
 
-/// Looks the configuration up in the transition table. Reaching a
-/// configuration without a table entry means the protocol invariants were
-/// already broken; `check-protocol` proves the reachable space is fully
-/// covered, so the panic is a last-resort guard, not a control path.
+/// Looks the configuration up in the transition table.
+#[expect(
+    clippy::panic,
+    reason = "a missing transition-table entry is a protocol bug, not a recoverable error; \
+              check-protocol proves the reachable set is fully covered, so this panic is \
+              unreachable"
+)]
 fn step_or_panic(requester: CacheState, others: OthersClass, req: ReqKind) -> Transition {
     coherence::step(requester, others, req).unwrap_or_else(|| {
         panic!("no coherence transition for ({requester:?}, {others:?}, {req:?})")
@@ -158,6 +161,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     }
 
     /// Current cycle clock of `core`.
+    #[expect(clippy::indexing_slicing, reason = "callers pass core < cores")]
     pub fn core_clock(&self, core: usize) -> f64 {
         self.clocks[core]
     }
@@ -169,6 +173,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     }
 
     /// Instructions-per-cycle of `core` (0.0 before any work).
+    #[expect(clippy::indexing_slicing, reason = "callers pass core < cores")]
     pub fn ipc(&self, core: usize) -> f64 {
         if self.clocks[core] == 0.0 {
             0.0
@@ -194,6 +199,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
 
     /// Executes one memory reference, advancing the issuing core's clock.
     /// Returns the stall cycles charged.
+    #[expect(clippy::indexing_slicing, reason = "drivers issue a.core < cores")]
     pub fn access(&mut self, a: &Access) -> f64 {
         let core = a.core as usize;
         let block = block_of(a.addr);
@@ -217,6 +223,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
 
     /// Resolves `block` for `core`, returning the serving level and its
     /// raw latency in cycles (variable for DRAM and contended NVM banks).
+    #[expect(clippy::indexing_slicing, reason = "core < cores (see access)")]
     fn serve(&mut self, core: usize, block: u64, op: Op, now: u64) -> (ServiceLevel, u32) {
         // L1.
         if self.l1[core].lookup(block).is_ok() {
@@ -342,6 +349,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// Grants write permission for a block already held in L2: S requires a
     /// `GetX` through the LLC (invalidate-on-hit); E/M upgrade silently.
     /// The table decides; this only executes the transition.
+    #[expect(clippy::indexing_slicing, reason = "core < cores (see access)")]
     fn ensure_writable(&mut self, core: usize, block: u64, now: u64) {
         let Ok(entry) = self.l2[core].lookup(block) else {
             debug_assert!(false, "writable block must be in L2");
@@ -395,6 +403,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
         );
     }
 
+    #[expect(clippy::indexing_slicing, reason = "core < cores (see access)")]
     fn fill_l1(&mut self, core: usize, block: u64) {
         // L1 victims need no action: a store moves the L2 copy to M, so the
         // L1 copy is never the only up-to-date one.
@@ -407,6 +416,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// table's `Evict` transitions (requester → I, LLC insert, clean or
     /// dirty by coherence state); those rows do not depend on the remote
     /// summary, so the hot path skips re-classifying the victim block.
+    #[expect(clippy::indexing_slicing, reason = "core < cores (see access)")]
     fn fill_l2(
         &mut self,
         core: usize,
@@ -435,6 +445,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// * `Invalidate` (stores): every remote copy (L1 + L2) is
     ///   invalidated; the requester receives M. Any LLC copy is
     ///   invalidated too (GetX).
+    #[expect(clippy::indexing_slicing, reason = "other < l2.len(): the loop bound")]
     fn serve_from_remote(
         &mut self,
         core: usize,
@@ -462,7 +473,6 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
                 if remote_mask & (1 << other) == 0 {
                     continue;
                 }
-                // other < l2.len() by the loop bound.
                 let Some(entry) = self.l2[other].entry_mut(block) else {
                     debug_assert!(false, "remote mask points at a core without the block");
                     continue;
@@ -492,6 +502,7 @@ impl<L: LlcPort, D: DataModel> Hierarchy<L, D> {
     /// Invalidates `block` in every core of `mask` (L1 and L2). Dirty
     /// remote data is implicitly forwarded to the requesting writer, whose
     /// copy ends in `M`.
+    #[expect(clippy::indexing_slicing, reason = "other < l2.len() == l1.len()")]
     fn invalidate_remote(&mut self, block: u64, mask: u16) {
         for other in 0..self.l2.len() {
             if mask & (1 << other) == 0 {

@@ -34,6 +34,12 @@
 //! assert!(stall > 0.0); // cold miss goes to memory
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod access;
 mod address;
 mod block_sizes;

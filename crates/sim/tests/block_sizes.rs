@@ -1,11 +1,11 @@
-//! `BlockSizes` against a `HashMap` oracle, and its heap use measured by a
+//! `BlockSizes` against a `BTreeMap` oracle, and its heap use measured by a
 //! counting allocator: nothing for an empty table, and at most the
 //! per-entry bound DESIGN §10.10 states in the worst case (every entry in a
 //! page of its own).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hllc_sim::BlockSizes;
 use proptest::prelude::*;
@@ -84,12 +84,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn matches_a_hash_map_oracle(
+    fn matches_a_btree_map_oracle(
         entries in prop::collection::vec((arb_block(), any::<u8>()), 0..600),
         probes in prop::collection::vec(arb_block(), 0..200),
     ) {
         let mut table = BlockSizes::new();
-        let mut oracle = HashMap::new();
+        let mut oracle = BTreeMap::new();
         for &(block, size) in &entries {
             prop_assert_eq!(table.insert(block, size), oracle.insert(block, size));
             prop_assert_eq!(table.len(), oracle.len());

@@ -8,7 +8,7 @@
 
 use hllc_sim::Cache;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -41,7 +41,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 struct Model {
     sets: usize,
     ways: usize,
-    lists: HashMap<usize, Vec<u64>>,
+    lists: BTreeMap<usize, Vec<u64>>,
 }
 
 impl Model {
@@ -49,7 +49,7 @@ impl Model {
         Model {
             sets,
             ways,
-            lists: HashMap::new(),
+            lists: BTreeMap::new(),
         }
     }
 

@@ -95,7 +95,7 @@ impl DataModel for WorkloadData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn sizes_are_stable_under_bdi_and_memoized_under_fpc() {
@@ -117,7 +117,7 @@ mod tests {
     /// compress it with BDI and memoize the result.
     struct SynthesizedBdi {
         profiles: Vec<Profile>,
-        sizes: HashMap<u64, u8>,
+        sizes: BTreeMap<u64, u8>,
         rng: StdRng,
     }
 
@@ -145,7 +145,7 @@ mod tests {
             let mut derived = mix.data_model_with(CompressorKind::Bdi, seed);
             let mut oracle = SynthesizedBdi {
                 profiles: mix.apps.iter().map(|a| a.profile.clone()).collect(),
-                sizes: HashMap::new(),
+                sizes: BTreeMap::new(),
                 rng: StdRng::seed_from_u64(seed),
             };
             let mut x = seed;

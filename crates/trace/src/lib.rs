@@ -29,6 +29,9 @@
 //! assert_eq!(a.core, 0);
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod app;
 mod data;
 mod driver;

@@ -101,7 +101,7 @@ mod tests {
         let _serial = crate::serial_helpers();
         let mix = &mixes()[0];
         let mut streams = mix.instantiate(0.1, 1);
-        let mut slots = std::collections::HashSet::new();
+        let mut slots = std::collections::BTreeSet::new();
         for (i, s) in streams.iter_mut().enumerate() {
             slots.insert(s.next_access(i as u8).addr >> crate::APP_SLOT_SHIFT);
         }

@@ -170,7 +170,7 @@ mod tests {
         // position but addresses repeat only after 32 accesses of the
         // virtual footprint... the modulo still revisits; check coverage.
         let seq = walk(&Pattern::Stream { spread: 4 }, 32, 8);
-        let unique: std::collections::HashSet<_> = seq.iter().collect();
+        let unique: std::collections::BTreeSet<_> = seq.iter().collect();
         assert_eq!(unique.len(), 8);
     }
 
@@ -178,7 +178,7 @@ mod tests {
     fn random_stays_in_range() {
         let seq = walk(&Pattern::Random, 1000, 16);
         assert!(seq.iter().all(|&i| i < 16));
-        let unique: std::collections::HashSet<_> = seq.iter().collect();
+        let unique: std::collections::BTreeSet<_> = seq.iter().collect();
         assert!(unique.len() > 10, "random pattern barely explores");
     }
 

@@ -43,9 +43,12 @@ fn app(
         Pattern::Phased { a, .. } => match a.as_ref() {
             Pattern::LoopHot { hot_fraction, .. } => *hot_fraction,
             Pattern::HotCold { hot_fraction, .. } => hot_fraction * 0.6,
-            _ => 0.0,
+            Pattern::Loop { .. }
+            | Pattern::Stream { .. }
+            | Pattern::Random
+            | Pattern::Phased { .. } => 0.0,
         },
-        _ => 0.0,
+        Pattern::Loop { .. } | Pattern::Stream { .. } | Pattern::Random => 0.0,
     };
     AppSpec {
         name,
@@ -345,7 +348,7 @@ mod tests {
     fn twenty_apps_with_unique_names() {
         let apps = spec_apps();
         assert_eq!(apps.len(), 20);
-        let names: std::collections::HashSet<_> = apps.iter().map(|a| a.name).collect();
+        let names: std::collections::BTreeSet<_> = apps.iter().map(|a| a.name).collect();
         assert_eq!(names.len(), 20);
     }
 

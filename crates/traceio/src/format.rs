@@ -288,7 +288,12 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            _ => None,
+            TraceError::BadMagic
+            | TraceError::UnsupportedVersion(_)
+            | TraceError::HeaderCorrupt(_)
+            | TraceError::Truncated { .. }
+            | TraceError::CrcMismatch { .. }
+            | TraceError::BadChunk { .. } => None,
         }
     }
 }

@@ -63,6 +63,11 @@
 //! }
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 mod crc32;
 mod experiment;
 mod format;

@@ -58,6 +58,12 @@ impl<W: Write> Recorder<W> {
 
     /// Seals the trace and returns the sink. Call after the simulation is
     /// done; taps that outlive the recorder silently stop logging.
+    #[expect(
+        clippy::expect_used,
+        reason = "finish consumes the only Recorder and is the only code that takes the writer \
+                  out of the shared slot, so the slot still holds it here; the taps read the \
+                  emptied slot as the end of recording"
+    )]
     pub fn finish(self) -> Result<W, TraceError> {
         let writer = self
             .writer

@@ -14,6 +14,9 @@
 //! hllc trace-info m1.trc                 inspect and verify a trace file
 //! ```
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 use std::io::{self, Write};
 use std::process::ExitCode;
 

@@ -49,6 +49,9 @@
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! harnesses that regenerate every table and figure of the paper.
 
+// The lints this crate denies (DESIGN §12.1).
+#![deny(clippy::disallowed_types, clippy::wildcard_enum_match_arm)]
+
 pub use hllc_bench as bench;
 pub use hllc_compress as compress;
 pub use hllc_config as config;
